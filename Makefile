@@ -1,13 +1,13 @@
-.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak no-panic-hotpath no-artifacts bench-baseline bench-serve bench-gate snap-gate verify-gate
+.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak perfbench-smoke no-panic-hotpath no-artifacts bench-baseline bench-serve bench-gate snap-gate verify-gate
 
 # Full offline verification: release build, workspace tests, lints (clippy
 # plus the dim-lint invariant engine), the golden-results harness, the
 # chaos (fault-injection) harness, a quick end-to-end smoke of the
 # experiment suite (with the metrics layer live), the serving-layer smoke
 # (golden HTTP transcript over an ephemeral port), the overload/chaos soak
-# gate, and a check that no build artifacts are tracked. No network
-# required.
-verify: build test clippy lint golden chaos smoke serve-smoke serve-soak bench-gate snap-gate lint-gate verify-gate no-artifacts
+# gate, the benchmark's own tests plus one short suite pass, and a check
+# that no build artifacts are tracked. No network required.
+verify: build test clippy lint golden chaos smoke serve-smoke serve-soak perfbench-smoke bench-gate snap-gate lint-gate verify-gate no-artifacts
 
 build:
 	cargo build --workspace --release
@@ -50,6 +50,14 @@ serve-smoke:
 # response bytes (see EXPERIMENTS.md "Overload soak methodology").
 serve-soak:
 	cargo run --release -p dim-serve --bin serve_soak
+
+# The benchmark (perfbench/, a package of its own outside the workspace)
+# compiles against the program crates: its tests plus one short untraced
+# suite_quick pass, whose oracle byte-checks the suite output, catch an API
+# break or output drift there.
+perfbench-smoke:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload suite_quick --seconds 1 --trace 0
 
 # The workspace invariant linter (crates/lint, DESIGN.md §11 and §16):
 # the string- and comment-aware per-file rules (no-panic-hotpath,

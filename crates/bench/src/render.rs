@@ -511,19 +511,19 @@ pub fn verify_perturb(cfg: &ExperimentConfig) -> String {
 }
 
 /// Chaos stage — the degraded-mode pipeline under a deterministic fault
-/// plan. Installs `FaultPlan { seed, rate }` for the duration of the call
-/// (and clears it before returning, so classic stages never see it), runs
-/// a decoy-laced annotation sweep plus the full degraded pipeline, and
-/// renders the plan banner, per-stage outcomes and the sorted quarantine
-/// manifest. Output is a pure function of `(cfg, seed, rate)`: the
-/// manifest is identical across runs and thread widths.
+/// plan. Holds a `dim_chaos::scoped` guard with `FaultPlan { seed, rate }`
+/// for the duration of the call (cleared on return, so classic stages
+/// never see it), runs a decoy-laced annotation sweep plus the full
+/// degraded pipeline, and renders the plan banner, per-stage outcomes and
+/// the sorted quarantine manifest. Output is a pure function of
+/// `(cfg, seed, rate)`: the manifest is identical across runs and thread
+/// widths.
 pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
     use dimkb::degrade::ErrorBudget;
     use dimlink::{Annotator, LinkerConfig, UnitLinker};
 
     let plan = dim_chaos::FaultPlan::new(seed, rate);
-    dim_chaos::silence_injected_panic_reports();
-    dim_chaos::install(plan);
+    let _chaos = dim_chaos::scoped(plan);
     let budget = ErrorBudget::new(0.5);
 
     let mut out = String::new();
@@ -589,6 +589,5 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
     rule_to(&mut out, 78);
     let _ = writeln!(out, "quarantine manifest:");
     out.push_str(&dimkb::degrade::manifest(&quarantine));
-    dim_chaos::clear();
     out
 }

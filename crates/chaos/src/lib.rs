@@ -16,11 +16,18 @@
 //!   returns immediately after a single `AtomicBool` load;
 //! * zero dependencies, `std` only.
 //!
+//! The plans are process-global. Code that installs one for a bounded
+//! window (a test, a chaos report, a soak phase) takes a [`scoped`] or
+//! [`scoped_conn`] guard: it serialises every such window in the process
+//! on one mutex, installs the plan once the mutex is held, and clears both
+//! plans on drop, so no window can see or wipe another's plan.
+//!
 //! Faults are consulted **only** by the degraded-mode (`try_*`) entry points;
 //! the classic batch paths never call [`fault_at`], so installing a plan
 //! cannot perturb golden outputs of the classic pipeline.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The kinds of fault the injector can produce at a site.
 ///
@@ -131,6 +138,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The plan that never fires: a [`scoped`] window with no faults.
+    pub const OFF: FaultPlan = FaultPlan { seed: 0, rate: 0.0, kinds: FaultKinds::NONE };
+
     /// A plan injecting every kind at `rate` under `seed`.
     pub fn new(seed: u64, rate: f64) -> FaultPlan {
         FaultPlan {
@@ -243,6 +253,53 @@ pub fn fault_at(site: &str, index: u64) -> Option<FaultKind> {
         return None;
     }
     current_plan().and_then(|plan| plan.decide(site, index))
+}
+
+/// Serialises every [`scoped`] and [`scoped_conn`] window in the process.
+static SCOPE_LOCK: Mutex<()> = Mutex::new(());
+
+/// A window during which the process's fault plans are exactly the one its
+/// constructor installed. It holds the process-wide chaos mutex; dropping
+/// it (also while unwinding from a failed test) clears both plans and
+/// releases the mutex.
+#[must_use = "the plan is cleared as soon as the guard is dropped"]
+pub struct ChaosGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl ChaosGuard {
+    fn acquire() -> ChaosGuard {
+        // A poisoned lock only means an earlier window panicked; its guard
+        // cleared the plans while unwinding, so the state is clean.
+        let lock = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        clear();
+        ChaosGuard { _lock: lock }
+    }
+}
+
+impl Drop for ChaosGuard {
+    fn drop(&mut self) {
+        clear();
+    }
+}
+
+/// Waits for the process-wide chaos mutex, then installs `plan` as the
+/// record-fault plan, with no connection plan, until the guard drops.
+/// [`FaultPlan::OFF`] gives a window with no faults at all. Also silences
+/// the reports of injected panics (see [`silence_injected_panic_reports`]).
+pub fn scoped(plan: FaultPlan) -> ChaosGuard {
+    silence_injected_panic_reports();
+    let guard = ChaosGuard::acquire();
+    install(plan);
+    guard
+}
+
+/// Waits for the process-wide chaos mutex, then installs `plan` as the
+/// connection-fault plan, with no record plan, until the guard drops.
+pub fn scoped_conn(plan: ConnPlan) -> ChaosGuard {
+    let guard = ChaosGuard::acquire();
+    install_conn(plan);
+    guard
 }
 
 /// Installs a panic hook that suppresses the default stderr report for
@@ -488,21 +545,29 @@ fn mix(seed: u64, site_hash: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // Tests mutate the global plan; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    #[test]
+    fn a_waiting_scope_cannot_wipe_the_holders_plan() {
+        let plan = FaultPlan::new(5, 0.5);
+        let guard = scoped(plan);
+        let (started, waiting) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            started.send(()).unwrap();
+            let _g = scoped(FaultPlan::OFF);
+            enabled()
+        });
+        waiting.recv().unwrap();
+        // The assertion must hold under any interleaving; the pause only
+        // lets the waiter get as far as the mutex.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(current_plan(), Some(plan), "a waiting scope must not touch the plan");
+        drop(guard);
+        assert!(!waiter.join().unwrap(), "the waiter's window has no faults");
     }
 
     #[test]
     fn disabled_by_default_and_after_clear() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         clear();
         assert!(!enabled());
         assert_eq!(fault_at("link.annotate", 0), None);
@@ -515,7 +580,7 @@ mod tests {
 
     #[test]
     fn rate_zero_plan_never_fires() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         install(FaultPlan::new(7, 0.0));
         assert!(!enabled());
         for i in 0..1000 {
@@ -526,7 +591,7 @@ mod tests {
 
     #[test]
     fn empty_kind_set_never_fires() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         install(FaultPlan {
             seed: 7,
             rate: 1.0,
@@ -592,7 +657,7 @@ mod tests {
 
     #[test]
     fn conn_plan_disabled_by_default_and_independent_of_record_plan() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         clear();
         assert!(!conn_enabled());
         assert_eq!(conn_fault_at("srv.conn", 0), None);
@@ -612,7 +677,7 @@ mod tests {
 
     #[test]
     fn conn_rate_zero_plan_never_fires() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         install_conn(ConnPlan::new(9, 0.0));
         assert!(!conn_enabled());
         for i in 0..1000 {
@@ -669,7 +734,7 @@ mod tests {
 
     #[test]
     fn conn_current_plan_round_trips() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         let plan = ConnPlan {
             seed: 321,
             rate: 0.0625,
@@ -683,7 +748,7 @@ mod tests {
 
     #[test]
     fn current_plan_round_trips() {
-        let _g = locked();
+        let _g = scoped(FaultPlan::OFF);
         let plan = FaultPlan {
             seed: 123,
             rate: 0.125,

@@ -1,7 +1,7 @@
 //! The choice scorer: a linear softmax model over (question, option)
 //! crossed features, fine-tuned on DimEval items with CoT targets.
 
-use crate::tinylm::features::choice_features;
+use crate::tinylm::features::{choice_features_for, words};
 use crate::tinylm::linear::LinearModel;
 use dimeval::ChoiceItem;
 use rand::rngs::StdRng;
@@ -21,17 +21,19 @@ impl ChoiceScorer {
         ChoiceScorer { model: LinearModel::random(0.15, 0.02, seed), margin_threshold: 0.05 }
     }
 
+    /// Per-option features of an item; the question is tokenised once.
     fn item_features(item: &ChoiceItem) -> Vec<Vec<u32>> {
         let task = item.task.name();
-        item.options
-            .iter()
-            .map(|o| choice_features(task, &item.question, o))
-            .collect()
+        let q_words = words(&item.question);
+        item.options.iter().map(|o| choice_features_for(task, &q_words, o)).collect()
     }
 
     /// Trains on a batch of items for `epochs` passes (order shuffled
     /// deterministically). Returns the mean loss of the final epoch.
     pub fn train(&mut self, items: &[ChoiceItem], epochs: usize, seed: u64) -> f32 {
+        // Features never change between epochs, and featurising draws no
+        // randomness, so every item is featurised once, up front.
+        let feats: Vec<Vec<Vec<u32>>> = items.iter().map(Self::item_features).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut order: Vec<usize> = (0..items.len()).collect();
         let mut last_loss = 0.0;
@@ -42,9 +44,7 @@ impl ChoiceScorer {
             }
             let mut total = 0.0;
             for &i in &order {
-                let item = &items[i];
-                let feats = Self::item_features(item);
-                total += self.model.sgd_softmax(&feats, item.answer);
+                total += self.model.sgd_softmax(&feats[i], items[i].answer);
             }
             last_loss = if items.is_empty() { 0.0 } else { total / items.len() as f32 };
         }

@@ -79,6 +79,23 @@ impl ExtractionModel {
 
     /// Trains on Algorithm-1 annotated data. Returns the last-epoch loss.
     pub fn train(&mut self, items: &[ExtractionItem], epochs: usize, seed: u64) -> f32 {
+        // Candidates, their features and labels never change between
+        // epochs, and building them draws no randomness: build them once.
+        let labelled: Vec<Vec<(Vec<u32>, bool)>> = items
+            .iter()
+            .map(|item| {
+                candidates(&item.text)
+                    .into_iter()
+                    .map(|cand| {
+                        let label = item.gold.iter().any(|g| {
+                            (g.value - cand.value).abs() <= 1e-9 * g.value.abs().max(1.0)
+                                && g.unit_surface == cand.unit_surface
+                        });
+                        (cand.feats, label)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut last = 0.0;
         for _ in 0..epochs {
@@ -89,13 +106,8 @@ impl ExtractionModel {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for &i in &order {
-                let item = &items[i];
-                for cand in candidates(&item.text) {
-                    let label = item.gold.iter().any(|g| {
-                        (g.value - cand.value).abs() <= 1e-9 * g.value.abs().max(1.0)
-                            && g.unit_surface == cand.unit_surface
-                    });
-                    total += self.model.sgd_logistic(&cand.feats, label);
+                for (feats, label) in &labelled[i] {
+                    total += self.model.sgd_logistic(feats, *label);
                     n += 1;
                 }
             }

@@ -129,7 +129,6 @@ fn assert_healthy(label: &str, outcome: &SoakOutcome, failures: &mut u32) {
 
 fn main() {
     let mut failures = 0u32;
-    dim_chaos::clear();
 
     let clean1 = one_run("clean-1");
     assert_healthy("clean-1", &clean1, &mut failures);
@@ -145,10 +144,11 @@ fn main() {
     }
 
     // Rate 0 must be byte-identical to no plan at all.
-    dim_chaos::install_conn(dim_chaos::ConnPlan::new(11, 0.0));
-    let rate0 = one_run("conn-chaos-rate-0");
+    let rate0 = {
+        let _plan = dim_chaos::scoped_conn(dim_chaos::ConnPlan::new(11, 0.0));
+        one_run("conn-chaos-rate-0")
+    };
     assert_healthy("conn-chaos-rate-0", &rate0, &mut failures);
-    dim_chaos::clear_conn();
     if rate0.deterministic != clean1.deterministic {
         eprintln!(
             "serve_soak FAIL: conn-chaos rate 0 changed the deterministic block\n--- clean\n{}\n--- rate 0\n{}",
@@ -159,9 +159,10 @@ fn main() {
 
     // Positive rate: faults fire, clients retry through them, nothing
     // panics or leaks, and every logical request still resolves 2xx.
-    dim_chaos::install_conn(dim_chaos::ConnPlan::new(11, 0.12));
-    let chaos = one_run("conn-chaos-rate-0.12");
-    dim_chaos::clear_conn();
+    let chaos = {
+        let _plan = dim_chaos::scoped_conn(dim_chaos::ConnPlan::new(11, 0.12));
+        one_run("conn-chaos-rate-0.12")
+    };
     assert_healthy("conn-chaos-rate-0.12", &chaos, &mut failures);
     if chaos.report.response_checksum != clean1.report.response_checksum {
         eprintln!(

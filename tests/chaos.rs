@@ -11,8 +11,9 @@
 //! - a blown error budget is a typed [`BudgetExceeded`] abort, never a
 //!   panic.
 //!
-//! The fault plan is process-global, so every test here serializes on one
-//! mutex and clears the plan before and after its chaos window.
+//! The fault plan is process-global, so every test holds a
+//! `dim_chaos::scoped` guard: one process-wide mutex, the test's plan
+//! installed once it is held, and both plans cleared on drop.
 
 use dim_chaos::FaultPlan;
 use dimension_perception::core::pipeline::{try_run_full_pipeline, PipelineConfig};
@@ -21,20 +22,6 @@ use dimension_perception::kb::degrade::{ErrorBudget, QuarantineEntry};
 use dimension_perception::kb::DimUnitKb;
 use dimension_perception::link::{Annotator, LinkerConfig, UnitLinker};
 use dimension_perception::mwp::{self, Augmenter, GenConfig, Source};
-use std::sync::Mutex;
-
-/// Serializes every test in this binary: the chaos plan is process-global
-/// and libtest runs tests concurrently.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    dim_chaos::silence_injected_panic_reports();
-    dim_chaos::clear();
-    match CHAOS_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn annotator() -> Annotator {
     Annotator::new(UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default()))
@@ -57,7 +44,7 @@ fn clean_texts() -> Vec<String> {
 
 #[test]
 fn rate_zero_try_paths_match_classic_at_both_widths() {
-    let _guard = lock();
+    let clean = dim_chaos::scoped(FaultPlan::OFF);
     let budget = ErrorBudget::strict();
     let kb = DimUnitKb::shared();
     let texts = clean_texts();
@@ -78,7 +65,8 @@ fn rate_zero_try_paths_match_classic_at_both_widths() {
 
     // Install a plan with rate 0: `is_active()` is false, so this must be
     // indistinguishable from no plan at all.
-    dim_chaos::install(FaultPlan::new(123, 0.0));
+    drop(clean);
+    let _plan = dim_chaos::scoped(FaultPlan::new(123, 0.0));
     for par in widths() {
         let d = ann.try_annotate_batch(&texts, par, budget).unwrap();
         assert!(d.quarantine.is_empty());
@@ -107,17 +95,18 @@ fn rate_zero_try_paths_match_classic_at_both_widths() {
             serde_json::to_string(&classic_eval).unwrap()
         );
     }
-    dim_chaos::clear();
 }
 
 #[test]
 fn fixed_plan_quarantine_is_deterministic_and_spares_clean_slots() {
-    let _guard = lock();
     let budget = ErrorBudget::new(0.5);
     let gen_cfg = GenConfig { count: 400, seed: 314 };
-    let clean = mwp::generate_with(Source::Ape210k, &gen_cfg, dim_par::Parallelism::new(1));
+    let clean = {
+        let _clean = dim_chaos::scoped(FaultPlan::OFF);
+        mwp::generate_with(Source::Ape210k, &gen_cfg, dim_par::Parallelism::new(1))
+    };
 
-    dim_chaos::install(FaultPlan::new(0xC4A05, 0.05));
+    let _plan = dim_chaos::scoped(FaultPlan::new(0xC4A05, 0.05));
     let mut manifests: Vec<String> = Vec::new();
     for par in [widths()[0], widths()[1], widths()[0]] {
         let d = mwp::try_generate_with(Source::Ape210k, &gen_cfg, par, budget).unwrap();
@@ -142,13 +131,11 @@ fn fixed_plan_quarantine_is_deterministic_and_spares_clean_slots() {
     }
     assert_eq!(manifests[0], manifests[1], "manifest must not depend on thread width");
     assert_eq!(manifests[0], manifests[2], "manifest must not depend on the run");
-    dim_chaos::clear();
 }
 
 #[test]
 fn blown_budget_is_a_typed_abort() {
-    let _guard = lock();
-    dim_chaos::install(FaultPlan::new(9, 0.9));
+    let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.9));
     let gen_cfg = GenConfig { count: 200, seed: 77 };
     let err = mwp::try_generate_with(
         Source::Math23k,
@@ -161,12 +148,10 @@ fn blown_budget_is_a_typed_abort() {
     assert_eq!(err.total, 200);
     assert!(err.failed as f64 > 0.1 * err.total as f64);
     assert!(err.to_string().contains("error budget exceeded at mwp.gen.math23k"));
-    dim_chaos::clear();
 }
 
 #[test]
 fn degraded_quick_pipeline_completes_panic_free() {
-    let _guard = lock();
     dim_obs::enable();
     let config = PipelineConfig {
         train_per_task: 120,
@@ -185,7 +170,7 @@ fn degraded_quick_pipeline_completes_panic_free() {
     let quarantined_before = counter("pipeline.records_quarantined");
     let degraded_before = counter("pipeline.degraded_runs");
 
-    dim_chaos::install(FaultPlan::new(7, 0.05));
+    let _plan = dim_chaos::scoped(FaultPlan::new(7, 0.05));
     let mut manifests: Vec<String> = Vec::new();
     for par in widths() {
         let cfg = PipelineConfig { parallelism: par, ..config };
@@ -198,13 +183,12 @@ fn degraded_quick_pipeline_completes_panic_free() {
     assert_eq!(manifests[0], manifests[1], "pipeline manifest must not depend on width");
     assert!(counter("pipeline.records_quarantined") > quarantined_before);
     assert!(counter("pipeline.degraded_runs") >= degraded_before + 2);
-    dim_chaos::clear();
 }
 
 #[test]
 fn corpus_decoy_tokens_are_quarantined_not_unwrapped() {
-    let _guard = lock();
     // No fault plan: the decoy guard is plan-independent robustness.
+    let _clean = dim_chaos::scoped(FaultPlan::OFF);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(20_24);
     let ann = annotator();
     let budget = ErrorBudget::new(1.0);
@@ -231,8 +215,7 @@ fn corpus_decoy_tokens_are_quarantined_not_unwrapped() {
 
 #[test]
 fn quarantine_entries_order_and_render_stably() {
-    let _guard = lock();
-    dim_chaos::install(FaultPlan::new(0xBEEF, 0.2));
+    let _plan = dim_chaos::scoped(FaultPlan::new(0xBEEF, 0.2));
     let d = mwp::try_generate_with(
         Source::Math23k,
         &GenConfig { count: 64, seed: 1 },
@@ -247,5 +230,4 @@ fn quarantine_entries_order_and_render_stably() {
         dimension_perception::kb::degrade::manifest(&d.quarantine),
         "manifest must sort entries, not trust arrival order"
     );
-    dim_chaos::clear();
 }

@@ -25,22 +25,9 @@ use dim_serve::http::{self, Parsed};
 use dim_serve::server::client;
 use dim_serve::{AppConfig, ServerConfig, ShardedLru};
 use proptest::prelude::*;
+use dim_chaos::{ConnPlan, FaultPlan};
 use std::io::Write as _;
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The chaos plan is process-global; every test touching it serializes
-/// here (same pattern as `tests/chaos.rs`).
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
-    dim_chaos::silence_injected_panic_reports();
-    dim_chaos::clear();
-    match CHAOS_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn test_server(workers: usize, queue: usize) -> dim_serve::ServerHandle {
     dim_serve::start(ServerConfig {
@@ -86,7 +73,7 @@ fn assert_matches_golden(rel: &str, actual: &str) {
 
 #[test]
 fn smoke_transcript_matches_golden() {
-    let _guard = chaos_lock(); // transcript bytes assume no fault plan
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // transcript bytes assume no fault plan
     let transcript = dim_serve::smoke::transcript(2).expect("run smoke script");
     assert_matches_golden("quick/serve.txt", &transcript);
 }
@@ -97,6 +84,7 @@ fn smoke_transcript_matches_golden() {
 /// — is drained, answered, and counted before the report is emitted.
 #[test]
 fn graceful_shutdown_drains_in_flight_request() {
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(2, 8);
     let addr = server.addr();
     // Park a raw connection mid-request: head sent, body missing.
@@ -138,6 +126,7 @@ fn read_raw_response(stream: &mut std::net::TcpStream) -> String {
 /// queued one is still served once the worker frees up.
 #[test]
 fn queue_full_is_deterministic_503_and_backlog_still_drains() {
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(1, 1);
     let addr = server.addr();
 
@@ -175,6 +164,7 @@ fn queue_full_is_deterministic_503_and_backlog_still_drains() {
 /// per-byte progress must NOT keep resetting the clock.
 #[test]
 fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = dim_serve::start(ServerConfig {
         workers: 1,
         queue_capacity: 4,
@@ -226,6 +216,7 @@ fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
 /// and moves on without panicking.
 #[test]
 fn half_close_after_request_still_receives_the_response() {
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(1, 4);
     let addr = server.addr();
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
@@ -252,7 +243,7 @@ fn half_close_after_request_still_receives_the_response() {
 /// panic a worker and never leak a connection permit.
 #[test]
 fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
-    let _guard = chaos_lock(); // serializes the panics-counter delta below
+    let _clean = dim_chaos::scoped(FaultPlan::OFF); // serializes the panics-counter delta below
     let panics_before =
         dim_obs::snapshot().counter("srv.panics_caught").unwrap_or(0);
     let server = test_server(1, 8);
@@ -318,11 +309,14 @@ fn run_chaos_script(workers: usize) -> (Vec<(u16, String)>, Vec<String>) {
 
 #[test]
 fn chaos_rate_zero_is_byte_identical_to_no_plan() {
-    let _guard = chaos_lock();
-    let (clean, clean_q) = run_chaos_script(1);
-    dim_chaos::install(dim_chaos::FaultPlan::new(9, 0.0));
-    let (zero_rate, zero_q) = run_chaos_script(1);
-    dim_chaos::clear();
+    let (clean, clean_q) = {
+        let _clean = dim_chaos::scoped(FaultPlan::OFF);
+        run_chaos_script(1)
+    };
+    let (zero_rate, zero_q) = {
+        let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.0));
+        run_chaos_script(1)
+    };
     assert_eq!(clean, zero_rate, "rate 0 must not change a single byte");
     assert!(clean_q.is_empty() && zero_q.is_empty());
     assert!(clean.iter().all(|(s, _)| *s == 200), "clean script is all 200s");
@@ -334,7 +328,6 @@ fn chaos_rate_zero_is_byte_identical_to_no_plan() {
 /// its responses — consistent, inconsistent, and unresolvable alike.
 #[test]
 fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
-    let _guard = chaos_lock();
     let script: Vec<String> = (0..12)
         .map(|i| match i % 3 {
             0 => format!(
@@ -361,10 +354,14 @@ fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
         server.shutdown();
         out
     };
-    let clean = run();
-    dim_chaos::install(dim_chaos::FaultPlan::new(9, 0.0));
-    let zero_rate = run();
-    dim_chaos::clear();
+    let clean = {
+        let _clean = dim_chaos::scoped(FaultPlan::OFF);
+        run()
+    };
+    let zero_rate = {
+        let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.0));
+        run()
+    };
     assert_eq!(clean, zero_rate, "rate 0 must not change a single /verify byte");
     for (i, (status, body)) in clean.iter().enumerate() {
         match i % 3 {
@@ -384,13 +381,15 @@ fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
 
 #[test]
 fn chaos_rate_positive_degrades_structurally_and_reproducibly() {
-    let _guard = chaos_lock();
-    let (clean, _) = run_chaos_script(1);
+    let (clean, _) = {
+        let _clean = dim_chaos::scoped(FaultPlan::OFF);
+        run_chaos_script(1)
+    };
 
-    dim_chaos::install(dim_chaos::FaultPlan::new(11, 0.35));
+    let plan = dim_chaos::scoped(FaultPlan::new(11, 0.35));
     let (run_a, manifest_a) = run_chaos_script(1);
     let (run_b, manifest_b) = run_chaos_script(1);
-    dim_chaos::clear();
+    drop(plan);
 
     // The process surviving to this line is the "never exits" half of the
     // contract — injected panics were caught per-request.
@@ -416,12 +415,15 @@ fn chaos_rate_positive_degrades_structurally_and_reproducibly() {
 /// same response bytes, same quarantine (none), zero realized faults.
 #[test]
 fn conn_chaos_rate_zero_is_byte_identical_to_no_plan() {
-    let _guard = chaos_lock();
-    let (clean, clean_q) = run_chaos_script(1);
-    dim_chaos::install_conn(dim_chaos::ConnPlan::new(13, 0.0));
-    assert!(!dim_chaos::conn_enabled(), "a rate-0 plan must not arm the injector");
-    let (zero_rate, zero_q) = run_chaos_script(1);
-    dim_chaos::clear_conn();
+    let (clean, clean_q) = {
+        let _clean = dim_chaos::scoped(FaultPlan::OFF);
+        run_chaos_script(1)
+    };
+    let (zero_rate, zero_q) = {
+        let _plan = dim_chaos::scoped_conn(ConnPlan::new(13, 0.0));
+        assert!(!dim_chaos::conn_enabled(), "a rate-0 plan must not arm the injector");
+        run_chaos_script(1)
+    };
     assert_eq!(clean, zero_rate, "conn-chaos rate 0 must not change a single byte");
     assert!(clean_q.is_empty() && zero_q.is_empty());
 }
@@ -431,10 +433,9 @@ fn conn_chaos_rate_zero_is_byte_identical_to_no_plan() {
 /// leaks permits, and clearing the plan restores service on the same server.
 #[test]
 fn conn_chaos_abrupt_close_surfaces_as_transport_error_and_clears() {
-    let _guard = chaos_lock();
     let server = test_server(1, 8);
     let addr = server.addr();
-    dim_chaos::install_conn(dim_chaos::ConnPlan {
+    let plan = dim_chaos::scoped_conn(ConnPlan {
         seed: 13,
         rate: 1.0,
         kinds: dim_chaos::ConnFaultKinds::only(dim_chaos::ConnFault::AbruptClose),
@@ -456,7 +457,8 @@ fn conn_chaos_abrupt_close_surfaces_as_transport_error_and_clears() {
             "unexpected error kind: {err}"
         );
     }
-    dim_chaos::clear_conn();
+    drop(plan);
+    let _clean = dim_chaos::scoped(FaultPlan::OFF);
     let ok = client::request(addr, "GET", "/healthz", "").expect("served after clear");
     assert_eq!(ok.status, 200);
     let report = server.shutdown();
