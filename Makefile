@@ -1,4 +1,4 @@
-.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak perfbench-smoke no-panic-hotpath no-artifacts bench-baseline bench-serve bench-gate snap-gate verify-gate
+.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak perfbench-smoke no-panic-hotpath no-artifacts bench-baseline bench-serve bench-gate verify-gate
 
 # Full offline verification: release build, workspace tests, lints (clippy
 # plus the dim-lint invariant engine), the golden-results harness, the
@@ -7,7 +7,7 @@
 # (golden HTTP transcript over an ephemeral port), the overload/chaos soak
 # gate, the benchmark's own tests plus one short suite pass, and a check
 # that no build artifacts are tracked. No network required.
-verify: build test clippy lint golden chaos smoke serve-smoke serve-soak perfbench-smoke bench-gate snap-gate lint-gate verify-gate no-artifacts
+verify: build test clippy lint golden chaos smoke serve-smoke serve-soak perfbench-smoke bench-gate lint-gate verify-gate no-artifacts
 
 build:
 	cargo build --workspace --release
@@ -94,12 +94,6 @@ no-artifacts:
 # must never hurt.
 bench-gate:
 	cargo run --release -p dim-bench --bin bench_gate
-
-# Snapshot cold-start gate: emit determinism, decode/re-emit identity,
-# record fidelity, and a <100 us median validation time for SnapKb::load
-# (see EXPERIMENTS.md "Snapshot cold-start gate").
-snap-gate:
-	cargo run --release -p dim-bench --bin snap_gate
 
 # Dimensional-verification regression gate: regenerates the dim-verify
 # repair table and the perturbation detection table at thread widths 1

@@ -12,17 +12,6 @@ fn bench_kb(c: &mut Criterion) {
     let km = kb.unit_by_code("KiloM").unwrap().id;
 
     c.bench_function("kb_build_standard", |b| b.iter(|| DimUnitKb::standard().units().len()));
-    // Eager snapshot decode: validate + fully materialize a pre-emitted
-    // buffer. Allocation-bound (~30k owned strings/id-lists), so expect
-    // the same order as `kb_build_standard`; the µs validation-only path
-    // is gated separately by `make snap-gate` (DESIGN.md §13).
-    let snap_bytes = kb.to_snapshot();
-    c.bench_function("kb_load_snapshot", |b| {
-        b.iter(|| {
-            let snap = dimkb::SnapKb::load(black_box(snap_bytes.clone())).unwrap();
-            snap.into_kb().unwrap().units().len()
-        })
-    });
     c.bench_function("kb_lookup_exact", |b| {
         b.iter(|| black_box(kb.lookup(black_box("千米"))).len())
     });

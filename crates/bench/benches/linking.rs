@@ -8,18 +8,26 @@ use std::hint::black_box;
 
 fn bench_linking(c: &mut Criterion) {
     let kb = DimUnitKb::shared();
-    let linker = UnitLinker::new(kb.clone(), None, LinkerConfig::default());
-    let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+    let annotator =
+        Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
 
     c.bench_function("levenshtein_similarity", |b| {
         b.iter(|| lev::similarity(black_box("kilometre"), black_box("kilometer")))
     });
-    c.bench_function("link_exact_mention", |b| {
-        b.iter(|| linker.link(black_box("km/h"), black_box("the car drove fast")))
-    });
-    c.bench_function("link_fuzzy_mention", |b| {
-        b.iter(|| linker.link(black_box("kilometrs"), black_box("distance on the road")))
-    });
+    // One fresh linker per timed call: repeating a query on one linker
+    // would time its link memo, not the linking.
+    for (name, mention, context) in [
+        ("link_exact_mention", "km/h", "the car drove fast"),
+        ("link_fuzzy_mention", "kilometrs", "distance on the road"),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || UnitLinker::new(kb.clone(), None, LinkerConfig::default()),
+                |linker| linker.link(black_box(mention), black_box(context)),
+                BatchSize::SmallInput,
+            )
+        });
+    }
     c.bench_function("annotate_sentence", |b| {
         b.iter(|| {
             annotator.annotate(black_box(

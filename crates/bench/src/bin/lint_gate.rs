@@ -13,7 +13,7 @@
 //!    change; if it creeps from milliseconds toward seconds, the
 //!    analyses have regressed from single-pass to quadratic somewhere.
 //!
-//! Methodology matches bench_gate/snap_gate: `WARMUP` untimed runs,
+//! Methodology matches bench_gate: `WARMUP` untimed runs,
 //! `SAMPLES` timed runs, median-of-samples (robust to co-tenant noise).
 
 use dim_lint::{run, LintOptions};

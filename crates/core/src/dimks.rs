@@ -16,12 +16,7 @@ pub struct DimKs {
 impl DimKs {
     /// The standard system: shared KB, lexical-only linking.
     pub fn standard() -> Self {
-        Self::from_kb(DimUnitKb::shared())
-    }
-
-    /// A system over an explicit KB — e.g. one decoded from a
-    /// `dimkb::snap` binary snapshot — with lexical-only linking.
-    pub fn from_kb(kb: Arc<DimUnitKb>) -> Self {
+        let kb = DimUnitKb::shared();
         let annotator =
             Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
         DimKs { kb, annotator }

@@ -130,29 +130,6 @@ impl SymbolTable {
     pub fn strings(&self) -> &[String] {
         &self.strings
     }
-
-    /// The raw probe table (slot → symbol id or `u32::MAX`), power-of-two
-    /// length. Exposed for the binary snapshot, which stores it verbatim so
-    /// loading skips the hash-insert pass.
-    pub fn slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    /// Reassembles a table from parts produced by [`SymbolTable::strings`]
-    /// and [`SymbolTable::slots`] (the `dimkb::snap` load path). Returns
-    /// `None` unless `slots` has power-of-two length ≥ `strings.len() * 2`
-    /// and every slot is `u32::MAX` or a valid string index — corrupted
-    /// snapshots must degrade to a load error, not a bad table.
-    pub(crate) fn from_parts(strings: Vec<String>, slots: Vec<u32>) -> Option<SymbolTable> {
-        let cap = slots.len();
-        if !cap.is_power_of_two() || cap < (strings.len().max(1) * 2).next_power_of_two() {
-            return None;
-        }
-        if slots.iter().any(|&s| s != EMPTY && s as usize >= strings.len()) {
-            return None;
-        }
-        Some(SymbolTable { strings, slots, mask: cap - 1 })
-    }
 }
 
 /// One char-length bucket of the fuzzy-match prefilter, struct-of-arrays:
@@ -257,62 +234,6 @@ impl LinkIndex {
     /// The interner over case-insensitive normalized surface forms.
     pub fn norm_table(&self) -> &SymbolTable {
         &self.norm
-    }
-
-    /// The interner over case-exact normalized surface forms.
-    pub fn cased_table(&self) -> &SymbolTable {
-        &self.cased
-    }
-
-    /// Candidate-unit lists per `norm` symbol, in symbol-id order.
-    /// Exposed for the binary snapshot.
-    pub fn norm_unit_lists(&self) -> &[Vec<UnitId>] {
-        &self.norm_units
-    }
-
-    /// Candidate-unit lists per `cased` symbol, in symbol-id order.
-    pub fn cased_unit_lists(&self) -> &[Vec<UnitId>] {
-        &self.cased_units
-    }
-
-    /// Precomputed fuzzy-resolution lists per `norm` symbol.
-    pub fn fuzzy_unit_lists(&self) -> &[Vec<UnitId>] {
-        &self.fuzzy_units
-    }
-
-    /// All prefilter buckets, indexed by key char length (possibly empty).
-    pub fn all_buckets(&self) -> &[LenBucket] {
-        &self.buckets
-    }
-
-    /// Reassembles a link index from snapshot-decoded parts. Validates the
-    /// cross-references a corrupted snapshot could break: each per-symbol
-    /// table must be exactly as long as its interner, and every bucket
-    /// symbol must resolve (`sigs` parallel to `syms`). Unit ids are range-
-    /// checked by the caller against the decoded unit arena.
-    pub(crate) fn from_parts(
-        norm: SymbolTable,
-        cased: SymbolTable,
-        norm_units: Vec<Vec<UnitId>>,
-        cased_units: Vec<Vec<UnitId>>,
-        fuzzy_units: Vec<Vec<UnitId>>,
-        buckets: Vec<LenBucket>,
-    ) -> Option<LinkIndex> {
-        if norm_units.len() != norm.len()
-            || fuzzy_units.len() != norm.len()
-            || cased_units.len() != cased.len()
-        {
-            return None;
-        }
-        for bucket in &buckets {
-            if bucket.syms.len() != bucket.sigs.len() {
-                return None;
-            }
-            if bucket.syms.iter().any(|s| s.0 as usize >= norm.len()) {
-                return None;
-            }
-        }
-        Some(LinkIndex { norm, cased, norm_units, cased_units, fuzzy_units, buckets })
     }
 }
 

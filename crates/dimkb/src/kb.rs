@@ -8,7 +8,6 @@ use crate::kind::{KindId, QuantityKind};
 use crate::prefix::SI_PREFIXES;
 use crate::spec::{KindSpec, UnitSpec};
 use crate::unit::{Conversion, Unit, UnitId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -222,16 +221,6 @@ impl DimUnitKb {
             .map(|u| u.conversion.factor)
     }
 
-    /// The full kind index, for snapshot emission.
-    pub(crate) fn by_kind_map(&self) -> &HashMap<KindId, Vec<UnitId>> {
-        &self.by_kind
-    }
-
-    /// The full dimension index, for snapshot emission.
-    pub(crate) fn by_dim_map(&self) -> &HashMap<DimVec, Vec<UnitId>> {
-        &self.by_dim
-    }
-
     /// All distinct dimension vectors present in the KB.
     pub fn dimensions(&self) -> impl Iterator<Item = DimVec> + '_ {
         self.by_dim.keys().copied()
@@ -270,7 +259,7 @@ impl DimUnitKb {
     }
 
     /// The inverted search index for this KB, built on first use. Clones
-    /// carry the already-built index; `subset`/`from_json` start empty.
+    /// carry the already-built index; `subset` starts empty.
     pub(crate) fn search_index(&self) -> &crate::search::SearchIndex {
         self.search_index.get_or_init(|| crate::search::SearchIndex::build(self))
     }
@@ -282,116 +271,6 @@ impl DimUnitKb {
     pub fn link_index(&self) -> &crate::intern::LinkIndex {
         self.link_index.get_or_init(|| crate::intern::LinkIndex::build(self))
     }
-
-    /// Serializes the KB to a JSON snapshot.
-    pub fn to_json(&self) -> String {
-        let snap = KbSnapshot { kinds: &self.kinds, units: &self.units };
-        serde_json::to_string(&snap).expect("KB records always serialize")
-    }
-
-    /// Restores a KB from a JSON snapshot produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let snap: KbSnapshotOwned = serde_json::from_str(json)?;
-        let mut kb = DimUnitKb {
-            units: Vec::with_capacity(snap.units.len()),
-            kinds: snap.kinds,
-            by_code: HashMap::new(),
-            kind_by_name: HashMap::new(),
-            naming: HashMap::new(),
-            naming_cased: HashMap::new(),
-            by_kind: HashMap::new(),
-            by_dim: HashMap::new(),
-            search_index: OnceLock::new(),
-            link_index: OnceLock::new(),
-        };
-        for (i, kind) in kb.kinds.iter().enumerate() {
-            kb.kind_by_name.insert(kind.name_en.clone(), KindId(i as u32));
-        }
-        for unit in snap.units {
-            kb.index_unit(&unit);
-            kb.units.push(unit);
-        }
-        Ok(kb)
-    }
-
-    /// Serializes this KB — records *and* every derived index, including
-    /// the interned [`crate::intern::LinkIndex`] — into the versioned
-    /// binary snapshot format of [`crate::snap`]. Emission is
-    /// deterministic: the same KB always produces byte-identical output.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        crate::snap::emit(self)
-    }
-
-    /// Opens a binary snapshot produced by [`Self::to_snapshot`]. The
-    /// returned handle validates the buffer (magic, version, bounds,
-    /// checksum) in microseconds; the full KB materializes lazily on first
-    /// access *by decoding* the stored indexes — nothing is re-derived.
-    pub fn from_snapshot(bytes: Vec<u8>) -> Result<crate::snap::SnapKb, crate::snap::SnapError> {
-        crate::snap::SnapKb::load(bytes)
-    }
-
-    /// A process-wide KB decoded from an in-memory snapshot of
-    /// [`DimUnitKb::standard`]. Tests and benches that exercise the
-    /// snapshot path share this copy the way [`DimUnitKb::shared`] shares
-    /// the built one — and because both sides are differentially tested
-    /// equal, they are interchangeable.
-    pub fn shared_snap() -> Arc<Self> {
-        static SNAP: OnceLock<Arc<DimUnitKb>> = OnceLock::new();
-        SNAP.get_or_init(|| {
-            let bytes = DimUnitKb::shared().to_snapshot();
-            let snap = crate::snap::SnapKb::load(bytes)
-                .expect("snapshot of the standard KB always validates");
-            Arc::new(snap.into_kb().expect("snapshot of the standard KB always decodes"))
-        })
-        .clone()
-    }
-
-    /// Assembles a KB from snapshot-decoded parts (the `dimkb::snap` load
-    /// path). `naming`/`naming_cased`/`by_kind`/`by_dim` arrive as decoded
-    /// pair lists; the trivial code/kind-name maps are rebuilt from the
-    /// records themselves (pure deserialization — no normalization,
-    /// sorting, or scoring runs here). `link_index` is pre-seeded so the
-    /// first link call decodes nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        units: Vec<Unit>,
-        kinds: Vec<QuantityKind>,
-        naming: HashMap<String, Vec<UnitId>>,
-        naming_cased: HashMap<String, Vec<UnitId>>,
-        by_kind: HashMap<KindId, Vec<UnitId>>,
-        by_dim: HashMap<DimVec, Vec<UnitId>>,
-        link_index: crate::intern::LinkIndex,
-    ) -> Self {
-        let by_code = units.iter().map(|u| (u.code.clone(), u.id)).collect();
-        let kind_by_name =
-            kinds.iter().map(|k| (k.name_en.clone(), k.id)).collect();
-        let kb = DimUnitKb {
-            units,
-            kinds,
-            by_code,
-            kind_by_name,
-            naming,
-            naming_cased,
-            by_kind,
-            by_dim,
-            search_index: OnceLock::new(),
-            link_index: OnceLock::new(),
-        };
-        let _ = kb.link_index.set(link_index);
-        kb
-    }
-}
-
-#[derive(Serialize)]
-struct KbSnapshot<'a> {
-    kinds: &'a [QuantityKind],
-    units: &'a [Unit],
-}
-
-#[derive(Deserialize)]
-struct KbSnapshotOwned {
-    kinds: Vec<QuantityKind>,
-    units: Vec<Unit>,
 }
 
 /// Whitespace-normalizes a surface form, preserving case (the case-exact
@@ -928,17 +807,6 @@ mod tests {
         for (i, unit) in sub.units().iter().enumerate() {
             assert_eq!(unit.id.0 as usize, i);
         }
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_behaviour() {
-        let kb = DimUnitKb::shared();
-        let json = kb.to_json();
-        let kb2 = DimUnitKb::from_json(&json).expect("roundtrip");
-        assert_eq!(kb.units().len(), kb2.units().len());
-        let m = kb2.unit_by_code("M").unwrap().id;
-        let km = kb2.unit_by_code("KiloM").unwrap().id;
-        assert!((kb2.conversion_factor(km, m).unwrap() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,7 +34,6 @@ mod kb;
 mod kind;
 pub mod prefix;
 pub mod search;
-pub mod snap;
 pub mod spec;
 pub mod stats;
 mod unit;
@@ -45,5 +44,4 @@ pub use error::KbError;
 pub use intern::{LinkIndex, Symbol, SymbolTable};
 pub use kb::{normalize, normalize_cased, normalize_cased_into, normalize_into, DimUnitKb};
 pub use kind::{KindId, QuantityKind};
-pub use snap::{SnapError, SnapKb, Snapshot};
 pub use unit::{Conversion, Unit, UnitId};

@@ -174,9 +174,6 @@ impl RuleId {
                     || rel_path.starts_with("crates/chaos/src/")
                     || rel_path == "crates/core/src/pipeline.rs"
                     || rel_path == "crates/dimkb/src/degrade.rs"
-                    // The snapshot loader parses attacker-shaped bytes; a
-                    // panic there is a crash on corrupt input.
-                    || rel_path == "crates/dimkb/src/snap.rs"
                     // The verification checker runs on every /verify
                     // request and inside the solver's repair loop — it
                     // must reject, never die, on malformed ASTs.
@@ -202,9 +199,6 @@ impl RuleId {
                 ((rel_path.starts_with("crates/dimlink/src/")
                     || rel_path.starts_with("crates/par/src/"))
                     && rel_path != "crates/dimlink/src/reference.rs")
-                    // The snapshot codec: load must stay allocation-lean so
-                    // validation holds its microsecond budget.
-                    || rel_path == "crates/dimkb/src/snap.rs"
                     // Admission and deadline checks run once per accepted
                     // connection / parsed request — the overload fast path
                     // must shed without allocating.
@@ -400,7 +394,6 @@ mod tests {
         assert!(np.applies_to("crates/dimlink/src/linker.rs"));
         assert!(np.applies_to("crates/serve/src/bin/dimserve.rs"));
         assert!(np.applies_to("crates/core/src/pipeline.rs"));
-        assert!(np.applies_to("crates/dimkb/src/snap.rs"), "the snapshot loader parses untrusted bytes");
         assert!(np.applies_to("crates/verify/src/check.rs"), "the checker serves /verify requests");
         assert!(np.applies_to("crates/verify/src/solution.rs"), "the repair search is request-path");
         assert!(!np.applies_to("crates/dimkb/src/kb.rs"), "KB construction may panic on bad curated data");
@@ -425,7 +418,6 @@ mod tests {
         assert!(ha.applies_to("crates/dimlink/src/linker.rs"));
         assert!(ha.applies_to("crates/dimlink/src/annotate.rs"));
         assert!(ha.applies_to("crates/par/src/lib.rs"));
-        assert!(ha.applies_to("crates/dimkb/src/snap.rs"), "snapshot validation is budgeted");
         assert!(ha.applies_to("crates/serve/src/admission.rs"), "shedding must not allocate");
         assert!(ha.applies_to("crates/serve/src/deadline.rs"), "budget checks are per-request");
         assert!(ha.applies_to("crates/verify/src/scale.rs"), "scale sets run per beam candidate");

@@ -13,7 +13,6 @@
 //! - unit structs
 //! - enums with unit, tuple, and struct variants (externally tagged:
 //!   unit variants as `"Name"`, others as `{"Name": ...}`)
-//! - lifetime-only generics (`KbSnapshot<'a>`), pass-through
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -46,8 +45,6 @@ fn expand(input: TokenStream, ser: bool) -> TokenStream {
 
 struct Input {
     name: String,
-    /// Verbatim generics, e.g. `<'a>`; empty when absent.
-    generics: String,
     kind: Kind,
 }
 
@@ -97,8 +94,6 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
     };
     i += 1;
 
-    let generics = parse_generics(&tokens, &mut i)?;
-
     let kind = match keyword.as_str() {
         "struct" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -119,7 +114,7 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
         other => return Err(format!("cannot derive for `{other}`")),
     };
 
-    Ok(Input { name, generics, kind })
+    Ok(Input { name, kind })
 }
 
 fn skip_attrs(tokens: &[TokenTree], i: &mut usize) {
@@ -144,40 +139,6 @@ fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
             }
         }
     }
-}
-
-/// Captures `<...>` verbatim. Lifetime-only generics pass through to the
-/// impl header; type parameters are rejected (the workspace has none).
-fn parse_generics(tokens: &[TokenTree], i: &mut usize) -> Result<String, String> {
-    match tokens.get(*i) {
-        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {}
-        _ => return Ok(String::new()),
-    }
-    let mut depth = 0i32;
-    let mut out = String::new();
-    let mut saw_lifetime_tick = false;
-    while let Some(tt) = tokens.get(*i) {
-        match tt {
-            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == '\'' => saw_lifetime_tick = true,
-            TokenTree::Ident(id) => {
-                if !saw_lifetime_tick && id.to_string() != "static" {
-                    return Err(format!(
-                        "serde_derive compat supports lifetime-only generics, found `{id}`"
-                    ));
-                }
-                saw_lifetime_tick = false;
-            }
-            _ => {}
-        }
-        out.push_str(&tt.to_string());
-        *i += 1;
-        if depth == 0 {
-            break;
-        }
-    }
-    Ok(out)
 }
 
 /// Parses one `#[...]` attribute already split into (`#`, group); returns
@@ -327,7 +288,6 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
-    let generics = &input.generics;
     let body = match &input.kind {
         Kind::StructNamed(fields) => {
             let mut pushes = String::new();
@@ -403,7 +363,7 @@ fn gen_serialize(input: &Input) -> String {
         }
     };
     format!(
-        "impl{generics} ::serde::Serialize for {name}{generics} {{\n\
+        "impl ::serde::Serialize for {name} {{\n\
          fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
     )
 }
@@ -429,12 +389,6 @@ fn field_expr(f: &Field, context: &str) -> String {
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
-    if !input.generics.is_empty() {
-        return format!(
-            "compile_error!(\"cannot derive Deserialize for generic type {name} \
-             in serde compat\");"
-        );
-    }
     let body = match &input.kind {
         Kind::StructNamed(fields) => {
             let exprs: Vec<String> = fields.iter().map(|f| field_expr(f, name)).collect();

@@ -53,7 +53,7 @@ const MAX_QUARANTINE_ENTRIES: usize = 1024;
 pub struct AppConfig {
     /// Cache shards.
     pub cache_shards: usize,
-    /// LRU entries per shard.
+    /// LRU entries per shard; 0 turns the response cache off.
     pub cache_per_shard: usize,
     /// Micro-batch flush size.
     pub batch_max: usize,
@@ -61,9 +61,6 @@ pub struct AppConfig {
     pub batch_window: Duration,
     /// Fan-out width for batched engine calls.
     pub parallelism: dim_par::Parallelism,
-    /// Load the KB from this `dimkb::snap` snapshot file instead of
-    /// building it; `/admin/reload` without an explicit path re-reads it.
-    pub snapshot_path: Option<String>,
 }
 
 impl Default for AppConfig {
@@ -77,7 +74,6 @@ impl Default for AppConfig {
             // positive default put a ~500µs floor under every cache miss.
             batch_window: Duration::ZERO,
             parallelism: dim_par::Parallelism::SEQUENTIAL,
-            snapshot_path: None,
         }
     }
 }
@@ -85,7 +81,6 @@ impl Default for AppConfig {
 /// The assembled application: DimKS plus serving infrastructure.
 pub struct App {
     ks: Mutex<Arc<DimKs>>,
-    snapshot_path: Option<String>,
     cache: ShardedLru,
     link_batcher: MicroBatcher<(String, String), Vec<LinkResult>>,
     annotate_batcher: MicroBatcher<String, Vec<QuantityMention>>,
@@ -96,21 +91,10 @@ pub struct App {
 }
 
 impl App {
-    /// Builds the app over the standard (lexical) DimKS, or over a
-    /// snapshot-loaded KB when `config.snapshot_path` is set (falling back
-    /// to the built KB, loudly, if the snapshot cannot be loaded).
+    /// Builds the app over the standard (lexical) DimKS.
     pub fn new(config: AppConfig) -> App {
-        let ks = match config.snapshot_path.as_deref().map(Self::load_snapshot_ks) {
-            Some(Ok(ks)) => ks,
-            Some(Err(e)) => {
-                eprintln!("dim-serve: snapshot load failed ({e}); building the KB instead");
-                DimKs::standard()
-            }
-            None => DimKs::standard(),
-        };
         App {
-            ks: Mutex::new(Arc::new(ks)),
-            snapshot_path: config.snapshot_path.clone(),
+            ks: Mutex::new(Arc::new(DimKs::standard())),
             cache: ShardedLru::new(config.cache_shards, config.cache_per_shard),
             link_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
             annotate_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
@@ -135,45 +119,16 @@ impl App {
         }
     }
 
-    fn load_snapshot_ks(path: &str) -> Result<DimKs, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let kb = dimkb::SnapKb::load(bytes)
-            .map_err(|e| format!("{path}: {e}"))?
-            .into_kb()
-            .map_err(|e| format!("{path}: {e}"))?;
-        Ok(DimKs::from_kb(Arc::new(kb)))
-    }
-
-    /// `POST /admin/reload` — hot-swaps the knowledge system. With a
-    /// `{"snapshot": path}` body the KB is decoded from that snapshot
-    /// file; with an empty body the startup source is re-read (the
-    /// configured snapshot, or a fresh standard build). On success the
-    /// response cache is emptied — cached bodies embed unit codes and
-    /// scores from the KB they were computed against.
+    /// `POST /admin/reload` — hot-swaps the knowledge system for a fresh
+    /// [`DimKs::standard`] (new linker, empty link memo). The request takes
+    /// no body: a non-empty one is a 400 and the current KS keeps serving.
+    /// On success the response cache is emptied — cached bodies embed unit
+    /// codes and scores from the KB they were computed against.
     fn reload(&self, req: &Request) -> Response {
-        let body = match req.body_utf8() {
-            Ok(b) => b,
-            Err(e) => return error_response(400, &e.to_string()),
-        };
-        let requested: Option<String> = if body.trim().is_empty() {
-            None
-        } else {
-            match json::parse(body) {
-                Ok(v) => match json::opt_str_field(&v, "snapshot") {
-                    Ok(path) => path.map(str::to_string),
-                    Err(e) => return error_response(400, &e),
-                },
-                Err(e) => return error_response(400, &format!("invalid JSON body: {e}")),
-            }
-        };
-        let path = requested.or_else(|| self.snapshot_path.clone());
-        let (ks, source) = match path.as_deref() {
-            Some(p) => match Self::load_snapshot_ks(p) {
-                Ok(ks) => (ks, "snapshot"),
-                Err(e) => return error_response(422, &e),
-            },
-            None => (DimKs::standard(), "built"),
-        };
+        if !req.body.trim_ascii().is_empty() {
+            return error_response(400, "/admin/reload takes no body");
+        }
+        let ks = DimKs::standard();
         let units = ks.kb().units().len();
         let kinds = ks.kb().kinds().len();
         {
@@ -185,11 +140,10 @@ impl App {
         }
         self.cache.clear();
         RELOADS.inc();
-        let mut out = String::from("{\"reloaded\":true,\"source\":");
-        json::string(&mut out, source);
-        out.push_str(&format!(",\"units\":{units},\"kinds\":{kinds}"));
-        out.push('}');
-        Response::json(200, out)
+        Response::json(
+            200,
+            format!("{{\"reloaded\":true,\"source\":\"built\",\"units\":{units},\"kinds\":{kinds}}}"),
+        )
     }
 
     /// Requests handled so far (monotonic, includes degraded ones).
@@ -782,63 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn admin_reload_from_a_snapshot_file_serves_identically() {
-        let dir = std::env::temp_dir().join("dim_serve_reload_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("kb.dimksnap");
-        std::fs::write(&path, dimkb::DimUnitKb::shared().to_snapshot()).expect("write snapshot");
-
-        let app = app();
-        let link = post("/link", "{\"mention\":\"dyn/cm\",\"context\":\"surface tension\"}");
-        let convert = post("/convert", "{\"value\":2.5,\"from\":\"km\",\"to\":\"m\"}");
-        let (link_before, convert_before) = (app.handle(&link), app.handle(&convert));
-
-        let body = format!("{{\"snapshot\":{:?}}}", path.to_string_lossy());
-        let r = app.handle(&post("/admin/reload", &body));
-        assert_eq!(r.status, 200, "{}", r.body);
-        assert!(r.body.contains("\"source\":\"snapshot\""), "{}", r.body);
-        assert!(r.body.contains("\"units\":"), "{}", r.body);
-
-        assert_eq!(app.handle(&link).body, link_before.body);
-        assert_eq!(app.handle(&convert).body, convert_before.body);
-    }
-
-    #[test]
-    fn admin_reload_with_a_bad_snapshot_is_a_422_and_keeps_serving() {
-        let dir = std::env::temp_dir().join("dim_serve_reload_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("corrupt.dimksnap");
-        std::fs::write(&path, b"DIMKSNAPgarbage").expect("write corrupt file");
-
+    fn admin_reload_with_a_body_is_a_400_and_keeps_serving() {
         let app = app();
         let old_ks = app.ks();
-        let body = format!("{{\"snapshot\":{:?}}}", path.to_string_lossy());
-        let r = app.handle(&post("/admin/reload", &body));
-        assert_eq!(r.status, 422, "{}", r.body);
-        assert!(Arc::ptr_eq(&old_ks, &app.ks()), "failed reload must keep the old KS");
+        let r = app.handle(&post("/admin/reload", "{\"snapshot\":\"kb.dimksnap\"}"));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.starts_with("{\"error\":"), "{}", r.body);
+        assert!(Arc::ptr_eq(&old_ks, &app.ks()), "a rejected reload must keep the old KS");
         assert_eq!(app.handle(&get("/healthz")).status, 200);
-    }
-
-    #[test]
-    fn snapshot_backed_app_answers_like_the_built_app() {
-        let dir = std::env::temp_dir().join("dim_serve_reload_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("kb_startup.dimksnap");
-        std::fs::write(&path, dimkb::DimUnitKb::shared().to_snapshot()).expect("write snapshot");
-
-        let built = app();
-        let snapped = App::new(AppConfig {
-            batch_window: Duration::ZERO,
-            snapshot_path: Some(path.to_string_lossy().into_owned()),
-            ..AppConfig::default()
-        });
-        for req in [
-            post("/link", "{\"mention\":\"mW\",\"context\":\"laser\"}"),
-            post("/annotate", "{\"text\":\"a 12 km road and a 3 t truck\"}"),
-            post("/convert", "{\"value\":1.0,\"from\":\"mi\",\"to\":\"km\"}"),
-        ] {
-            let (b, s) = (built.handle(&req), snapped.handle(&req));
-            assert_eq!((b.status, b.body), (s.status, s.body), "{}", req.target);
-        }
     }
 }

@@ -5,15 +5,11 @@
 //!     [--queue N] [--threads N] [--max-conns N] [--deadline-ms N]
 //!     [--max-deadline-ms N] [--header-budget-ms N]
 //!     [--chaos-seed S] [--chaos-rate R] [--conn-chaos-rate R]
-//!     [--obs-out PATH] [--snapshot PATH]
-//!
-//! With `--snapshot`, the KB is loaded from a `dimsnap emit` binary
-//! snapshot (microsecond validation + lazy decode) instead of being built;
-//! `POST /admin/reload` re-reads it without restarting the server.
+//!     [--obs-out PATH]
 //! ```
 //!
-//! Serves `POST /link|/annotate|/convert|/solve` and `GET
-//! /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
+//! Serves `POST /link|/annotate|/convert|/solve|/verify|/admin/reload` and
+//! `GET /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
 //! closing the pipe — `std` has no portable signal handling), then drains
 //! gracefully and writes the final obs report.
 
@@ -48,7 +44,6 @@ fn main() {
     let chaos_rate: f64 = parse_flag("--chaos-rate", 0.0);
     let conn_chaos_rate: f64 = parse_flag("--conn-chaos-rate", 0.0);
     let obs_out = flag("--obs-out").unwrap_or_else(|| "obs_report.json".to_string());
-    let snapshot = flag("--snapshot");
 
     if chaos_rate > 0.0 {
         // Injected panics are expected and caught per-request; keep stderr
@@ -74,7 +69,6 @@ fn main() {
         idle_timeout_ticks: 2400, // ~60 s of idle keep-alive
         app: AppConfig {
             parallelism: dim_par::Parallelism::new(threads),
-            snapshot_path: snapshot,
             ..AppConfig::default()
         },
         ..ServerConfig::default()

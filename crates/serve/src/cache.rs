@@ -36,13 +36,14 @@ pub struct ShardedLru {
 }
 
 impl ShardedLru {
-    /// A cache of `shards` independent LRUs, each holding at most
-    /// `per_shard_capacity` entries (both clamped to at least 1).
+    /// A cache of `shards` independent LRUs (clamped to at least 1), each
+    /// holding at most `per_shard_capacity` entries. Capacity 0 turns the
+    /// cache off: inserts store nothing, so every lookup is a miss.
     pub fn new(shards: usize, per_shard_capacity: usize) -> ShardedLru {
         let shards = shards.max(1);
         ShardedLru {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: per_shard_capacity.max(1),
+            per_shard_capacity,
         }
     }
 
@@ -92,7 +93,11 @@ impl ShardedLru {
 
     /// Inserts (or refreshes) `key`, evicting the shard's least-recently-
     /// used entry when it is at capacity. Returns the evicted key, if any.
+    /// A zero-capacity cache stores nothing and never evicts.
     pub fn insert(&self, key: &str, value: String) -> Option<String> {
+        if self.per_shard_capacity == 0 {
+            return None;
+        }
         let mut shard = lock(&self.shards[self.shard_of(key)]); // lint:allow(no_panic, shard_of is hash % shards.len(), always in bounds; shards is non-empty by construction)
         if let Some(i) = shard.entries.iter().position(|(k, _)| k == key) {
             shard.entries.remove(i);
@@ -219,6 +224,20 @@ mod tests {
         // statics; monotonicity makes the assertion race-free.
         assert!(CACHE_MISSES.get() > misses0);
         assert!(CACHE_HITS.get() > hits0);
+    }
+
+    #[test]
+    fn zero_capacity_turns_the_cache_off() {
+        dim_obs::enable();
+        let cache = ShardedLru::new(0, 0);
+        assert_eq!((cache.shard_count(), cache.per_shard_capacity()), (1, 0));
+        let misses0 = CACHE_MISSES.get();
+        for _ in 0..3 {
+            assert_eq!(cache.insert("k", "v".to_string()), None, "nothing to evict");
+            assert_eq!(cache.get("k"), None, "a disabled cache never hits");
+        }
+        assert!(cache.is_empty());
+        assert!(CACHE_MISSES.get() >= misses0 + 3, "every lookup counts a miss");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Explores DimUnitKB: schema, frequency feature, naming dictionary,
-//! ambiguity, serialization round-trip.
+//! ambiguity.
 //!
 //! ```sh
 //! cargo run --example kb_explore
@@ -37,10 +37,4 @@ fn main() {
     for (id, f) in stats::top_units(&kb, 10) {
         println!("  {:<20} {:.3}", kb.unit(id).label_en, f);
     }
-
-    // Serialization round-trip.
-    let json = kb.to_json();
-    let restored = DimUnitKb::from_json(&json).unwrap();
-    println!("\nserialized {} bytes of JSON; restored {} units — round-trip ok",
-        json.len(), restored.units().len());
 }
