@@ -1,7 +1,7 @@
 //! Microbenchmarks of the unit linking module: Levenshtein similarity,
 //! exact and fuzzy linking, and full-sentence annotation.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dimkb::DimUnitKb;
 use dimlink::{lev, Annotator, LinkerConfig, UnitLinker};
 use std::hint::black_box;
@@ -14,19 +14,13 @@ fn bench_linking(c: &mut Criterion) {
     c.bench_function("levenshtein_similarity", |b| {
         b.iter(|| lev::similarity(black_box("kilometre"), black_box("kilometer")))
     });
-    // One fresh linker per timed call: repeating a query on one linker
-    // would time its link memo, not the linking.
+    // The linker keeps no memo, so repeating a query times real linking.
+    let linker = annotator.linker();
     for (name, mention, context) in [
         ("link_exact_mention", "km/h", "the car drove fast"),
         ("link_fuzzy_mention", "kilometrs", "distance on the road"),
     ] {
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || UnitLinker::new(kb.clone(), None, LinkerConfig::default()),
-                |linker| linker.link(black_box(mention), black_box(context)),
-                BatchSize::SmallInput,
-            )
-        });
+        c.bench_function(name, |b| b.iter(|| linker.link(black_box(mention), black_box(context))));
     }
     c.bench_function("annotate_sentence", |b| {
         b.iter(|| {
@@ -39,10 +33,9 @@ fn bench_linking(c: &mut Criterion) {
         b.iter(|| annotator.annotate(black_box("小王要将150千克含药量20%的农药稀释成含药量5%的药水")))
     });
 
-    // Batch annotation at 1 vs 4 threads. A fresh annotator per iteration
-    // keeps the link memo cold, so this measures real linking work, not
-    // cache hits; on a single-core host both variants degenerate to the
-    // sequential path and should read roughly equal.
+    // Batch annotation at 1 vs 4 threads; on a single-core host both
+    // variants degenerate to the sequential path and should read roughly
+    // equal.
     let texts: Vec<String> = (0..120)
         .map(|i| {
             format!(
@@ -54,18 +47,11 @@ fn bench_linking(c: &mut Criterion) {
             )
         })
         .collect();
-    let kb2 = DimUnitKb::shared();
     for threads in [1usize, 4] {
         c.bench_function_meta(
             &format!("annotate_batch_threads{threads}"),
             &[("threads", threads as f64), ("morsel", dim_par::MORSEL_SIZE as f64)],
-            |b| {
-                b.iter_batched(
-                    || Annotator::new(UnitLinker::new(kb2.clone(), None, LinkerConfig::default())),
-                    |a| a.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len(),
-                    BatchSize::SmallInput,
-                )
-            },
+            |b| b.iter(|| annotator.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len()),
         );
     }
 

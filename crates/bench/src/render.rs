@@ -511,20 +511,18 @@ pub fn verify_perturb(cfg: &ExperimentConfig) -> String {
 }
 
 /// Chaos stage — the degraded-mode pipeline under a deterministic fault
-/// plan. Holds a `dim_chaos::scoped` guard with `FaultPlan { seed, rate }`
-/// for the duration of the call (cleared on return, so classic stages
-/// never see it), runs a decoy-laced annotation sweep plus the full
-/// degraded pipeline, and renders the plan banner, per-stage outcomes and
-/// the sorted quarantine manifest. Output is a pure function of
-/// `(cfg, seed, rate)`: the manifest is identical across runs and thread
-/// widths.
+/// plan. Passes `FaultPlan { seed, rate }` to a decoy-laced annotation
+/// sweep plus the full degraded pipeline (and to nothing else), and
+/// renders the plan banner, per-stage outcomes and the sorted quarantine
+/// manifest. Output is a pure function of `(cfg, seed, rate)`: the
+/// manifest is identical across runs and thread widths.
 pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
-    use dimkb::degrade::ErrorBudget;
+    use dimkb::degrade::{ErrorBudget, Policy};
     use dimlink::{Annotator, LinkerConfig, UnitLinker};
 
     let plan = dim_chaos::FaultPlan::new(seed, rate);
-    let _chaos = dim_chaos::scoped(plan);
     let budget = ErrorBudget::new(0.5);
+    let policy = Policy { plan, budget };
 
     let mut out = String::new();
     let _ = writeln!(out, "Chaos — degraded-mode pipeline under deterministic fault injection");
@@ -552,7 +550,7 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
     let annotator =
         Annotator::new(UnitLinker::new(dimkb::DimUnitKb::shared(), None, LinkerConfig::default()));
     let mut quarantine = Vec::new();
-    match annotator.try_annotate_batch(&texts, cfg.parallelism, budget) {
+    match annotator.try_annotate_batch(&texts, cfg.parallelism, policy) {
         Ok(d) => {
             let _ = writeln!(
                 out,
@@ -570,16 +568,16 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
 
     // The full degraded pipeline: DimEval construction, MWP generation and
     // augmentation all skip-and-record faulted work under the budget.
-    match dim_core::try_run_full_pipeline(&cfg.pipeline, budget) {
-        Ok((model, report)) => {
+    match dim_core::try_run_full_pipeline(&cfg.pipeline, policy) {
+        Ok((model, skipped)) => {
             let _ = writeln!(
                 out,
                 "pipeline: completed {} — model {}, {} records quarantined",
-                if report.is_degraded() { "degraded" } else { "clean" },
+                if skipped.is_empty() { "clean" } else { "degraded" },
                 model.display_name,
-                report.quarantine.len()
+                skipped.len()
             );
-            quarantine.extend(report.quarantine);
+            quarantine.extend(skipped);
         }
         Err(e) => {
             let _ = writeln!(out, "pipeline: aborted — {e}");

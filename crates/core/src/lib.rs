@@ -19,6 +19,5 @@ pub mod pipeline;
 
 pub use dimks::DimKs;
 pub use pipeline::{
-    run_full_pipeline, train_dimperc, train_quantitative, try_run_full_pipeline, DegradeReport,
-    PipelineConfig,
+    run_full_pipeline, train_dimperc, train_quantitative, try_run_full_pipeline, PipelineConfig,
 };

@@ -5,7 +5,7 @@
 use dim_models::tinylm::TinyLm;
 use dim_mwp::{Augmenter, EqTokenization, GenConfig, MwpProblem, Source};
 use dimeval::{DimEval, DimEvalConfig};
-use dimkb::degrade::{BudgetExceeded, ErrorBudget, QuarantineEntry};
+use dimkb::degrade::{self, BudgetExceeded, Outcome, Policy, QuarantineEntry};
 use dimkb::DimUnitKb;
 use std::sync::Arc;
 
@@ -57,48 +57,84 @@ impl Default for PipelineConfig {
     }
 }
 
+/// The DimEval *training* benchmark's configuration (distinct seeds from
+/// the evaluation benchmark).
+fn train_dimeval_config(config: &PipelineConfig) -> DimEvalConfig {
+    DimEvalConfig {
+        per_task: config.train_per_task,
+        extraction_items: (config.train_per_task / 2).max(100),
+        seed: config.seed ^ 0x7EA1,
+        parallelism: config.parallelism,
+        ..Default::default()
+    }
+}
+
 /// Builds the DimEval *training* benchmark (distinct seeds from the
 /// evaluation benchmark).
 pub fn build_train_dimeval(kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> DimEval {
-    DimEval::build(
-        kb,
-        &DimEvalConfig {
-            per_task: config.train_per_task,
-            extraction_items: (config.train_per_task / 2).max(100),
-            seed: config.seed ^ 0x7EA1,
-            parallelism: config.parallelism,
-            ..Default::default()
-        },
-    )
+    DimEval::build(kb, &train_dimeval_config(config))
 }
 
 /// Step 2 (Fig. 2b): continual fine-tuning on DimEval → DimPerc.
 pub fn train_dimperc(kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> TinyLm {
+    degrade::complete(try_train_dimperc(kb, config, Policy::CLASSIC))
+}
+
+/// Degraded-mode [`train_dimperc`]: benchmark construction may quarantine
+/// whole tasks (see [`DimEval::try_build`]) under the policy.
+pub fn try_train_dimperc(
+    kb: &Arc<DimUnitKb>,
+    config: &PipelineConfig,
+    policy: Policy,
+) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
     let _span = TRAIN_DIMPERC_SPAN.span();
-    let train = build_train_dimeval(kb, config);
+    let (train, quarantine) = DimEval::try_build(kb, &train_dimeval_config(config), policy)?;
+    RECORDS_QUARANTINED.add(quarantine.len() as u64);
     let mut model = TinyLm::llama_ift(config.seed);
     model.finetune_dimeval(kb, &train, config.epochs, config.seed ^ 0xF1);
-    model
+    Ok((model, quarantine))
 }
 
 /// The MWP training mixture: both dataset styles, augmented at rate η.
 pub fn build_mwp_training(kb: &DimUnitKb, config: &PipelineConfig) -> Vec<MwpProblem> {
+    degrade::complete(try_build_mwp_training(kb, config, Policy::CLASSIC))
+}
+
+/// Degraded-mode [`build_mwp_training`]: generation runs through
+/// [`dim_mwp::try_generate_with`] per source and augmentation through
+/// [`Augmenter::try_augment_dataset_with`], each quarantining faulted
+/// records under the policy. Surviving problems go through the same
+/// deterministic interleave, so with no faults the mixture is identical.
+pub fn try_build_mwp_training(
+    kb: &DimUnitKb,
+    config: &PipelineConfig,
+    policy: Policy,
+) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
     let _span = BUILD_MWP_SPAN.span();
-    let mut problems = dim_mwp::generate_with(
+    let d1 = dim_mwp::try_generate_with(
         Source::Math23k,
         &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x23 },
         config.parallelism,
-    );
-    problems.extend(dim_mwp::generate_with(
+        policy,
+    )?;
+    let d2 = dim_mwp::try_generate_with(
         Source::Ape210k,
         &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x210 },
         config.parallelism,
-    ));
+        policy,
+    )?;
+    let (mut problems, mut quarantine) = d1.split();
+    let (ape, ape_quarantine) = d2.split();
+    problems.extend(ape);
+    quarantine.extend(ape_quarantine);
     let mut aug = Augmenter::new(kb, config.seed ^ 0xA6);
-    let out = aug.augment_dataset_with(&problems, config.eta, config.parallelism);
+    let (out, aug_quarantine) =
+        aug.try_augment_dataset_with(&problems, config.eta, config.parallelism, policy)?;
+    quarantine.extend(aug_quarantine);
     let mixed = interleave(out);
     MWP_TRAINING_ITEMS.add(mixed.len() as u64);
-    mixed
+    RECORDS_QUARANTINED.add(quarantine.len() as u64);
+    Ok((mixed, quarantine))
 }
 
 /// Deterministic interleave so originals and augmented variants mix:
@@ -120,44 +156,6 @@ fn interleave(out: Vec<MwpProblem>) -> Vec<MwpProblem> {
     mixed
 }
 
-/// Degraded-mode [`build_mwp_training`]: generation runs through
-/// [`dim_mwp::try_generate_with`] per source and augmentation through
-/// [`Augmenter::try_augment_dataset_with`], each quarantining faulted
-/// records under `budget`. Surviving problems go through the same
-/// deterministic interleave as the classic path, so with no faults the
-/// mixture is identical.
-pub fn try_build_mwp_training(
-    kb: &DimUnitKb,
-    config: &PipelineConfig,
-    budget: ErrorBudget,
-) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
-    let _span = BUILD_MWP_SPAN.span();
-    let d1 = dim_mwp::try_generate_with(
-        Source::Math23k,
-        &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x23 },
-        config.parallelism,
-        budget,
-    )?;
-    let d2 = dim_mwp::try_generate_with(
-        Source::Ape210k,
-        &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x210 },
-        config.parallelism,
-        budget,
-    )?;
-    let mut quarantine = d1.quarantine.clone();
-    quarantine.extend(d2.quarantine.clone());
-    let mut problems = d1.ok_items();
-    problems.extend(d2.ok_items());
-    let mut aug = Augmenter::new(kb, config.seed ^ 0xA6);
-    let (out, aug_quarantine) =
-        aug.try_augment_dataset_with(&problems, config.eta, config.parallelism, budget)?;
-    quarantine.extend(aug_quarantine);
-    let mixed = interleave(out);
-    MWP_TRAINING_ITEMS.add(mixed.len() as u64);
-    RECORDS_QUARANTINED.add(quarantine.len() as u64);
-    Ok((mixed, quarantine))
-}
-
 /// Step 3 (Fig. 2c): quantitative-reasoning fine-tuning of a model on the
 /// augmented MWP mixture. Checkpoints via the callback when requested.
 pub fn train_quantitative(
@@ -167,85 +165,54 @@ pub fn train_quantitative(
     checkpoint_every: usize,
     callback: impl FnMut(usize, &TinyLm),
 ) {
+    degrade::complete(try_train_quantitative(
+        model,
+        kb,
+        config,
+        checkpoint_every,
+        callback,
+        Policy::CLASSIC,
+    ))
+}
+
+/// Degraded-mode [`train_quantitative`]: the MWP mixture is built by
+/// [`try_build_mwp_training`] under the policy; returns what it skipped.
+pub fn try_train_quantitative(
+    model: &mut TinyLm,
+    kb: &DimUnitKb,
+    config: &PipelineConfig,
+    checkpoint_every: usize,
+    callback: impl FnMut(usize, &TinyLm),
+    policy: Policy,
+) -> Result<Vec<QuarantineEntry>, BudgetExceeded> {
     let _span = TRAIN_QUANT_SPAN.span();
-    let training = build_mwp_training(kb, config);
+    let (training, quarantine) = try_build_mwp_training(kb, config, policy)?;
     model.tokenization = config.tokenization;
     model.finetune_mwp(&training, checkpoint_every, callback);
+    Ok(quarantine)
 }
 
 /// The full pipeline: steps 1–3 end to end, returning the finished model.
 pub fn run_full_pipeline(config: &PipelineConfig) -> TinyLm {
-    let kb = DimUnitKb::shared(); // step 1: the knowledge system
-    let mut model = train_dimperc(&kb, config); // step 2
-    train_quantitative(&mut model, &kb, config, 0, |_, _| {}); // step 3
-    model
-}
-
-/// What a degraded pipeline run skipped, and where.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradeReport {
-    /// Every quarantined record across all pipeline stages.
-    pub quarantine: Vec<QuarantineEntry>,
-}
-
-impl DegradeReport {
-    /// Whether any record was quarantined.
-    pub fn is_degraded(&self) -> bool {
-        !self.quarantine.is_empty()
-    }
-
-    /// The deterministic quarantine manifest (sorted `site[index]: error`
-    /// lines; identical across runs and thread widths for a fixed
-    /// `FaultPlan`).
-    pub fn manifest(&self) -> String {
-        dimkb::degrade::manifest(&self.quarantine)
-    }
-}
-
-/// Degraded-mode [`train_dimperc`]: benchmark construction may quarantine
-/// whole tasks (see [`DimEval::try_build`]) under `budget`.
-pub fn try_train_dimperc(
-    kb: &Arc<DimUnitKb>,
-    config: &PipelineConfig,
-    budget: ErrorBudget,
-) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
-    let _span = TRAIN_DIMPERC_SPAN.span();
-    let (train, quarantine) = DimEval::try_build(
-        kb,
-        &DimEvalConfig {
-            per_task: config.train_per_task,
-            extraction_items: (config.train_per_task / 2).max(100),
-            seed: config.seed ^ 0x7EA1,
-            parallelism: config.parallelism,
-            ..Default::default()
-        },
-        budget,
-    )?;
-    RECORDS_QUARANTINED.add(quarantine.len() as u64);
-    let mut model = TinyLm::llama_ift(config.seed);
-    model.finetune_dimeval(kb, &train, config.epochs, config.seed ^ 0xF1);
-    Ok((model, quarantine))
+    degrade::complete(try_run_full_pipeline(config, Policy::CLASSIC))
 }
 
 /// Degraded-mode [`run_full_pipeline`]: every batch stage skips-and-records
-/// faulted work under `budget` instead of panicking; a blown budget is a
+/// faulted work under the policy instead of panicking; a blown budget is a
 /// typed [`BudgetExceeded`] abort. With no faults the returned model is
-/// identical to the classic pipeline's and the report is empty.
+/// identical to the classic pipeline's and the quarantine is empty; with
+/// faults, [`degrade::manifest`] renders it.
 pub fn try_run_full_pipeline(
     config: &PipelineConfig,
-    budget: ErrorBudget,
-) -> Result<(TinyLm, DegradeReport), BudgetExceeded> {
+    policy: Policy,
+) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
     let kb = DimUnitKb::shared(); // step 1: the knowledge system
-    let (mut model, mut quarantine) = try_train_dimperc(&kb, config, budget)?; // step 2
-    let _span = TRAIN_QUANT_SPAN.span(); // step 3
-    let (training, q) = try_build_mwp_training(&kb, config, budget)?;
-    quarantine.extend(q);
-    model.tokenization = config.tokenization;
-    model.finetune_mwp(&training, 0, |_, _| {});
+    let (mut model, mut quarantine) = try_train_dimperc(&kb, config, policy)?; // step 2
+    quarantine.extend(try_train_quantitative(&mut model, &kb, config, 0, |_, _| {}, policy)?); // step 3
     if !quarantine.is_empty() {
         DEGRADED_RUNS.inc();
     }
-    Ok((model, DegradeReport { quarantine }))
+    Ok((model, quarantine))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::gen::Generator;
 use crate::metrics::{ChoiceScore, ExtractionScore};
 use crate::task::{Category, ChoiceItem, DimEvalSolver, ExtractionItem, TaskKind};
 use dim_kgraph::{SynthConfig, SynthKg};
-use dimkb::degrade::{self, BudgetExceeded, ErrorBudget, QuarantineEntry, RecordError};
+use dimkb::degrade::{self, BudgetExceeded, Policy, QuarantineEntry};
 use dimkb::DimUnitKb;
 use dimlink::{Annotator, LinkerConfig, UnitLinker};
 use rand::rngs::StdRng;
@@ -66,13 +66,6 @@ pub struct DimEval {
     pub extraction: Vec<ExtractionItem>,
 }
 
-/// Fault-free construction inputs shared by the classic and degraded builds.
-struct BuildSubstrate {
-    extraction: Vec<ExtractionItem>,
-    kg: SynthKg,
-    out2: algo2::Algo2Output,
-}
-
 impl DimEval {
     /// Builds the benchmark from scratch against a knowledge base.
     ///
@@ -80,60 +73,22 @@ impl DimEval {
     /// derives its own RNG stream from `(seed, task index)`, so the result
     /// is byte-identical for every thread count.
     pub fn build(kb: &Arc<DimUnitKb>, config: &DimEvalConfig) -> Self {
-        let _span = BUILD_SPAN.span();
-        let sub = Self::substrate(kb, config);
-        let task_items =
-            dim_par::par_map_coarse(config.parallelism, &TaskKind::CHOICE, |task_index, &task| {
-                Self::build_task_items(kb, config, &sub.kg, &sub.out2, task_index, task)
-            });
-        let choice: HashMap<TaskKind, Vec<ChoiceItem>> =
-            TaskKind::CHOICE.into_iter().zip(task_items).collect();
-        let eval = DimEval { choice, extraction: sub.extraction };
-        BUILD_ITEMS.add(eval.len() as u64);
-        eval
+        degrade::complete(Self::try_build(kb, config, Policy::CLASSIC))
     }
 
     /// Degraded-mode [`Self::build`]: each choice task runs in panic
     /// isolation with fault injection at site `"dimeval.task"`. A
     /// quarantined task yields an *empty* item list — a degraded but usable
     /// benchmark — plus a manifest entry; the failure fraction over the six
-    /// tasks is checked against `budget`. With no faults the benchmark is
-    /// identical to the classic build.
+    /// tasks is checked against the policy's budget. With no faults the
+    /// benchmark is identical to the classic build.
     pub fn try_build(
         kb: &Arc<DimUnitKb>,
         config: &DimEvalConfig,
-        budget: ErrorBudget,
+        policy: Policy,
     ) -> Result<(Self, Vec<QuarantineEntry>), BudgetExceeded> {
         const SITE_TASK: &str = "dimeval.task";
         let _span = BUILD_SPAN.span();
-        let sub = Self::substrate(kb, config);
-        let slots = dim_par::try_par_map_coarse(
-            config.parallelism,
-            &TaskKind::CHOICE,
-            |task_index, &task| {
-                degrade::inject(SITE_TASK, task_index)?;
-                Ok(Self::build_task_items(kb, config, &sub.kg, &sub.out2, task_index, task))
-            },
-        );
-        let slots = slots.into_iter().map(|slot| match slot {
-            Ok(inner) => inner,
-            Err(p) => Err(RecordError::Panicked(p.message)),
-        });
-        let d = degrade::collect_degraded(SITE_TASK, slots, budget)?;
-        let quarantine = d.quarantine.clone();
-        let choice: HashMap<TaskKind, Vec<ChoiceItem>> = TaskKind::CHOICE
-            .into_iter()
-            .zip(d.items.into_iter().map(Option::unwrap_or_default))
-            .collect();
-        let eval = DimEval { choice, extraction: sub.extraction };
-        BUILD_ITEMS.add(eval.len() as u64);
-        Ok((eval, quarantine))
-    }
-
-    /// The shared, fault-free construction substrate: extraction items via
-    /// Algorithm 1 and the knowledge graph + Algorithm 2 output the
-    /// dimension-prediction task bootstraps from.
-    fn substrate(kb: &Arc<DimUnitKb>, config: &DimEvalConfig) -> BuildSubstrate {
         // --- extraction via Algorithm 1 --------------------------------
         let corpus = dim_corpus::generate(
             kb,
@@ -164,12 +119,26 @@ impl DimEval {
             &annotator,
             Algo2Config { parallelism: config.parallelism, ..Default::default() },
         );
-        BuildSubstrate { extraction, kg, out2 }
+        let slots = dim_par::try_par_map_coarse(
+            config.parallelism,
+            &TaskKind::CHOICE,
+            |task_index, &task| {
+                degrade::inject(policy.plan, SITE_TASK, task_index)?;
+                Ok(Self::build_task_items(kb, config, &kg, &out2, task_index, task))
+            },
+        );
+        let d = degrade::collect_isolated(SITE_TASK, slots, policy.budget)?;
+        let choice: HashMap<TaskKind, Vec<ChoiceItem>> = TaskKind::CHOICE
+            .into_iter()
+            .zip(d.items.into_iter().map(Option::unwrap_or_default))
+            .collect();
+        let eval = DimEval { choice, extraction };
+        BUILD_ITEMS.add(eval.len() as u64);
+        Ok((eval, d.quarantine))
     }
 
     /// Builds one choice task's items from its own `(seed, task index)` RNG
-    /// streams — the shared per-task body of [`Self::build`] and
-    /// [`Self::try_build`].
+    /// streams.
     fn build_task_items(
         kb: &Arc<DimUnitKb>,
         config: &DimEvalConfig,

@@ -1,24 +1,31 @@
 //! Degraded-mode execution vocabulary: the [`RecordError`] taxonomy, the
-//! [`ErrorBudget`] contract, and the quarantine bookkeeping shared by every
-//! `try_*` batch entry point in the workspace.
+//! [`ErrorBudget`] contract, the [`Policy`] a batch runs under, and the
+//! quarantine bookkeeping shared by every `try_*` batch entry point in the
+//! workspace.
 //!
 //! # The degradation contract
 //!
 //! A `try_*` batch entry point processes every input record independently.
 //! A record that fails — a KB error, a parse failure, an oversized input, a
-//! caught panic, or an injected fault from `dim-chaos` — is **skipped and
-//! recorded** as a [`QuarantineEntry`]; every other record's output is
-//! byte-identical to what the classic (non-`try`) entry point produces.
-//! After the batch, the failure fraction is checked against the caller's
-//! [`ErrorBudget`]: exceeding it returns a typed [`BudgetExceeded`] abort,
-//! never a panic. With no faults (and no fault plan installed) a `try_*`
-//! call returns exactly the classic output plus an empty quarantine.
+//! caught panic, or an injected fault from the policy's
+//! [`dim_chaos::FaultPlan`] — is **skipped and recorded** as a
+//! [`QuarantineEntry`]; every other record's output is byte-identical to a
+//! fault-free run. After the batch, the failure fraction is checked against
+//! the policy's [`ErrorBudget`]: exceeding it returns a typed
+//! [`BudgetExceeded`] abort, never a panic.
 //!
-//! Chaos faults are consulted *only* through [`inject`], which the `try_*`
-//! paths call once per record; classic paths never consult the injector, so
-//! an installed [`dim_chaos::FaultPlan`] cannot perturb golden outputs.
+//! # One implementation per operation
+//!
+//! The `try_*` form is the only implementation of each batch operation.
+//! The classic entry point is [`complete`] over it under
+//! [`Policy::CLASSIC`]: no faults, a budget that never aborts, and any
+//! skipped record — only a panicking item can be skipped with no faults —
+//! re-raised as a panic. The plan is a value passed down the call, so a
+//! chaos run in one thread cannot reach a classic call in another.
 
 use crate::error::KbError;
+use dim_chaos::{FaultKind, FaultPlan};
+use dim_par::ItemPanic;
 use std::fmt;
 
 /// Per-record size cap enforced by the degraded-mode entry points. Real
@@ -106,19 +113,23 @@ impl ErrorBudget {
     pub fn new(max_error_rate: f64) -> ErrorBudget {
         ErrorBudget { max_error_rate: max_error_rate.clamp(0.0, 1.0) }
     }
-
-    /// Zero tolerance: any failed record aborts the batch.
-    pub fn strict() -> ErrorBudget {
-        ErrorBudget { max_error_rate: 0.0 }
-    }
 }
 
-impl Default for ErrorBudget {
-    /// One failed record in ten — generous for real corpora (observed clean
-    /// failure rates are ~0) while still catching systemic breakage.
-    fn default() -> ErrorBudget {
-        ErrorBudget { max_error_rate: 0.10 }
-    }
+/// What a degraded batch runs under: the fault plan its sites consult and
+/// the error budget it enforces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Policy {
+    /// Faults to inject, one decision per record.
+    pub plan: FaultPlan,
+    /// The failure fraction the batch may absorb before aborting.
+    pub budget: ErrorBudget,
+}
+
+impl Policy {
+    /// The classic entry points' policy: no faults, and a budget that
+    /// never aborts, so [`complete`] sees every skipped record.
+    pub const CLASSIC: Policy =
+        Policy { plan: FaultPlan::OFF, budget: ErrorBudget { max_error_rate: 1.0 } };
 }
 
 /// Typed abort raised when a batch's failure fraction exceeds its
@@ -228,6 +239,70 @@ pub fn collect_degraded<U>(
     Ok(Degraded { items, quarantine })
 }
 
+/// Folds one panic-isolated slot (see `dim_par::try_par_map_indexed`)
+/// into a record outcome: a caught panic becomes [`RecordError::Panicked`].
+pub fn isolated<U>(slot: Result<Result<U, RecordError>, ItemPanic>) -> Result<U, RecordError> {
+    slot.unwrap_or_else(|p| Err(RecordError::Panicked(p.message)))
+}
+
+/// [`collect_degraded`] over panic-isolated slots.
+pub fn collect_isolated<U>(
+    site: &str,
+    slots: Vec<Result<Result<U, RecordError>, ItemPanic>>,
+    budget: ErrorBudget,
+) -> Result<Degraded<U>, BudgetExceeded> {
+    collect_degraded(site, slots.into_iter().map(isolated), budget)
+}
+
+/// A degraded run's result that [`complete`] can settle: an output plus
+/// the records skipped to produce it.
+pub trait Outcome {
+    /// The output with the quarantine log split off.
+    type Output;
+    /// Splits into the output and the quarantine log, in stage order.
+    fn split(self) -> (Self::Output, Vec<QuarantineEntry>);
+}
+
+impl<U> Outcome for Degraded<U> {
+    type Output = Vec<U>;
+    fn split(self) -> (Vec<U>, Vec<QuarantineEntry>) {
+        let quarantine = self.quarantine;
+        (self.items.into_iter().flatten().collect(), quarantine)
+    }
+}
+
+impl<T> Outcome for (T, Vec<QuarantineEntry>) {
+    type Output = T;
+    fn split(self) -> (T, Vec<QuarantineEntry>) {
+        self
+    }
+}
+
+/// A stage whose only output is its side effect (training a model).
+impl Outcome for Vec<QuarantineEntry> {
+    type Output = ();
+    fn split(self) -> ((), Vec<QuarantineEntry>) {
+        ((), self)
+    }
+}
+
+/// Classic semantics over a `try_*` run under [`Policy::CLASSIC`]: the
+/// output, or a panic re-raising the first skipped record — the lowest
+/// index of the earliest batch, so the failure is the same at every
+/// thread width.
+pub fn complete<O: Outcome>(outcome: Result<O, BudgetExceeded>) -> O::Output {
+    let (output, quarantine) = match outcome {
+        Ok(o) => o.split(),
+        // lint:allow(no_panic, classic semantics: the classic entry points re-raise what their try_* form recorded)
+        Err(e) => panic!("{e}"),
+    };
+    if let Some(first) = quarantine.first() {
+        // lint:allow(no_panic, classic semantics: the classic entry points re-raise what their try_* form recorded)
+        panic!("{first}");
+    }
+    output
+}
+
 /// Renders a deterministic quarantine manifest: entries sorted by
 /// `(site, index)`, one `site[index]: error` line each.
 pub fn manifest(entries: &[QuarantineEntry]) -> String {
@@ -252,9 +327,9 @@ pub fn guard_len(bytes: usize) -> Result<(), RecordError> {
     Ok(())
 }
 
-/// The per-record chaos hook every `try_*` site calls once. With no active
-/// [`dim_chaos::FaultPlan`] this is a single acquire atomic load. When a
-/// fault fires it is realized *honestly*:
+/// The per-record chaos hook every `try_*` site calls once with its
+/// policy's plan. With an inactive plan it returns at once. When a fault
+/// fires it is realized *honestly*:
 ///
 /// * `Panic` — panics (caught by `dim_par`'s per-item isolation);
 /// * `MalformedExpr` — runs the real `dimkb::expr` parser on
@@ -262,28 +337,29 @@ pub fn guard_len(bytes: usize) -> Result<(), RecordError> {
 /// * `CorruptKb` — evaluates the nonexistent [`dim_chaos::CORRUPT_UNIT`]
 ///   code, returning the genuine `UnknownUnit` error;
 /// * `Oversize` — fails the real [`guard_len`] size check.
-pub fn inject(site: &'static str, index: usize) -> Result<(), RecordError> {
-    let Some(kind) = dim_chaos::fault_at(site, index as u64) else {
+pub fn inject(plan: FaultPlan, site: &str, index: usize) -> Result<(), RecordError> {
+    let Some(kind) = plan.decide(site, index as u64) else {
         return Ok(());
     };
     match kind {
-        dim_chaos::FaultKind::Panic => {
+        FaultKind::Panic => {
+            dim_chaos::silence_injected_panic_reports();
             // lint:allow(no_panic, deliberate chaos fault realization; every caller sits behind dim-par per-item isolation or the serve worker catch_unwind)
             panic!("{} at {site}[{index}]", dim_chaos::INJECTED_PANIC_PREFIX)
         }
-        dim_chaos::FaultKind::MalformedExpr => {
+        FaultKind::MalformedExpr => {
             match crate::expr::eval(&crate::DimUnitKb::shared(), dim_chaos::MALFORMED_EXPR) {
                 Err(e) => Err(RecordError::from(e)),
                 Ok(_) => Ok(()), // unreachable: MALFORMED_EXPR never parses
             }
         }
-        dim_chaos::FaultKind::CorruptKb => {
+        FaultKind::CorruptKb => {
             match crate::expr::eval(&crate::DimUnitKb::shared(), dim_chaos::CORRUPT_UNIT) {
                 Err(e) => Err(RecordError::Kb(e)),
                 Ok(_) => Ok(()), // unreachable: the code exists in no KB
             }
         }
-        dim_chaos::FaultKind::Oversize => guard_len(MAX_RECORD_BYTES + 1 + index),
+        FaultKind::Oversize => guard_len(MAX_RECORD_BYTES + 1 + index),
     }
 }
 
@@ -326,11 +402,11 @@ mod tests {
     #[test]
     fn strict_budget_rejects_any_failure_and_empty_batch_passes() {
         let ok: Vec<Result<u32, RecordError>> = vec![Ok(1), Ok(2)];
-        assert!(collect_degraded("s", ok, ErrorBudget::strict()).is_ok());
+        assert!(collect_degraded("s", ok, ErrorBudget::new(0.0)).is_ok());
         let one_bad = vec![Ok(1), Err(RecordError::Gen("x".into()))];
-        assert!(collect_degraded("s", one_bad, ErrorBudget::strict()).is_err());
+        assert!(collect_degraded("s", one_bad, ErrorBudget::new(0.0)).is_err());
         let empty: Vec<Result<u32, RecordError>> = vec![];
-        assert!(collect_degraded("s", empty, ErrorBudget::strict()).is_ok());
+        assert!(collect_degraded("s", empty, ErrorBudget::new(0.0)).is_ok());
     }
 
     #[test]
@@ -353,11 +429,37 @@ mod tests {
     }
 
     #[test]
-    fn inject_is_noop_without_plan() {
-        // No plan installed in this process → every site is clean.
+    fn inject_is_noop_under_the_off_plan() {
         for i in 0..100 {
-            assert_eq!(inject("degrade.test", i), Ok(()));
+            assert_eq!(inject(FaultPlan::OFF, "degrade.test", i), Ok(()));
         }
+    }
+
+    #[test]
+    fn inject_realizes_the_plans_faults() {
+        let plan = FaultPlan {
+            seed: 3,
+            rate: 1.0,
+            kinds: dim_chaos::FaultKinds::only(FaultKind::Oversize),
+        };
+        let err = inject(plan, "degrade.test", 0).expect_err("rate 1.0 always fires");
+        assert_eq!(err.kind(), "oversized");
+    }
+
+    #[test]
+    fn complete_returns_a_clean_run_and_reraises_the_first_skip() {
+        let clean: Vec<Result<u32, RecordError>> = vec![Ok(1), Ok(2)];
+        let d = collect_degraded("s", clean, Policy::CLASSIC.budget);
+        assert_eq!(complete(d), vec![1, 2]);
+        let slots: Vec<Result<Result<u32, RecordError>, ItemPanic>> = vec![
+            Ok(Ok(1)),
+            Err(ItemPanic { index: 1, message: "boom".into() }),
+            Ok(Err(RecordError::Gen("later".into()))),
+        ];
+        let d = collect_isolated("s", slots, Policy::CLASSIC.budget);
+        let payload = std::panic::catch_unwind(|| complete(d)).expect_err("a skip re-raises");
+        let message = payload.downcast_ref::<String>().expect("formatted payload");
+        assert_eq!(message, "s[1]: panicked: boom");
     }
 
     #[test]

@@ -24,8 +24,7 @@
 use crate::kb::{normalize_cased_into, normalize_into, DimUnitKb};
 use crate::unit::UnitId;
 
-/// FNV-1a over a byte string. Used for the symbol-table index and by
-/// `dimlink` for memo keys, so both sides agree on one hash.
+/// FNV-1a over a byte string: the symbol-table index's hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in bytes {

@@ -38,7 +38,7 @@ pub mod spec;
 pub mod stats;
 mod unit;
 
-pub use degrade::{BudgetExceeded, Degraded, ErrorBudget, QuarantineEntry, RecordError};
+pub use degrade::{BudgetExceeded, Degraded, ErrorBudget, Policy, QuarantineEntry, RecordError};
 pub use dim::{Base, DimParseError, DimVec};
 pub use error::KbError;
 pub use intern::{LinkIndex, Symbol, SymbolTable};

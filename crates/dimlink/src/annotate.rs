@@ -19,7 +19,7 @@ use crate::linker::{LinkResult, UnitLinker};
 use crate::numparse::{scan_numbers_into, NumberMatch};
 use crate::scratch::ScratchSpace;
 use dim_embed::tokenize::is_cjk;
-use dimkb::degrade::{self, BudgetExceeded, Degraded, ErrorBudget, RecordError};
+use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy, RecordError};
 
 // Observability (no-ops unless `dim_obs::enable()` was called).
 static ANNOTATE_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("link.annotate");
@@ -136,15 +136,15 @@ impl Annotator {
     ///
     /// Convenience wrapper over [`Self::annotate_with`] with a throwaway
     /// scratch space; batch callers should hold a [`ScratchSpace`] per
-    /// worker instead so buffers and the link memo persist across texts.
+    /// worker instead so buffers persist across texts.
     pub fn annotate(&self, text: &str) -> Vec<QuantityMention> {
         let mut scratch = ScratchSpace::new();
         self.annotate_with(text, &mut scratch)
     }
 
     /// [`Self::annotate`] against a caller-owned [`ScratchSpace`]: the
-    /// number-scanner buffer, candidate builders, Levenshtein rows, and link
-    /// memo are all reused across calls. Output is identical to `annotate`
+    /// number-scanner buffer, candidate builders, and Levenshtein rows are
+    /// all reused across calls. Output is identical to `annotate`
     /// for the same text — the scratch is working memory, never state.
     pub fn annotate_with(&self, text: &str, scratch: &mut ScratchSpace) -> Vec<QuantityMention> {
         let _span = ANNOTATE_SPAN.span();
@@ -180,21 +180,24 @@ impl Annotator {
         })
     }
 
-    /// Degraded-mode [`Self::annotate_batch`]: each text is annotated in
-    /// panic isolation, oversized records and records containing decoy
-    /// tokens (see [`decoy_token_at`]) are quarantined instead of linked,
-    /// and the failure fraction is checked against `budget`. With no faults
-    /// every slot equals the classic `annotate` output for that text.
+    /// Degraded-mode batch annotation: each text is annotated in panic
+    /// isolation, oversized records and records containing decoy tokens
+    /// (see [`decoy_token_at`]) are quarantined instead of linked, and the
+    /// failure fraction is checked against the policy's budget. With no
+    /// faults every un-quarantined slot equals the classic `annotate`
+    /// output for that text. Unlike the other `try_*` forms this is not
+    /// the implementation of its classic sibling: [`Self::annotate_batch`]
+    /// must keep the decoys the paper's baseline annotator over-links.
     pub fn try_annotate_batch<S: AsRef<str> + Sync>(
         &self,
         texts: &[S],
         par: dim_par::Parallelism,
-        budget: ErrorBudget,
+        policy: Policy,
     ) -> Result<Degraded<Vec<QuantityMention>>, BudgetExceeded> {
         let slots =
             dim_par::try_par_map_scratch(par, texts, ScratchSpace::new, |i, text, scratch| {
                 let text = text.as_ref();
-                degrade::inject(SITE_ANNOTATE, i)?;
+                degrade::inject(policy.plan, SITE_ANNOTATE, i)?;
                 degrade::guard_len(text.len())?;
                 let mentions = self.annotate_with(text, scratch);
                 if let Some(token) = mentions.iter().find_map(|m| decoy_token_at(text, m)) {
@@ -202,11 +205,7 @@ impl Annotator {
                 }
                 Ok(mentions)
             });
-        let slots = slots.into_iter().map(|slot| match slot {
-            Ok(inner) => inner,
-            Err(p) => Err(RecordError::Panicked(p.message)),
-        });
-        degrade::collect_degraded(SITE_ANNOTATE, slots, budget)
+        degrade::collect_isolated(SITE_ANNOTATE, slots, policy.budget)
     }
 
     /// Attempts to read a unit mention right after a number.
@@ -247,7 +246,7 @@ impl Annotator {
             }
             for i in (0..scratch.cjk_ends.len()).rev() {
                 let cand = &rest[..scratch.cjk_ends[i]]; // lint:allow(no_panic, cjk_ends holds char-boundary prefix lengths of rest, i < len)
-                if !idx.lookup(cand, &mut scratch.link.bufs.key).is_empty() {
+                if !idx.lookup(cand, &mut scratch.link.key).is_empty() {
                     let links = self.linker.link_in(cand, context, &mut scratch.link);
                     if !links.is_empty() {
                         return Some(mention(num, unit_start, cand, links, text));
@@ -293,7 +292,7 @@ impl Annotator {
                     scratch.phrase.push(' ');
                     scratch.phrase.push_str(w.trim_end_matches(['.', ',', ';', '!', '?']));
                 }
-                if !idx.lookup(&scratch.phrase, &mut scratch.link.bufs.key).is_empty() {
+                if !idx.lookup(&scratch.phrase, &mut scratch.link.key).is_empty() {
                     let links = self.linker.link_in(&scratch.phrase, context, &mut scratch.link);
                     if !links.is_empty() {
                         return Some(mention(num, unit_start, &scratch.phrase, links, text));
@@ -301,7 +300,7 @@ impl Annotator {
                 }
             }
             // The bare run: exact trial first, then the fuzzy fallback.
-            if !idx.lookup(run, &mut scratch.link.bufs.key).is_empty() {
+            if !idx.lookup(run, &mut scratch.link.key).is_empty() {
                 let links = self.linker.link_in(run, context, &mut scratch.link);
                 if !links.is_empty() {
                     return Some(mention(num, unit_start, run, links, text));
@@ -363,6 +362,11 @@ mod tests {
 
     fn annotator() -> Annotator {
         Annotator::new(UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default()))
+    }
+
+    /// A fault-free policy with the given error budget.
+    fn policy(max_error_rate: f64) -> Policy {
+        Policy { budget: dimkb::ErrorBudget::new(max_error_rate), ..Policy::CLASSIC }
     }
 
     fn code_of(a: &Annotator, m: &QuantityMention) -> String {
@@ -522,7 +526,7 @@ mod tests {
                 .try_annotate_batch(
                     &texts,
                     dim_par::Parallelism::new(threads),
-                    ErrorBudget::new(0.5),
+                    policy(0.5),
                 )
                 .expect("one decoy in three records is within budget");
             assert_eq!(d.items.len(), 3);
@@ -535,7 +539,7 @@ mod tests {
         }
         // A strict budget turns the same batch into a typed abort.
         let err = a
-            .try_annotate_batch(&texts, dim_par::Parallelism::new(1), ErrorBudget::strict())
+            .try_annotate_batch(&texts, dim_par::Parallelism::new(1), policy(0.0))
             .expect_err("strict budget");
         assert_eq!((err.failed, err.total), (1, 3));
     }
@@ -546,7 +550,7 @@ mod tests {
         let big = "长度为3米。".repeat(6000); // ~78 KB, over the 64 KB cap
         let texts = vec!["全长3000米".to_string(), big];
         let d = a
-            .try_annotate_batch(&texts, dim_par::Parallelism::new(1), ErrorBudget::new(0.5))
+            .try_annotate_batch(&texts, dim_par::Parallelism::new(1), policy(0.5))
             .expect("within budget");
         assert!(d.items[0].is_some());
         assert_eq!(d.items[1], None);

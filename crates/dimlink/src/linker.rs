@@ -20,20 +20,17 @@
 //! original survives as [`crate::reference`] for differential testing.
 
 use crate::lev;
-use crate::scratch::{str_hash, LinkBufs, Memo, ScratchSpace};
+use crate::scratch::{LinkBufs, ScratchSpace};
 use dim_embed::EmbeddingModel;
 use dimkb::intern::char_signature;
 use dimkb::{DimUnitKb, UnitId};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // Observability (all no-ops unless `dim_obs::enable()` was called). The
-// hit/miss pair measures the memo; the lev pair measures how many DP runs
-// the char-signature prefilter saves.
+// lev pair measures how many DP runs the char-signature prefilter saves.
 static LINK_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("link.link");
 static LINK_QUERIES: dim_obs::Counter = dim_obs::Counter::new("link.queries");
 static LINK_RESULTS: dim_obs::Counter = dim_obs::Counter::new("link.results");
-static MEMO_HIT: dim_obs::Counter = dim_obs::Counter::new("link.memo_hit");
-static MEMO_MISS: dim_obs::Counter = dim_obs::Counter::new("link.memo_miss");
 static LEV_COMPUTED: dim_obs::Counter = dim_obs::Counter::new("link.lev_computed");
 static LEV_PRUNED: dim_obs::Counter = dim_obs::Counter::new("link.lev_pruned");
 
@@ -87,11 +84,6 @@ pub struct UnitLinker {
     kb: Arc<DimUnitKb>,
     embeddings: Option<EmbeddingModel>,
     config: LinkerConfig,
-    /// Shared memo for the lock-taking [`Self::link`] entry point. The
-    /// scratch-based [`Self::link_with`] uses its worker's private memo
-    /// instead. Purely a cache: link results depend only on the KB and
-    /// config, both immutable here.
-    memo: Mutex<Memo>,
 }
 
 impl UnitLinker {
@@ -100,7 +92,7 @@ impl UnitLinker {
         // Force the shared index now so the first link query (possibly on a
         // worker thread mid-batch) doesn't pay the build.
         let _ = kb.link_index();
-        UnitLinker { kb, embeddings, config, memo: Mutex::new(Memo::default()) }
+        UnitLinker { kb, embeddings, config }
     }
 
     /// The knowledge base this linker resolves into.
@@ -119,69 +111,28 @@ impl UnitLinker {
     }
 
     /// Links a mention within a context, returning ranked candidates
-    /// (highest confidence first). Results are memoized per
-    /// `(mention, context)` pair in a process-shared memo; batch hot paths
-    /// use [`Self::link_with`] with per-worker scratch instead.
+    /// (highest confidence first). Allocates fresh working buffers; batch
+    /// hot paths use [`Self::link_with`] with per-worker scratch instead.
     pub fn link(&self, mention: &str, context: &str) -> Vec<LinkResult> {
-        LINK_QUERIES.inc();
-        let (mhash, chash) = (str_hash(mention), str_hash(context));
-        if let Some(hit) = self.lock_memo().get(mention, mhash, chash) {
-            MEMO_HIT.inc();
-            return hit.clone(); // lint:allow(hot_alloc, memo hits must hand out an owned copy; the shared entry point is not the batch hot path)
-        }
-        MEMO_MISS.inc();
-        let _span = LINK_SPAN.span();
-        let mut bufs = LinkBufs::default();
-        self.link_core(mention, context, &mut bufs);
-        LINK_RESULTS.add(bufs.results.len() as u64);
-        let results = std::mem::take(&mut bufs.results);
-        self.lock_memo().insert(mention, mhash, chash, results.clone()); // lint:allow(hot_alloc, one owned copy per distinct query enters the memo)
-        results
+        self.link_in(mention, context, &mut LinkBufs::default())
     }
 
-    /// [`Self::link`] against a per-worker [`ScratchSpace`]: no lock, no
-    /// allocation on a memo hit beyond the returned `Vec`, and all working
-    /// buffers reused across queries. Returns exactly what `link` returns
-    /// for the same inputs (the memo is private to the scratch, but link
-    /// results are a pure function of `(mention, context)`).
+    /// [`Self::link`] against a per-worker [`ScratchSpace`]: all working
+    /// buffers are reused across queries, and the result is exactly what
+    /// `link` returns for the same inputs.
     pub fn link_with(&self, mention: &str, context: &str, scratch: &mut ScratchSpace) -> Vec<LinkResult> {
         self.link_in(mention, context, &mut scratch.link)
     }
 
     /// Crate-internal core of [`Self::link_with`], taking just the linker's
-    /// slice of the scratch so the annotator can hold disjoint borrows of
-    /// its own scratch fields (candidate buffers) across the call.
-    pub(crate) fn link_in(
-        &self,
-        mention: &str,
-        context: &str,
-        ls: &mut crate::scratch::LinkScratch,
-    ) -> Vec<LinkResult> {
+    /// buffers so the annotator can hold disjoint borrows of its own
+    /// scratch fields (candidate buffers) across the call.
+    pub(crate) fn link_in(&self, mention: &str, context: &str, bufs: &mut LinkBufs) -> Vec<LinkResult> {
         LINK_QUERIES.inc();
-        let (mhash, chash) = (str_hash(mention), str_hash(context));
-        if let Some(hit) = ls.memo.get(mention, mhash, chash) {
-            MEMO_HIT.inc();
-            return hit.clone(); // lint:allow(hot_alloc, the ranked result Vec is the query's output and must be owned)
-        }
-        MEMO_MISS.inc();
         let _span = LINK_SPAN.span();
-        self.link_core(mention, context, &mut ls.bufs);
-        LINK_RESULTS.add(ls.bufs.results.len() as u64);
-        let results = ls.bufs.results.clone(); // lint:allow(hot_alloc, output construction: one owned Vec per memo miss)
-        ls.memo.insert(mention, mhash, chash, results.clone()); // lint:allow(hot_alloc, one owned copy per distinct query enters the memo)
-        results
-    }
-
-    /// Locks the shared memo, recovering from poisoning: the memo is a pure
-    /// cache of deterministic link results, so a panic caught mid-insert
-    /// (the panic-isolated `par_map` unwinds through here) leaves it valid —
-    /// unwrapping the poison would turn one quarantined record into a
-    /// process-wide failure.
-    fn lock_memo(&self) -> std::sync::MutexGuard<'_, Memo> {
-        match self.memo.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.link_core(mention, context, bufs);
+        LINK_RESULTS.add(bufs.results.len() as u64);
+        bufs.results.clone() // lint:allow(hot_alloc, output construction: the ranked result Vec is the query's output and must be owned)
     }
 
     /// The interned link query: leaves the ranked results in
@@ -378,17 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_repeat_query_is_identical() {
-        let l = linker();
-        let fresh = l.link("kilometr", "distance travelled on the road");
-        let cached = l.link("kilometr", "distance travelled on the road");
-        assert_eq!(fresh, cached);
-        // A different context must not alias into the same memo entry.
-        let other = l.link("kilometr", "");
-        assert_eq!(other.len(), fresh.len());
-    }
-
-    #[test]
     fn scratch_link_matches_shared_link() {
         let l = linker();
         let mut scratch = ScratchSpace::new();
@@ -405,9 +345,9 @@ mod tests {
             let shared = l.link(mention, context);
             let scratched = l.link_with(mention, context, &mut scratch);
             assert_eq!(shared, scratched, "mention = {mention:?}");
-            // And again through the warm memo.
-            let memo_hit = l.link_with(mention, context, &mut scratch);
-            assert_eq!(shared, memo_hit, "memo hit for {mention:?}");
+            // And again through the reused scratch.
+            let reused = l.link_with(mention, context, &mut scratch);
+            assert_eq!(shared, reused, "reused scratch for {mention:?}");
         }
     }
 

@@ -3,24 +3,16 @@
 //! One [`ScratchSpace`] per worker (see `dim_par::par_map_scratch`) holds
 //! every buffer the hot path used to reallocate per sentence: the number
 //! scanner's match list, the candidate-phrase builder, the normalization
-//! and Levenshtein DP buffers, the struct-of-arrays candidate arena, the
-//! context-word arena, and a private link memo. All buffers are cleared
-//! before each use — results never depend on what earlier items left
-//! behind, which is the determinism contract `par_map_scratch` requires.
+//! and Levenshtein DP buffers, the struct-of-arrays candidate arena, and
+//! the context-word arena. All buffers are cleared before each use —
+//! results never depend on what earlier items left behind, which is the
+//! determinism contract `par_map_scratch` requires.
 
 use crate::linker::LinkResult;
 use crate::numparse::NumberMatch;
-use dimkb::intern::fnv1a;
 use dimkb::UnitId;
-use std::collections::HashMap;
 
-/// Upper bound on memoized `(mention, context)` link queries per memo.
-/// When a memo fills up it is cleared wholesale — real corpora repeat a
-/// small set of surfaces, so evictions are rare and a simple clear beats
-/// LRU bookkeeping.
-pub(crate) const LINK_MEMO_CAP: usize = 8192;
-
-/// Reusable buffers and memo for the annotate/link hot path. Allocate one
+/// Reusable buffers for the annotate/link hot path. Allocate one
 /// per worker and pass it to `Annotator::annotate_with` /
 /// `UnitLinker::link_with`; buffers grow to the working-set high-water mark
 /// and stay there.
@@ -32,8 +24,8 @@ pub struct ScratchSpace {
     pub(crate) cjk_ends: Vec<usize>,
     /// Multiword candidate phrase builder.
     pub(crate) phrase: String,
-    /// Linker-side buffers and memo.
-    pub(crate) link: LinkScratch,
+    /// Linker-side buffers.
+    pub(crate) link: LinkBufs,
 }
 
 impl ScratchSpace {
@@ -41,16 +33,6 @@ impl ScratchSpace {
     pub fn new() -> ScratchSpace {
         ScratchSpace::default()
     }
-}
-
-/// The linker's slice of the scratch space.
-#[derive(Default)]
-pub(crate) struct LinkScratch {
-    /// Working buffers for one `link_core` invocation.
-    pub(crate) bufs: LinkBufs,
-    /// Per-worker memo (lock-free; the shared-linker entry point keeps its
-    /// own `Mutex<Memo>` instead).
-    pub(crate) memo: Memo,
 }
 
 /// Working buffers for candidate generation, scoring, and ranking.
@@ -75,87 +57,4 @@ pub(crate) struct LinkBufs {
     pub(crate) ctx_arena: String,
     /// Byte spans of each context word within `ctx_arena`.
     pub(crate) ctx_spans: Vec<(usize, usize)>,
-}
-
-/// Memo of `(mention, context-hash)` → ranked results, keyed by hash pair
-/// with exact-string confirmation inside the bucket, so lookups hash the
-/// mention instead of allocating an owned key. Purely a cache: link results
-/// depend only on the KB and config, both immutable, so a hit is always
-/// value-identical to a recompute.
-#[derive(Default)]
-pub(crate) struct Memo {
-    /// `(fnv1a(mention), fnv1a(context))` → entries whose mention collided.
-    map: HashMap<(u64, u64), MemoBucket>,
-    /// Total entries across all buckets (the cap is on entries, not keys).
-    entries: usize,
-}
-
-/// One memo hash bucket: the exact mention strings that collided on a hash
-/// pair, each with its ranked results.
-type MemoBucket = Vec<(String, Vec<LinkResult>)>;
-
-impl Memo {
-    /// Looks up a memoized query without allocating.
-    pub(crate) fn get(&self, mention: &str, mention_hash: u64, context_hash: u64) -> Option<&Vec<LinkResult>> {
-        let bucket = self.map.get(&(mention_hash, context_hash))?;
-        bucket.iter().find(|(m, _)| m == mention).map(|(_, r)| r)
-    }
-
-    /// Inserts a computed query, clearing the memo wholesale at the cap.
-    /// Double-inserting the same key (two workers racing on the shared
-    /// memo) is harmless: `get` returns the first entry, and all entries
-    /// for a key hold identical values.
-    pub(crate) fn insert(&mut self, mention: &str, mention_hash: u64, context_hash: u64, results: Vec<LinkResult>) {
-        if self.entries >= LINK_MEMO_CAP {
-            self.map.clear();
-            self.entries = 0;
-        }
-        self.map
-            .entry((mention_hash, context_hash))
-            .or_default()
-            .push((mention.to_string(), results)); // lint:allow(hot_alloc, one owned key per distinct memoized query, amortized across all hits)
-        self.entries += 1;
-    }
-}
-
-/// FNV-1a over a string — the memo's hash, shared with the KB's symbol
-/// tables so both sides agree on one function.
-pub(crate) fn str_hash(s: &str) -> u64 {
-    fnv1a(s.as_bytes())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn result(score: f64) -> Vec<LinkResult> {
-        vec![LinkResult { unit: UnitId(7), score, prior: 0.5, mention_sim: 1.0, context_prob: 0.2 }]
-    }
-
-    #[test]
-    fn memo_round_trips_and_distinguishes_contexts() {
-        let mut memo = Memo::default();
-        let (mh, c1, c2) = (str_hash("km"), str_hash("road"), str_hash("sky"));
-        assert!(memo.get("km", mh, c1).is_none());
-        memo.insert("km", mh, c1, result(0.9));
-        memo.insert("km", mh, c2, result(0.1));
-        assert_eq!(memo.get("km", mh, c1).unwrap()[0].score, 0.9);
-        assert_eq!(memo.get("km", mh, c2).unwrap()[0].score, 0.1);
-        // A hash collision with a different mention string must not alias.
-        assert!(memo.get("mk", mh, c1).is_none());
-    }
-
-    #[test]
-    fn memo_clears_wholesale_at_cap() {
-        let mut memo = Memo::default();
-        for i in 0..LINK_MEMO_CAP {
-            let m = format!("m{i}");
-            memo.insert(&m, str_hash(&m), 0, result(i as f64));
-        }
-        assert_eq!(memo.entries, LINK_MEMO_CAP);
-        memo.insert("overflow", str_hash("overflow"), 0, result(1.0));
-        assert_eq!(memo.entries, 1, "cap clears wholesale, then readmits");
-        assert!(memo.get("m0", str_hash("m0"), 0).is_none());
-        assert!(memo.get("overflow", str_hash("overflow"), 0).is_some());
-    }
 }

@@ -17,7 +17,7 @@
 
 use crate::equation::{Node, Op};
 use crate::problem::MwpProblem;
-use dimkb::degrade::{self, BudgetExceeded, Degraded, ErrorBudget, QuarantineEntry, RecordError};
+use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy, QuarantineEntry};
 use dimkb::{DimUnitKb, Unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,34 +277,26 @@ impl<'a> Augmenter<'a> {
         problems: &[MwpProblem],
         par: dim_par::Parallelism,
     ) -> Vec<MwpProblem> {
-        let _span = QMWP_SPAN.span();
-        let (kb, seed) = (self.kb, self.seed);
-        dim_par::par_map_indexed(par, problems, |i, p| {
-            Augmenter::new(kb, dim_par::seed_for(seed ^ 0x51, i as u64)).qmwp_one(p)
-        })
+        degrade::complete(self.try_to_qmwp_with(problems, par, Policy::CLASSIC))
     }
 
     /// Degraded-mode [`Self::to_qmwp_with`]: per-problem panic isolation and
     /// fault injection; a faulted problem is quarantined (its slot is
-    /// `None`) under `budget`. With no faults, slot `i` equals the classic
-    /// output's element `i` exactly.
+    /// `None`) under the policy's budget. With no faults, slot `i` equals
+    /// the classic output's element `i` exactly.
     pub fn try_to_qmwp_with(
         &mut self,
         problems: &[MwpProblem],
         par: dim_par::Parallelism,
-        budget: ErrorBudget,
+        policy: Policy,
     ) -> Result<Degraded<MwpProblem>, BudgetExceeded> {
         let _span = QMWP_SPAN.span();
         let (kb, seed) = (self.kb, self.seed);
         let slots = dim_par::try_par_map_indexed(par, problems, |i, p| {
-            degrade::inject(SITE_QMWP, i)?;
+            degrade::inject(policy.plan, SITE_QMWP, i)?;
             Ok(Augmenter::new(kb, dim_par::seed_for(seed ^ 0x51, i as u64)).qmwp_one(p))
         });
-        let slots = slots.into_iter().map(|slot| match slot {
-            Ok(inner) => inner,
-            Err(p) => Err(RecordError::Panicked(p.message)),
-        });
-        degrade::collect_degraded(SITE_QMWP, slots, budget)
+        degrade::collect_isolated(SITE_QMWP, slots, policy.budget)
     }
 
     /// Training-set augmentation at rate η: appends ~η·N augmented variants
@@ -324,49 +316,21 @@ impl<'a> Augmenter<'a> {
         eta: f64,
         par: dim_par::Parallelism,
     ) -> Vec<MwpProblem> {
-        let _span = AUGMENT_SPAN.span();
-        let mut out = problems.to_vec();
-        let extra = (problems.len() as f64 * eta).round() as usize;
-        if extra == 0 || problems.is_empty() {
-            return out;
-        }
-        let (kb, seed) = (self.kb, self.seed);
-        let guard_limit = extra * 20 + 100;
-        let mut produced = 0usize;
-        let mut attempt = 0usize;
-        while produced < extra && attempt < guard_limit {
-            // Most attempts succeed, so a wave sized to the deficit (with a
-            // floor to amortize fan-out) rarely needs a second round.
-            let wave = (extra - produced).max(32).min(guard_limit - attempt);
-            let ks: Vec<u64> = (attempt..attempt + wave).map(|k| k as u64).collect();
-            let results =
-                dim_par::par_map(par, &ks, |&k| attempt_one(kb, seed, problems, k));
-            for aug in results.into_iter().flatten() {
-                if produced >= extra {
-                    break;
-                }
-                out.push(aug);
-                produced += 1;
-            }
-            attempt += wave;
-        }
-        AUGMENT_ATTEMPTS.add(attempt as u64);
-        AUGMENTED.add(produced as u64);
-        out
+        degrade::complete(self.try_augment_dataset_with(problems, eta, par, Policy::CLASSIC))
     }
 
     /// Degraded-mode [`Self::augment_dataset_with`]: each attempt runs in
     /// panic isolation, faulted attempts are recorded (by attempt number)
     /// and skipped, and later attempts backfill toward the η target — so
     /// unlike the positional `try_*` batches, the *set* of appended variants
-    /// can differ from the classic output when faults fire (with no faults
-    /// it is identical). The budget is checked over attempts at the end.
+    /// can differ from a fault-free run when faults fire (with no faults it
+    /// is identical). The budget is checked over attempts at the end.
     pub fn try_augment_dataset_with(
         &mut self,
         problems: &[MwpProblem],
         eta: f64,
         par: dim_par::Parallelism,
-        budget: ErrorBudget,
+        policy: Policy,
     ) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
         let _span = AUGMENT_SPAN.span();
         let mut out = problems.to_vec();
@@ -380,18 +344,16 @@ impl<'a> Augmenter<'a> {
         let mut attempt = 0usize;
         let mut quarantine = Vec::new();
         while produced < extra && attempt < guard_limit {
+            // Most attempts succeed, so a wave sized to the deficit (with a
+            // floor to amortize fan-out) rarely needs a second round.
             let wave = (extra - produced).max(32).min(guard_limit - attempt);
             let ks: Vec<u64> = (attempt..attempt + wave).map(|k| k as u64).collect();
             let results = dim_par::try_par_map_indexed(par, &ks, |_, &k| {
-                degrade::inject(SITE_AUGMENT, k as usize)?;
+                degrade::inject(policy.plan, SITE_AUGMENT, k as usize)?;
                 Ok(attempt_one(kb, seed, problems, k))
             });
             for (j, slot) in results.into_iter().enumerate() {
-                let flat = match slot {
-                    Ok(inner) => inner,
-                    Err(p) => Err(RecordError::Panicked(p.message)),
-                };
-                match flat {
+                match degrade::isolated(slot) {
                     Ok(Some(aug)) => {
                         if produced < extra {
                             out.push(aug);
@@ -411,12 +373,12 @@ impl<'a> Augmenter<'a> {
         AUGMENT_ATTEMPTS.add(attempt as u64);
         AUGMENTED.add(produced as u64);
         let failed = quarantine.len();
-        if attempt > 0 && failed as f64 > budget.max_error_rate * attempt as f64 {
+        if attempt > 0 && failed as f64 > policy.budget.max_error_rate * attempt as f64 {
             return Err(BudgetExceeded {
                 site: SITE_AUGMENT.to_string(),
                 failed,
                 total: attempt,
-                max_error_rate: budget.max_error_rate,
+                max_error_rate: policy.budget.max_error_rate,
             });
         }
         Ok((out, quarantine))
@@ -425,7 +387,7 @@ impl<'a> Augmenter<'a> {
 
 /// One numbered augmentation attempt: attempt `k` derives its own RNG
 /// stream from `(seed, k)`, picks its own problem and method, and succeeds
-/// or not — the shared body of the classic and degraded dataset augmenters.
+/// or not.
 fn attempt_one(
     kb: &DimUnitKb,
     seed: u64,

@@ -8,7 +8,7 @@
 
 use crate::equation::{Node, Op};
 use crate::problem::{MwpProblem, ProblemQuantity, Seg, Source};
-use dimkb::degrade::{self, BudgetExceeded, Degraded, ErrorBudget, RecordError};
+use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -737,42 +737,7 @@ pub fn generate_with(
     config: &GenConfig,
     par: dim_par::Parallelism,
 ) -> Vec<MwpProblem> {
-    let _span = GEN_SPAN.span();
-    GEN_PROBLEMS.add(config.count as u64);
-    let templates = match source {
-        Source::Math23k => MATH23K_TEMPLATES,
-        Source::Ape210k => APE210K_TEMPLATES,
-    };
-    let total_weight: u32 = templates.iter().map(|(_, w)| w).sum();
-    let ids: Vec<u64> = (0..config.count as u64).collect();
-    dim_par::par_map(par, &ids, |&id| gen_one(templates, total_weight, config.seed, id, source))
-}
-
-/// Generates problem `id` from its own `(seed, id)` RNG stream — the shared
-/// body of [`generate_with`] and [`try_generate_with`].
-fn gen_one(
-    templates: &[(Template, u32)],
-    total_weight: u32,
-    seed: u64,
-    id: u64,
-    source: Source,
-) -> MwpProblem {
-    let mut rng = StdRng::seed_from_u64(dim_par::seed_for(seed, id));
-    let mut pick = rng.gen_range(0..total_weight);
-    let template = templates
-        .iter()
-        .find(|(_, w)| {
-            if pick < *w {
-                true
-            } else {
-                pick -= w;
-                false
-            }
-        })
-        .map(|(t, _)| t)
-        // lint:allow(no_panic, pick is drawn from 0..total_weight so the weighted scan always lands on a template)
-        .expect("weights cover range");
-    template(&mut rng, id, source)
+    degrade::complete(try_generate_with(source, config, par, Policy::CLASSIC))
 }
 
 /// The chaos/quarantine site for a generation source. The source is part of
@@ -787,13 +752,13 @@ fn gen_site(source: Source) -> &'static str {
 
 /// Degraded-mode [`generate_with`]: each problem is generated in panic
 /// isolation; a faulted record is quarantined instead of aborting the batch,
-/// subject to `budget`. With no faults, slot `i` equals the classic output's
-/// element `i` exactly.
+/// subject to the policy's budget. With no faults, slot `i` equals the
+/// classic output's element `i` exactly.
 pub fn try_generate_with(
     source: Source,
     config: &GenConfig,
     par: dim_par::Parallelism,
-    budget: ErrorBudget,
+    policy: Policy,
 ) -> Result<Degraded<MwpProblem>, BudgetExceeded> {
     let _span = GEN_SPAN.span();
     GEN_PROBLEMS.add(config.count as u64);
@@ -805,14 +770,26 @@ pub fn try_generate_with(
     let ids: Vec<u64> = (0..config.count as u64).collect();
     let site = gen_site(source);
     let slots = dim_par::try_par_map_indexed(par, &ids, |i, &id| {
-        degrade::inject(site, i)?;
-        Ok(gen_one(templates, total_weight, config.seed, id, source))
+        degrade::inject(policy.plan, site, i)?;
+        // Problem `id` draws from its own `(seed, id)` RNG stream.
+        let mut rng = StdRng::seed_from_u64(dim_par::seed_for(config.seed, id));
+        let mut pick = rng.gen_range(0..total_weight);
+        let template = templates
+            .iter()
+            .find(|(_, w)| {
+                if pick < *w {
+                    true
+                } else {
+                    pick -= w;
+                    false
+                }
+            })
+            .map(|(t, _)| t)
+            // lint:allow(no_panic, pick is drawn from 0..total_weight so the weighted scan always lands on a template)
+            .expect("weights cover range");
+        Ok(template(&mut rng, id, source))
     });
-    let slots = slots.into_iter().map(|slot| match slot {
-        Ok(inner) => inner,
-        Err(p) => Err(RecordError::Panicked(p.message)),
-    });
-    degrade::collect_degraded(site, slots, budget)
+    degrade::collect_isolated(site, slots, policy.budget)
 }
 
 #[cfg(test)]

@@ -307,10 +307,9 @@ where
 /// item 1000. The scratch type needs no `Send`/`Sync` — it never crosses a
 /// thread boundary.
 ///
-/// Determinism: `f` must treat scratch as a pure cache — the result for
+/// Determinism: `f` must treat scratch as working memory — the result for
 /// `(i, item)` must be independent of what earlier items left in it (clear
-/// buffers before use; memo entries must be value-equal however they were
-/// computed). Item panics re-raise at the lowest faulting index, exactly
+/// buffers before use). Item panics re-raise at the lowest faulting index, exactly
 /// like [`par_map`].
 pub fn par_map_scratch<T, U, S, M, F>(
     par: Parallelism,
@@ -358,9 +357,8 @@ where
 /// `AssertUnwindSafe` is sound here because a caught panic either aborts the
 /// whole call (classic path) or quarantines exactly the state the faulting
 /// item would have produced; state reached through `f` must tolerate
-/// unwinding (per-worker scratch is a pure cache cleared before each use;
-/// the linker's shared memo lock recovers from poisoning instead of
-/// unwrapping).
+/// unwinding (per-worker scratch is working memory cleared before each
+/// use).
 fn morsel_map_slots<T, U, S, M, F>(
     par: Parallelism,
     items: &[T],

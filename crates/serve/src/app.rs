@@ -14,17 +14,18 @@
 //! | `GET /metrics`   | —                                         | `dim-obs` snapshot JSON       |
 //!
 //! Every `POST` consults [`dimkb::degrade::inject`] once under the
-//! [`SITE_REQUEST`] site before doing work: with no fault plan (or rate 0)
-//! that is one acquire atomic load and responses are byte-identical to a
-//! chaos-free build; with an active plan a faulted request is answered with
-//! a structured degraded `503` (and quarantined) instead of crashing a
-//! worker — injected panics are caught by the worker's per-request
-//! isolation and land in the same degraded path.
+//! [`SITE_REQUEST`] site with the app's [`AppConfig::faults`] plan before
+//! doing work: with the default (off) plan, or rate 0, responses are
+//! byte-identical to a chaos-free build; with an active plan a faulted
+//! request is answered with a structured degraded `503` (and quarantined)
+//! instead of crashing a worker — injected panics are caught by the
+//! worker's per-request isolation and land in the same degraded path.
 
 use crate::cache::ShardedLru;
 use crate::deadline::Deadline;
 use crate::http::{Method, Request, Response};
 use crate::{batcher::MicroBatcher, json};
+use dim_chaos::FaultPlan;
 use dim_core::DimKs;
 use dimkb::degrade::{QuarantineEntry, RecordError};
 use dimlink::{LinkResult, QuantityMention};
@@ -61,6 +62,8 @@ pub struct AppConfig {
     pub batch_window: Duration,
     /// Fan-out width for batched engine calls.
     pub parallelism: dim_par::Parallelism,
+    /// Record faults injected on the request path (off by default).
+    pub faults: FaultPlan,
 }
 
 impl Default for AppConfig {
@@ -74,6 +77,7 @@ impl Default for AppConfig {
             // positive default put a ~500µs floor under every cache miss.
             batch_window: Duration::ZERO,
             parallelism: dim_par::Parallelism::SEQUENTIAL,
+            faults: FaultPlan::OFF,
         }
     }
 }
@@ -85,6 +89,7 @@ pub struct App {
     link_batcher: MicroBatcher<(String, String), Vec<LinkResult>>,
     annotate_batcher: MicroBatcher<String, Vec<QuantityMention>>,
     parallelism: dim_par::Parallelism,
+    faults: FaultPlan,
     seq: AtomicU64,
     handled: AtomicU64,
     quarantine: Mutex<Vec<QuarantineEntry>>,
@@ -99,6 +104,7 @@ impl App {
             link_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
             annotate_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
             parallelism: config.parallelism,
+            faults: config.faults,
             seq: AtomicU64::new(0),
             handled: AtomicU64::new(0),
             quarantine: Mutex::new(Vec::new()),
@@ -120,8 +126,8 @@ impl App {
     }
 
     /// `POST /admin/reload` — hot-swaps the knowledge system for a fresh
-    /// [`DimKs::standard`] (new linker, empty link memo). The request takes
-    /// no body: a non-empty one is a 400 and the current KS keeps serving.
+    /// [`DimKs::standard`] (new linker). The request takes no body: a
+    /// non-empty one is a 400 and the current KS keeps serving.
     /// On success the response cache is emptied — cached bodies embed unit
     /// codes and scores from the KB they were computed against.
     fn reload(&self, req: &Request) -> Response {
@@ -202,8 +208,8 @@ impl App {
             (Method::Post, "/admin/reload") => self.reload(req),
             (Method::Post, "/link" | "/annotate" | "/convert" | "/solve") => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, uniqueness comes from fetch_add atomicity; no ordering needed)
-                // The chaos hook: rate 0 ⇒ one acquire load, no effect.
-                if let Err(e) = dimkb::degrade::inject(SITE_REQUEST, seq as usize) {
+                // The chaos hook: an inactive plan has no effect.
+                if let Err(e) = dimkb::degrade::inject(self.faults, SITE_REQUEST, seq as usize) {
                     return self.quarantined_response(seq, e);
                 }
                 self.dispatch_post(req, deadline)
@@ -213,7 +219,7 @@ impl App {
             // never call `/verify`) stay byte-identical.
             (Method::Post, "/verify") => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, uniqueness comes from fetch_add atomicity; no ordering needed)
-                if let Err(e) = dimkb::degrade::inject(SITE_REQUEST, seq as usize) {
+                if let Err(e) = dimkb::degrade::inject(self.faults, SITE_REQUEST, seq as usize) {
                     return self.quarantined_response(seq, e);
                 }
                 self.dispatch_post(req, deadline)

@@ -46,14 +46,9 @@ fn main() {
     let obs_out = flag("--obs-out").unwrap_or_else(|| "obs_report.json".to_string());
 
     if chaos_rate > 0.0 {
-        // Injected panics are expected and caught per-request; keep stderr
-        // readable during a chaos soak.
-        dim_chaos::silence_injected_panic_reports();
-        dim_chaos::install(dim_chaos::FaultPlan::new(chaos_seed, chaos_rate));
         eprintln!("chaos: seed={chaos_seed} rate={chaos_rate}");
     }
     if conn_chaos_rate > 0.0 {
-        dim_chaos::install_conn(dim_chaos::ConnPlan::new(chaos_seed, conn_chaos_rate));
         eprintln!("conn-chaos: seed={chaos_seed} rate={conn_chaos_rate}");
     }
 
@@ -67,8 +62,10 @@ fn main() {
         header_read_budget: Duration::from_millis(header_budget_ms),
         read_timeout: Duration::from_millis(25),
         idle_timeout_ticks: 2400, // ~60 s of idle keep-alive
+        conn_faults: dim_chaos::ConnPlan::new(chaos_seed, conn_chaos_rate),
         app: AppConfig {
             parallelism: dim_par::Parallelism::new(threads),
+            faults: dim_chaos::FaultPlan::new(chaos_seed, chaos_rate),
             ..AppConfig::default()
         },
         ..ServerConfig::default()

@@ -9,8 +9,9 @@
 //!    zero give-ups; zero caught panics; zero leaked connection permits.
 //! 2. **clean again** — the deterministic block (final outcomes, response
 //!    checksum, cache counts) is byte-identical to run 1.
-//! 3. **conn-chaos rate 0** — an installed-but-zero-rate connection fault
-//!    plan changes nothing: byte-identical to run 1.
+//! 3. **conn-chaos rate 0** — a server configured with a zero-rate
+//!    connection fault plan behaves as one with none: byte-identical to
+//!    run 1.
 //! 4. **conn-chaos rate 0.12** (stall + partial-write + abrupt-close) —
 //!    faults fire, clients retry through them, and the server still ends
 //!    with every logical request `2xx`, no panics, no leaks. (Cache counts
@@ -20,6 +21,7 @@
 //! Exit status 0 only if every assertion holds; any violation prints the
 //! offending run and exits 1.
 
+use dim_chaos::ConnPlan;
 use dim_serve::load::{run, LoadConfig, LoadReport};
 use dim_serve::{cache, AppConfig, ServerConfig};
 use std::time::Duration;
@@ -27,7 +29,7 @@ use std::time::Duration;
 struct SoakOutcome {
     report: LoadReport,
     deterministic: String,
-    panics_delta: u64,
+    panics_caught: u64,
     open_connections: usize,
 }
 
@@ -44,11 +46,7 @@ fn soak_config() -> LoadConfig {
     }
 }
 
-fn panics_caught() -> u64 {
-    dim_obs::snapshot().counter("srv.panics_caught").unwrap_or(0)
-}
-
-fn one_run(label: &str) -> SoakOutcome {
+fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
     let server = dim_serve::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -56,6 +54,7 @@ fn one_run(label: &str) -> SoakOutcome {
         max_connections: 6,
         default_deadline: Duration::from_millis(100),
         idle_timeout_ticks: 2400,
+        conn_faults,
         app: AppConfig {
             cache_per_shard: 1024,
             ..AppConfig::default()
@@ -68,10 +67,8 @@ fn one_run(label: &str) -> SoakOutcome {
     });
     let addr = server.addr();
     let cache_before = cache::counters();
-    let panics_before = panics_caught();
     let report = run(addr, &soak_config());
     let cache_after = cache::counters();
-    let panics_after = panics_caught();
     let drain = server.shutdown();
     let cache_delta = (
         cache_after.0 - cache_before.0,
@@ -95,7 +92,7 @@ fn one_run(label: &str) -> SoakOutcome {
     SoakOutcome {
         report,
         deterministic,
-        panics_delta: panics_after - panics_before,
+        panics_caught: drain.panics_caught,
         open_connections: drain.open_connections,
     }
 }
@@ -114,8 +111,8 @@ fn assert_healthy(label: &str, outcome: &SoakOutcome, failures: &mut u32) {
         eprintln!("serve_soak[{label}] FAIL: {} requests gave up", rep.gave_up);
         *failures += 1;
     }
-    if outcome.panics_delta != 0 {
-        eprintln!("serve_soak[{label}] FAIL: {} panics caught", outcome.panics_delta);
+    if outcome.panics_caught != 0 {
+        eprintln!("serve_soak[{label}] FAIL: {} panics caught", outcome.panics_caught);
         *failures += 1;
     }
     if outcome.open_connections != 0 {
@@ -130,10 +127,10 @@ fn assert_healthy(label: &str, outcome: &SoakOutcome, failures: &mut u32) {
 fn main() {
     let mut failures = 0u32;
 
-    let clean1 = one_run("clean-1");
+    let clean1 = one_run("clean-1", ConnPlan::OFF);
     assert_healthy("clean-1", &clean1, &mut failures);
 
-    let clean2 = one_run("clean-2");
+    let clean2 = one_run("clean-2", ConnPlan::OFF);
     assert_healthy("clean-2", &clean2, &mut failures);
     if clean1.deterministic != clean2.deterministic {
         eprintln!(
@@ -144,10 +141,7 @@ fn main() {
     }
 
     // Rate 0 must be byte-identical to no plan at all.
-    let rate0 = {
-        let _plan = dim_chaos::scoped_conn(dim_chaos::ConnPlan::new(11, 0.0));
-        one_run("conn-chaos-rate-0")
-    };
+    let rate0 = one_run("conn-chaos-rate-0", ConnPlan::new(11, 0.0));
     assert_healthy("conn-chaos-rate-0", &rate0, &mut failures);
     if rate0.deterministic != clean1.deterministic {
         eprintln!(
@@ -159,10 +153,7 @@ fn main() {
 
     // Positive rate: faults fire, clients retry through them, nothing
     // panics or leaks, and every logical request still resolves 2xx.
-    let chaos = {
-        let _plan = dim_chaos::scoped_conn(dim_chaos::ConnPlan::new(11, 0.12));
-        one_run("conn-chaos-rate-0.12")
-    };
+    let chaos = one_run("conn-chaos-rate-0.12", ConnPlan::new(11, 0.12));
     assert_healthy("conn-chaos-rate-0.12", &chaos, &mut failures);
     if chaos.report.response_checksum != clean1.report.response_checksum {
         eprintln!(

@@ -27,6 +27,7 @@ use crate::app::{App, AppConfig};
 use crate::deadline::{parse_header_budget, Deadline, HeaderBudget};
 use crate::http::{self, Parsed, Response};
 use crate::queue::{Bounded, PushError};
+use dim_chaos::{ConnFault, ConnPlan};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,6 +90,9 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Consecutive idle read timeouts before an open connection is closed.
     pub idle_timeout_ticks: u32,
+    /// Connection faults injected at adoption, one decision per accepted
+    /// connection (off by default).
+    pub conn_faults: ConnPlan,
     /// Application configuration.
     pub app: AppConfig,
 }
@@ -106,6 +110,7 @@ impl Default for ServerConfig {
             header_read_budget: Duration::from_secs(2),
             read_timeout: Duration::from_millis(25),
             idle_timeout_ticks: 400,
+            conn_faults: ConnPlan::OFF,
             app: AppConfig::default(),
         }
     }
@@ -127,6 +132,7 @@ struct ConnTask {
 struct ServerStats {
     deadline_shed: AtomicU64,
     conn_faults: AtomicU64,
+    panics_caught: AtomicU64,
 }
 
 /// What the server did over its lifetime, emitted by a graceful shutdown.
@@ -142,6 +148,8 @@ pub struct DrainReport {
     pub deadline_shed: u64,
     /// Connection-level chaos faults realized on this server.
     pub conn_faults: u64,
+    /// Request panics this server's workers caught (injected or not).
+    pub panics_caught: u64,
     /// Connections still holding a gate permit after the drain — always
     /// zero unless a permit leaked.
     pub open_connections: usize,
@@ -173,6 +181,7 @@ struct ConnParams {
     default_deadline: Duration,
     max_deadline: Duration,
     header_read_budget: Duration,
+    conn_faults: ConnPlan,
 }
 
 /// Binds, spawns the acceptor and worker pool, and returns the handle.
@@ -206,6 +215,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         default_deadline: config.default_deadline,
         max_deadline: config.max_deadline,
         header_read_budget: config.header_read_budget,
+        conn_faults: config.conn_faults,
     };
     let workers = (0..config.workers.max(1))
         .map(|_| {
@@ -270,6 +280,7 @@ impl ServerHandle {
             rejected,
             deadline_shed: self.stats.deadline_shed.load(Ordering::Acquire),
             conn_faults: self.stats.conn_faults.load(Ordering::Acquire),
+            panics_caught: self.stats.panics_caught.load(Ordering::Acquire),
             open_connections: self.gate.open(),
             degraded: self.app.quarantine_entries().len(),
             obs_json: dim_obs::snapshot().to_json(),
@@ -375,22 +386,21 @@ fn serve_connection(
     let ConnTask { mut stream, permit, accepted, seq } = task;
     let _permit = permit; // held for the connection's whole lifetime
     let mut truncate_next_write = false;
-    if let Some(fault) = dim_chaos::conn_fault_at(SITE_CONN, seq) {
+    if let Some(fault) = params.conn_faults.decide(SITE_CONN, seq) {
         stats.conn_faults.fetch_add(1, Ordering::AcqRel);
         match fault {
-            dim_chaos::ConnFault::AbruptClose => {
+            ConnFault::AbruptClose => {
                 // The peer's view: connection accepted, then dropped with
                 // no bytes — the client must survive an unexpected EOF.
                 CONN_FAULT_ABRUPT.inc();
                 return;
             }
-            dim_chaos::ConnFault::Stall => {
+            ConnFault::Stall => {
                 CONN_FAULT_STALL.inc();
-                let plan = dim_chaos::current_conn_plan();
-                let ms = plan.map_or(1, |p| p.stall_ms(SITE_CONN, seq));
+                let ms = params.conn_faults.stall_ms(SITE_CONN, seq);
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            dim_chaos::ConnFault::PartialWrite => {
+            ConnFault::PartialWrite => {
                 CONN_FAULT_PARTIAL.inc();
                 truncate_next_write = true;
             }
@@ -456,6 +466,7 @@ fn serve_connection(
                         Ok(response) => response,
                         Err(payload) => {
                             PANICS_CAUGHT.inc();
+                            stats.panics_caught.fetch_add(1, Ordering::AcqRel);
                             app.degraded_response(panic_message(payload))
                         }
                     }

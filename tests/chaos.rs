@@ -1,30 +1,36 @@
 //! Chaos harness: deterministic fault injection over the degraded-mode
 //! (`try_*`) batch entry points and the full pipeline.
 //!
-//! The contract under test, per ISSUE/DESIGN §9:
+//! The contract under test, per DESIGN §9:
 //!
-//! - with no plan installed (or rate 0) every `try_*` path produces output
-//!   identical to its classic counterpart, at every thread width;
+//! - under a rate-0 plan every `try_*` path produces output identical to
+//!   its classic counterpart, at every thread width;
 //! - with a fixed `FaultPlan` and rate > 0 the run completes panic-free,
 //!   un-faulted slots match the clean run byte-for-byte, and the
 //!   quarantine manifest is identical across repeated runs and widths;
-//! - a blown error budget is a typed [`BudgetExceeded`] abort, never a
-//!   panic.
+//! - a blown error budget is a typed `BudgetExceeded` abort, never a
+//!   panic;
+//! - a plan reaches only the call it is passed to: a classic call running
+//!   beside a rate-1.0 chaos run is untouched.
 //!
-//! The fault plan is process-global, so every test holds a
-//! `dim_chaos::scoped` guard: one process-wide mutex, the test's plan
-//! installed once it is held, and both plans cleared on drop.
+//! Plans are values inside a `Policy`, so these tests share no state and
+//! run in parallel.
 
 use dim_chaos::FaultPlan;
 use dimension_perception::core::pipeline::{try_run_full_pipeline, PipelineConfig};
 use dimension_perception::eval::{DimEval, DimEvalConfig};
-use dimension_perception::kb::degrade::{ErrorBudget, QuarantineEntry};
+use dimension_perception::kb::degrade::{self, ErrorBudget, Policy, QuarantineEntry};
 use dimension_perception::kb::DimUnitKb;
 use dimension_perception::link::{Annotator, LinkerConfig, UnitLinker};
 use dimension_perception::mwp::{self, Augmenter, GenConfig, Source};
 
 fn annotator() -> Annotator {
     Annotator::new(UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default()))
+}
+
+/// A policy injecting `plan` under a budget of `max_error_rate`.
+fn policy(plan: FaultPlan, max_error_rate: f64) -> Policy {
+    Policy { plan, budget: ErrorBudget::new(max_error_rate) }
 }
 
 fn widths() -> [dim_par::Parallelism; 2] {
@@ -44,8 +50,9 @@ fn clean_texts() -> Vec<String> {
 
 #[test]
 fn rate_zero_try_paths_match_classic_at_both_widths() {
-    let clean = dim_chaos::scoped(FaultPlan::OFF);
-    let budget = ErrorBudget::strict();
+    // A plan with rate 0 is inactive, so under a strict budget this must be
+    // indistinguishable from no plan at all.
+    let zero = policy(FaultPlan::new(123, 0.0), 0.0);
     let kb = DimUnitKb::shared();
     let texts = clean_texts();
     let ann = annotator();
@@ -63,32 +70,28 @@ fn rate_zero_try_paths_match_classic_at_both_widths() {
     };
     let classic_eval = DimEval::build(&kb, &eval_cfg);
 
-    // Install a plan with rate 0: `is_active()` is false, so this must be
-    // indistinguishable from no plan at all.
-    drop(clean);
-    let _plan = dim_chaos::scoped(FaultPlan::new(123, 0.0));
     for par in widths() {
-        let d = ann.try_annotate_batch(&texts, par, budget).unwrap();
+        let d = ann.try_annotate_batch(&texts, par, zero).unwrap();
         assert!(d.quarantine.is_empty());
         let got: Vec<_> = d.items.into_iter().map(Option::unwrap).collect();
         assert_eq!(got, classic_mentions);
 
-        let d = mwp::try_generate_with(Source::Math23k, &gen_cfg, par, budget).unwrap();
+        let d = mwp::try_generate_with(Source::Math23k, &gen_cfg, par, zero).unwrap();
         assert!(d.quarantine.is_empty());
         assert_eq!(d.ok_items(), classic_gen);
 
-        let d = Augmenter::new(&kb, 99).try_to_qmwp_with(&classic_gen, par, budget).unwrap();
+        let d = Augmenter::new(&kb, 99).try_to_qmwp_with(&classic_gen, par, zero).unwrap();
         assert!(d.quarantine.is_empty());
         assert_eq!(d.ok_items(), classic_qmwp);
 
         let (aug, quarantine) = Augmenter::new(&kb, 7)
-            .try_augment_dataset_with(&classic_gen, 0.5, par, budget)
+            .try_augment_dataset_with(&classic_gen, 0.5, par, zero)
             .unwrap();
         assert!(quarantine.is_empty());
         assert_eq!(aug, classic_aug);
 
         let cfg = DimEvalConfig { parallelism: par, ..eval_cfg };
-        let (eval, quarantine) = DimEval::try_build(&kb, &cfg, budget).unwrap();
+        let (eval, quarantine) = DimEval::try_build(&kb, &cfg, zero).unwrap();
         assert!(quarantine.is_empty());
         assert_eq!(
             serde_json::to_string(&eval).unwrap(),
@@ -99,17 +102,13 @@ fn rate_zero_try_paths_match_classic_at_both_widths() {
 
 #[test]
 fn fixed_plan_quarantine_is_deterministic_and_spares_clean_slots() {
-    let budget = ErrorBudget::new(0.5);
+    let faulty = policy(FaultPlan::new(0xC4A05, 0.05), 0.5);
     let gen_cfg = GenConfig { count: 400, seed: 314 };
-    let clean = {
-        let _clean = dim_chaos::scoped(FaultPlan::OFF);
-        mwp::generate_with(Source::Ape210k, &gen_cfg, dim_par::Parallelism::new(1))
-    };
+    let clean = mwp::generate_with(Source::Ape210k, &gen_cfg, dim_par::Parallelism::new(1));
 
-    let _plan = dim_chaos::scoped(FaultPlan::new(0xC4A05, 0.05));
     let mut manifests: Vec<String> = Vec::new();
     for par in [widths()[0], widths()[1], widths()[0]] {
-        let d = mwp::try_generate_with(Source::Ape210k, &gen_cfg, par, budget).unwrap();
+        let d = mwp::try_generate_with(Source::Ape210k, &gen_cfg, par, faulty).unwrap();
         assert!(!d.quarantine.is_empty(), "rate 0.05 over 400 items should fault some");
         assert!(d.failed_count() < clean.len() / 4, "faults should stay near the rate");
         // Un-faulted slots are byte-identical to the clean run, positionally.
@@ -127,7 +126,7 @@ fn fixed_plan_quarantine_is_deterministic_and_spares_clean_slots() {
             .collect();
         let listed: Vec<usize> = d.quarantine.iter().map(|q| q.index).collect();
         assert_eq!(faulted, listed);
-        manifests.push(dimension_perception::kb::degrade::manifest(&d.quarantine));
+        manifests.push(degrade::manifest(&d.quarantine));
     }
     assert_eq!(manifests[0], manifests[1], "manifest must not depend on thread width");
     assert_eq!(manifests[0], manifests[2], "manifest must not depend on the run");
@@ -135,13 +134,12 @@ fn fixed_plan_quarantine_is_deterministic_and_spares_clean_slots() {
 
 #[test]
 fn blown_budget_is_a_typed_abort() {
-    let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.9));
     let gen_cfg = GenConfig { count: 200, seed: 77 };
     let err = mwp::try_generate_with(
         Source::Math23k,
         &gen_cfg,
         dim_par::Parallelism::new(4),
-        ErrorBudget::new(0.1),
+        policy(FaultPlan::new(9, 0.9), 0.1),
     )
     .unwrap_err();
     assert_eq!(err.site, "mwp.gen.math23k");
@@ -170,15 +168,15 @@ fn degraded_quick_pipeline_completes_panic_free() {
     let quarantined_before = counter("pipeline.records_quarantined");
     let degraded_before = counter("pipeline.degraded_runs");
 
-    let _plan = dim_chaos::scoped(FaultPlan::new(7, 0.05));
     let mut manifests: Vec<String> = Vec::new();
     for par in widths() {
         let cfg = PipelineConfig { parallelism: par, ..config };
-        let (model, report) =
-            try_run_full_pipeline(&cfg, ErrorBudget::new(0.5)).expect("budget holds at 5%");
+        let (model, quarantine) =
+            try_run_full_pipeline(&cfg, policy(FaultPlan::new(7, 0.05), 0.5))
+                .expect("budget holds at 5%");
         assert_eq!(model.display_name, "DimPerc");
-        assert!(report.is_degraded(), "rate 0.05 must quarantine something");
-        manifests.push(report.manifest());
+        assert!(!quarantine.is_empty(), "rate 0.05 must quarantine something");
+        manifests.push(degrade::manifest(&quarantine));
     }
     assert_eq!(manifests[0], manifests[1], "pipeline manifest must not depend on width");
     assert!(counter("pipeline.records_quarantined") > quarantined_before);
@@ -188,10 +186,9 @@ fn degraded_quick_pipeline_completes_panic_free() {
 #[test]
 fn corpus_decoy_tokens_are_quarantined_not_unwrapped() {
     // No fault plan: the decoy guard is plan-independent robustness.
-    let _clean = dim_chaos::scoped(FaultPlan::OFF);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(20_24);
     let ann = annotator();
-    let budget = ErrorBudget::new(1.0);
+    let budget = policy(FaultPlan::OFF, 1.0);
     let mut decoys_seen = 0usize;
     for _ in 0..24 {
         let token = dimension_perception::corpus::noise::decoy_token(&mut rng);
@@ -215,19 +212,54 @@ fn corpus_decoy_tokens_are_quarantined_not_unwrapped() {
 
 #[test]
 fn quarantine_entries_order_and_render_stably() {
-    let _plan = dim_chaos::scoped(FaultPlan::new(0xBEEF, 0.2));
     let d = mwp::try_generate_with(
         Source::Math23k,
         &GenConfig { count: 64, seed: 1 },
         dim_par::Parallelism::new(4),
-        ErrorBudget::new(0.8),
+        policy(FaultPlan::new(0xBEEF, 0.2), 0.8),
     )
     .unwrap();
     let mut shuffled: Vec<QuarantineEntry> = d.quarantine.clone();
     shuffled.reverse();
     assert_eq!(
-        dimension_perception::kb::degrade::manifest(&shuffled),
-        dimension_perception::kb::degrade::manifest(&d.quarantine),
+        degrade::manifest(&shuffled),
+        degrade::manifest(&d.quarantine),
         "manifest must sort entries, not trust arrival order"
     );
+}
+
+/// A plan reaches only the call it is passed to: classic generation on one
+/// thread equals the clean run while another thread generates the same
+/// dataset with every record faulted.
+#[test]
+fn a_plan_reaches_only_the_call_it_is_given() {
+    let gen_cfg = GenConfig { count: 300, seed: 5 };
+    let par = dim_par::Parallelism::new(2);
+    let clean = mwp::generate_with(Source::Math23k, &gen_cfg, par);
+    let start = std::sync::Barrier::new(2);
+    let (classic, faulted) = std::thread::scope(|s| {
+        let chaos = s.spawn(|| {
+            start.wait();
+            (0..4)
+                .map(|_| {
+                    let d = mwp::try_generate_with(
+                        Source::Math23k,
+                        &gen_cfg,
+                        par,
+                        policy(FaultPlan::new(3, 1.0), 1.0),
+                    )
+                    .expect("a budget of 1.0 never aborts");
+                    d.failed_count()
+                })
+                .collect::<Vec<_>>()
+        });
+        start.wait();
+        let classic: Vec<_> =
+            (0..4).map(|_| mwp::generate_with(Source::Math23k, &gen_cfg, par)).collect();
+        (classic, chaos.join().expect("chaos thread"))
+    });
+    for run in classic {
+        assert_eq!(run, clean, "the classic call must not see the other thread's plan");
+    }
+    assert_eq!(faulted, vec![gen_cfg.count; 4], "rate 1.0 faults every record");
 }

@@ -166,8 +166,8 @@ fn quick_verify_perturb_matches_golden_at_every_thread_width() {
 /// quarantine manifest — at both fan-out widths. This pins the
 /// fault-injection decision function and the quarantine contract the same
 /// way the other goldens pin paper-facing numbers. Safe alongside the
-/// other golden tests: classic paths never consult the injector, so the
-/// plan window only affects this report's `try_*` stages.
+/// other golden tests: the plan is a value passed to this report's
+/// `try_*` stages only, and the classic stages run under no plan.
 #[test]
 fn chaos_quick_matches_golden() {
     for threads in [1, 4] {

@@ -12,6 +12,8 @@
 //! - chaos rate 0 is byte-identical to a chaos-free server; rate > 0
 //!   degrades faulted requests to structured `503`s — reproducibly across
 //!   runs — and never kills the process;
+//! - a server's fault plan is its own: a clean server running beside a
+//!   fully faulted one answers every request normally;
 //! - slow-loris trickling exhausts a bounded header-read budget (`408` +
 //!   close), half-closes and abrupt disconnects never panic a worker, and
 //!   connection-level chaos at rate 0 is byte-identical to no plan;
@@ -19,6 +21,9 @@
 //! - the hand-rolled HTTP parser survives header soup, multi-script UTF-8,
 //!   truncation at every byte, and oversize declarations (proptests), and
 //!   the `X-Deadline-Ms` budget parser clamps without ever panicking.
+//!
+//! Fault plans live in each server's config, so these tests share no
+//! state and run in parallel.
 
 use dim_serve::deadline::{parse_header_budget, HeaderBudget, MIN_DEADLINE};
 use dim_serve::http::{self, Parsed};
@@ -30,10 +35,22 @@ use std::io::Write as _;
 use std::time::Duration;
 
 fn test_server(workers: usize, queue: usize) -> dim_serve::ServerHandle {
+    chaos_server(workers, queue, FaultPlan::OFF, ConnPlan::OFF)
+}
+
+/// A test server injecting `faults` per request and `conn_faults` per
+/// connection.
+fn chaos_server(
+    workers: usize,
+    queue: usize,
+    faults: FaultPlan,
+    conn_faults: ConnPlan,
+) -> dim_serve::ServerHandle {
     dim_serve::start(ServerConfig {
         workers,
         queue_capacity: queue,
-        app: AppConfig { batch_window: Duration::ZERO, ..AppConfig::default() },
+        conn_faults,
+        app: AppConfig { batch_window: Duration::ZERO, faults, ..AppConfig::default() },
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
@@ -73,7 +90,6 @@ fn assert_matches_golden(rel: &str, actual: &str) {
 
 #[test]
 fn smoke_transcript_matches_golden() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // transcript bytes assume no fault plan
     let transcript = dim_serve::smoke::transcript(2).expect("run smoke script");
     assert_matches_golden("quick/serve.txt", &transcript);
 }
@@ -84,7 +100,6 @@ fn smoke_transcript_matches_golden() {
 /// — is drained, answered, and counted before the report is emitted.
 #[test]
 fn graceful_shutdown_drains_in_flight_request() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(2, 8);
     let addr = server.addr();
     // Park a raw connection mid-request: head sent, body missing.
@@ -126,7 +141,6 @@ fn read_raw_response(stream: &mut std::net::TcpStream) -> String {
 /// queued one is still served once the worker frees up.
 #[test]
 fn queue_full_is_deterministic_503_and_backlog_still_drains() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(1, 1);
     let addr = server.addr();
 
@@ -164,7 +178,6 @@ fn queue_full_is_deterministic_503_and_backlog_still_drains() {
 /// per-byte progress must NOT keep resetting the clock.
 #[test]
 fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = dim_serve::start(ServerConfig {
         workers: 1,
         queue_capacity: 4,
@@ -216,7 +229,6 @@ fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
 /// and moves on without panicking.
 #[test]
 fn half_close_after_request_still_receives_the_response() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // status codes assume no fault plan
     let server = test_server(1, 4);
     let addr = server.addr();
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
@@ -243,9 +255,6 @@ fn half_close_after_request_still_receives_the_response() {
 /// panic a worker and never leak a connection permit.
 #[test]
 fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
-    let _clean = dim_chaos::scoped(FaultPlan::OFF); // serializes the panics-counter delta below
-    let panics_before =
-        dim_obs::snapshot().counter("srv.panics_caught").unwrap_or(0);
     let server = test_server(1, 8);
     let addr = server.addr();
     for i in 0..6 {
@@ -273,8 +282,7 @@ fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
     assert_eq!(ok.status, 200);
     let report = server.shutdown();
     assert_eq!(report.open_connections, 0, "a dead peer leaked a gate permit");
-    let panics_after = dim_obs::snapshot().counter("srv.panics_caught").unwrap_or(0);
-    assert_eq!(panics_after, panics_before, "a disconnect panicked a worker");
+    assert_eq!(report.panics_caught, 0, "a disconnect panicked a worker");
 }
 
 // ===================== chaos =====================
@@ -290,10 +298,11 @@ fn chaos_script() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Runs the chaos script over a fresh server, returning per-request
-/// `(status, body)` plus the sorted quarantine manifest.
-fn run_chaos_script(workers: usize) -> (Vec<(u16, String)>, Vec<String>) {
-    let server = test_server(workers, 16);
+/// Runs the chaos script over a fresh server with the given plans,
+/// returning per-request `(status, body)` plus the sorted quarantine
+/// manifest.
+fn run_chaos_script(faults: FaultPlan, conn_faults: ConnPlan) -> (Vec<(u16, String)>, Vec<String>) {
+    let server = chaos_server(1, 16, faults, conn_faults);
     let mut conn = client::Conn::connect(server.addr()).expect("connect");
     let mut out = Vec::new();
     for (target, body) in chaos_script() {
@@ -309,14 +318,8 @@ fn run_chaos_script(workers: usize) -> (Vec<(u16, String)>, Vec<String>) {
 
 #[test]
 fn chaos_rate_zero_is_byte_identical_to_no_plan() {
-    let (clean, clean_q) = {
-        let _clean = dim_chaos::scoped(FaultPlan::OFF);
-        run_chaos_script(1)
-    };
-    let (zero_rate, zero_q) = {
-        let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.0));
-        run_chaos_script(1)
-    };
+    let (clean, clean_q) = run_chaos_script(FaultPlan::OFF, ConnPlan::OFF);
+    let (zero_rate, zero_q) = run_chaos_script(FaultPlan::new(9, 0.0), ConnPlan::OFF);
     assert_eq!(clean, zero_rate, "rate 0 must not change a single byte");
     assert!(clean_q.is_empty() && zero_q.is_empty());
     assert!(clean.iter().all(|(s, _)| *s == 200), "clean script is all 200s");
@@ -341,8 +344,8 @@ fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
             ),
         })
         .collect();
-    let run = || {
-        let server = test_server(1, 16);
+    let run = |faults| {
+        let server = chaos_server(1, 16, faults, ConnPlan::OFF);
         let mut conn = client::Conn::connect(server.addr()).expect("connect");
         let out: Vec<(u16, String)> = script
             .iter()
@@ -354,14 +357,8 @@ fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
         server.shutdown();
         out
     };
-    let clean = {
-        let _clean = dim_chaos::scoped(FaultPlan::OFF);
-        run()
-    };
-    let zero_rate = {
-        let _plan = dim_chaos::scoped(FaultPlan::new(9, 0.0));
-        run()
-    };
+    let clean = run(FaultPlan::OFF);
+    let zero_rate = run(FaultPlan::new(9, 0.0));
     assert_eq!(clean, zero_rate, "rate 0 must not change a single /verify byte");
     for (i, (status, body)) in clean.iter().enumerate() {
         match i % 3 {
@@ -381,15 +378,10 @@ fn verify_chaos_rate_zero_is_byte_identical_to_no_plan() {
 
 #[test]
 fn chaos_rate_positive_degrades_structurally_and_reproducibly() {
-    let (clean, _) = {
-        let _clean = dim_chaos::scoped(FaultPlan::OFF);
-        run_chaos_script(1)
-    };
-
-    let plan = dim_chaos::scoped(FaultPlan::new(11, 0.35));
-    let (run_a, manifest_a) = run_chaos_script(1);
-    let (run_b, manifest_b) = run_chaos_script(1);
-    drop(plan);
+    let (clean, _) = run_chaos_script(FaultPlan::OFF, ConnPlan::OFF);
+    let plan = FaultPlan::new(11, 0.35);
+    let (run_a, manifest_a) = run_chaos_script(plan, ConnPlan::OFF);
+    let (run_b, manifest_b) = run_chaos_script(plan, ConnPlan::OFF);
 
     // The process surviving to this line is the "never exits" half of the
     // contract — injected panics were caught per-request.
@@ -411,35 +403,49 @@ fn chaos_rate_positive_degrades_structurally_and_reproducibly() {
     }
 }
 
+/// Each server injects only its own plan: a clean server running at the
+/// same time as one that faults every request answers every request `200`
+/// and quarantines nothing, while the faulted server answers `503`.
+#[test]
+fn a_servers_fault_plan_reaches_only_that_server() {
+    let clean = test_server(1, 16);
+    let faulted = chaos_server(1, 16, FaultPlan::new(5, 1.0), ConnPlan::OFF);
+    let mut clean_conn = client::Conn::connect(clean.addr()).expect("connect clean");
+    let mut faulted_conn = client::Conn::connect(faulted.addr()).expect("connect faulted");
+    for (target, body) in chaos_script() {
+        let bad = faulted_conn.request("POST", &target, &body).expect("faulted response");
+        assert_eq!(bad.status, 503, "{target}: {}", bad.body);
+        let ok = clean_conn.request("POST", &target, &body).expect("clean response");
+        assert_eq!(ok.status, 200, "{target}: {}", ok.body);
+    }
+    assert!(clean.app().quarantine_entries().is_empty(), "the clean server quarantined nothing");
+    assert_eq!(faulted.app().quarantine_entries().len(), chaos_script().len());
+    clean.shutdown();
+    faulted.shutdown();
+}
+
 /// A rate-0 connection plan must be indistinguishable from no plan at all:
 /// same response bytes, same quarantine (none), zero realized faults.
 #[test]
 fn conn_chaos_rate_zero_is_byte_identical_to_no_plan() {
-    let (clean, clean_q) = {
-        let _clean = dim_chaos::scoped(FaultPlan::OFF);
-        run_chaos_script(1)
-    };
-    let (zero_rate, zero_q) = {
-        let _plan = dim_chaos::scoped_conn(ConnPlan::new(13, 0.0));
-        assert!(!dim_chaos::conn_enabled(), "a rate-0 plan must not arm the injector");
-        run_chaos_script(1)
-    };
+    let (clean, clean_q) = run_chaos_script(FaultPlan::OFF, ConnPlan::OFF);
+    let (zero_rate, zero_q) = run_chaos_script(FaultPlan::OFF, ConnPlan::new(13, 0.0));
     assert_eq!(clean, zero_rate, "conn-chaos rate 0 must not change a single byte");
     assert!(clean_q.is_empty() && zero_q.is_empty());
 }
 
 /// With every connection abrupt-closed at adoption, clients see clean
-/// transport errors (never garbage bytes), the server neither panics nor
-/// leaks permits, and clearing the plan restores service on the same server.
+/// transport errors (never garbage bytes), and the server neither panics
+/// nor leaks permits.
 #[test]
-fn conn_chaos_abrupt_close_surfaces_as_transport_error_and_clears() {
-    let server = test_server(1, 8);
-    let addr = server.addr();
-    let plan = dim_chaos::scoped_conn(ConnPlan {
+fn conn_chaos_abrupt_close_surfaces_as_transport_error() {
+    let abrupt = ConnPlan {
         seed: 13,
         rate: 1.0,
         kinds: dim_chaos::ConnFaultKinds::only(dim_chaos::ConnFault::AbruptClose),
-    });
+    };
+    let server = chaos_server(1, 8, FaultPlan::OFF, abrupt);
+    let addr = server.addr();
     for _ in 0..3 {
         // The drop may surface as EOF, a reset, or a broken pipe depending
         // on whether our bytes were still unread — any *clean* error is the
@@ -457,10 +463,6 @@ fn conn_chaos_abrupt_close_surfaces_as_transport_error_and_clears() {
             "unexpected error kind: {err}"
         );
     }
-    drop(plan);
-    let _clean = dim_chaos::scoped(FaultPlan::OFF);
-    let ok = client::request(addr, "GET", "/healthz", "").expect("served after clear");
-    assert_eq!(ok.status, 200);
     let report = server.shutdown();
     assert_eq!(report.conn_faults, 3, "exactly the three faulted connections");
     assert_eq!(report.open_connections, 0, "faulted connections released their permits");
