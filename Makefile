@@ -5,8 +5,9 @@
 # chaos (fault-injection) harness, a quick end-to-end smoke of the
 # experiment suite (with the metrics layer live), the serving-layer smoke
 # (golden HTTP transcript over an ephemeral port), the overload/chaos soak
-# gate, the benchmark's own tests plus one short suite pass, and a check
-# that no build artifacts are tracked. No network required.
+# gate, the benchmark's own tests plus one short suite pass and one short
+# serve pass, and a check that no build artifacts are tracked. No network
+# required.
 verify: build test clippy lint golden chaos smoke serve-smoke serve-soak perfbench-smoke bench-gate lint-gate verify-gate no-artifacts
 
 build:
@@ -54,10 +55,13 @@ serve-soak:
 # The benchmark (perfbench/, a package of its own outside the workspace)
 # compiles against the program crates: its tests plus one short untraced
 # suite_quick pass, whose oracle byte-checks the suite output, catch an API
-# break or output drift there.
+# break or output drift there. One short serve_miss pass runs the serve
+# oracle, which compares the digests of the server's responses with an
+# App::handle replay of the same requests.
 perfbench-smoke:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload suite_quick --seconds 1 --trace 0
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_miss --seconds 1 --trace 0
 
 # The workspace invariant linter (crates/lint, DESIGN.md §11 and §16):
 # the string- and comment-aware per-file rules (no-panic-hotpath,

@@ -1,5 +1,5 @@
 //! The service application: routing, request handlers, the response cache,
-//! micro-batching, and the chaos hook on the request path.
+//! and the chaos hook on the request path.
 //!
 //! Endpoints (all bodies JSON):
 //!
@@ -22,16 +22,14 @@
 //! worker's per-request isolation and land in the same degraded path.
 
 use crate::cache::ShardedLru;
-use crate::deadline::Deadline;
 use crate::http::{Method, Request, Response};
-use crate::{batcher::MicroBatcher, json};
+use crate::json;
 use dim_chaos::FaultPlan;
 use dim_core::DimKs;
 use dimkb::degrade::{QuarantineEntry, RecordError};
-use dimlink::{LinkResult, QuantityMention};
+use dimlink::LinkResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 static REQUESTS: dim_obs::Counter = dim_obs::Counter::new("srv.requests");
 static REQUEST_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("srv.request");
@@ -49,36 +47,21 @@ pub const SITE_REQUEST: &str = "srv.request";
 /// moves (a chaos soak must not grow memory without bound).
 const MAX_QUARANTINE_ENTRIES: usize = 1024;
 
+/// Shards of the response cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Application configuration.
 #[derive(Debug, Clone)]
 pub struct AppConfig {
-    /// Cache shards.
-    pub cache_shards: usize,
     /// LRU entries per shard; 0 turns the response cache off.
     pub cache_per_shard: usize,
-    /// Micro-batch flush size.
-    pub batch_max: usize,
-    /// Micro-batch collection window.
-    pub batch_window: Duration,
-    /// Fan-out width for batched engine calls.
-    pub parallelism: dim_par::Parallelism,
     /// Record faults injected on the request path (off by default).
     pub faults: FaultPlan,
 }
 
 impl Default for AppConfig {
     fn default() -> AppConfig {
-        AppConfig {
-            cache_shards: 8,
-            cache_per_shard: 128,
-            batch_max: 8,
-            // Zero: the batcher's drain loop coalesces under load without a
-            // linger, so the window is purely opt-in extra coalescing — a
-            // positive default put a ~500µs floor under every cache miss.
-            batch_window: Duration::ZERO,
-            parallelism: dim_par::Parallelism::SEQUENTIAL,
-            faults: FaultPlan::OFF,
-        }
+        AppConfig { cache_per_shard: 128, faults: FaultPlan::OFF }
     }
 }
 
@@ -86,9 +69,6 @@ impl Default for AppConfig {
 pub struct App {
     ks: Mutex<Arc<DimKs>>,
     cache: ShardedLru,
-    link_batcher: MicroBatcher<(String, String), Vec<LinkResult>>,
-    annotate_batcher: MicroBatcher<String, Vec<QuantityMention>>,
-    parallelism: dim_par::Parallelism,
     faults: FaultPlan,
     seq: AtomicU64,
     handled: AtomicU64,
@@ -100,10 +80,7 @@ impl App {
     pub fn new(config: AppConfig) -> App {
         App {
             ks: Mutex::new(Arc::new(DimKs::standard())),
-            cache: ShardedLru::new(config.cache_shards, config.cache_per_shard),
-            link_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
-            annotate_batcher: MicroBatcher::new(config.batch_max, config.batch_window),
-            parallelism: config.parallelism,
+            cache: ShardedLru::new(CACHE_SHARDS, config.cache_per_shard),
             faults: config.faults,
             seq: AtomicU64::new(0),
             handled: AtomicU64::new(0),
@@ -167,18 +144,10 @@ impl App {
     /// through the engine or an injected fault, and the server worker wraps
     /// this call in per-request isolation — see [`App::degraded_response`].)
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_with_deadline(req, Deadline::unbounded())
-    }
-
-    /// [`App::handle`] with the request's deadline budget. The deadline is
-    /// not re-checked here (the server sheds expired requests before
-    /// dispatch); it propagates into the micro-batchers, clamping how long
-    /// this request may linger waiting for batch-mates.
-    pub fn handle_with_deadline(&self, req: &Request, deadline: Deadline) -> Response {
         let _span = REQUEST_SPAN.span();
         REQUESTS.inc();
         self.handled.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; atomicity alone gives a lossless total)
-        let response = self.route(req, deadline);
+        let response = self.route(req);
         match response.status {
             200..=299 => RESP_2XX.inc(),
             400..=499 => RESP_4XX.inc(),
@@ -193,7 +162,7 @@ impl App {
         self.seq.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, advisory read of the stamp counter; no data guarded by it)
     }
 
-    fn route(&self, req: &Request, deadline: Deadline) -> Response {
+    fn route(&self, req: &Request) -> Response {
         match (req.method, req.target.as_str()) {
             (Method::Get, "/healthz") => Response::json(200, "{\"status\":\"ok\"}".to_string()),
             (Method::Get, "/metrics") => {
@@ -212,7 +181,7 @@ impl App {
                 if let Err(e) = dimkb::degrade::inject(self.faults, SITE_REQUEST, seq as usize) {
                     return self.quarantined_response(seq, e);
                 }
-                self.dispatch_post(req, deadline)
+                self.dispatch_post(req)
             }
             // Same per-request chaos wiring as the other POST routes, in
             // its own arm so the established chaos transcripts (which
@@ -222,14 +191,14 @@ impl App {
                 if let Err(e) = dimkb::degrade::inject(self.faults, SITE_REQUEST, seq as usize) {
                     return self.quarantined_response(seq, e);
                 }
-                self.dispatch_post(req, deadline)
+                self.dispatch_post(req)
             }
             (Method::Post, _) => error_response(404, "no such endpoint"),
             (Method::Get, _) => error_response(404, "no such endpoint"),
         }
     }
 
-    fn dispatch_post(&self, req: &Request, deadline: Deadline) -> Response {
+    fn dispatch_post(&self, req: &Request) -> Response {
         let body = match req.body_utf8() {
             Ok(b) => b,
             Err(e) => return error_response(400, &e.to_string()),
@@ -243,8 +212,8 @@ impl App {
             Err(e) => return error_response(400, &format!("invalid JSON body: {e}")),
         };
         let result = match req.target.as_str() {
-            "/link" => self.link(&parsed, deadline),
-            "/annotate" => self.annotate(&parsed, deadline),
+            "/link" => self.link(&parsed),
+            "/annotate" => self.annotate(&parsed),
             "/convert" => self.convert(&parsed),
             "/solve" => self.solve(&parsed),
             "/verify" => self.verify(&parsed),
@@ -259,22 +228,14 @@ impl App {
         }
     }
 
-    /// `POST /link` — unit linking (Definition 1), micro-batched so
-    /// concurrent queries share one `par_map` fan-out.
-    fn link(&self, v: &serde::Value, deadline: Deadline) -> Result<String, (u16, String)> {
-        let mention = json::str_field(v, "mention").map_err(|e| (400, e))?.to_string();
-        let context =
-            json::opt_str_field(v, "context").map_err(|e| (400, e))?.unwrap_or("").to_string();
-        let par = self.parallelism;
+    /// `POST /link` — unit linking (Definition 1).
+    fn link(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+        let mention = json::str_field(v, "mention").map_err(|e| (400, e))?;
+        let context = json::opt_str_field(v, "context").map_err(|e| (400, e))?.unwrap_or("");
         let ks = self.ks();
-        let links = self
-            .link_batcher
-            .submit_deadline((mention.clone(), context), deadline.instant(), |batch| {
-                dim_par::par_map(par, &batch, |(m, c)| ks.link(m, c))
-            })
-            .ok_or_else(|| (500, "batch processing failed".to_string()))?;
+        let links = ks.link(mention, context);
         let mut out = String::from("{\"mention\":");
-        json::string(&mut out, &mention);
+        json::string(&mut out, mention);
         out.push_str(",\"links\":[");
         for (i, l) in links.iter().enumerate() {
             if i > 0 {
@@ -286,18 +247,11 @@ impl App {
         Ok(out)
     }
 
-    /// `POST /annotate` — sentence annotation via the DimKS annotator,
-    /// micro-batched into `annotate_batch`.
-    fn annotate(&self, v: &serde::Value, deadline: Deadline) -> Result<String, (u16, String)> {
-        let text = json::str_field(v, "text").map_err(|e| (400, e))?.to_string();
-        let par = self.parallelism;
+    /// `POST /annotate` — sentence annotation via the DimKS annotator.
+    fn annotate(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+        let text = json::str_field(v, "text").map_err(|e| (400, e))?;
         let ks = self.ks();
-        let mentions = self
-            .annotate_batcher
-            .submit_deadline(text.clone(), deadline.instant(), |batch| {
-                ks.annotator().annotate_batch(&batch, par)
-            })
-            .ok_or_else(|| (500, "batch processing failed".to_string()))?;
+        let mentions = ks.annotate(text);
         let mut out = String::from("{\"mentions\":[");
         for (i, m) in mentions.iter().enumerate() {
             if i > 0 {
@@ -559,7 +513,7 @@ mod tests {
     }
 
     fn app() -> App {
-        App::new(AppConfig { batch_window: Duration::ZERO, ..AppConfig::default() })
+        App::new(AppConfig::default())
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --bin dimserve -- [--port N] [--workers N]
-//!     [--queue N] [--threads N] [--max-conns N] [--deadline-ms N]
+//!     [--queue N] [--max-conns N] [--deadline-ms N]
 //!     [--max-deadline-ms N] [--header-budget-ms N]
 //!     [--chaos-seed S] [--chaos-rate R] [--conn-chaos-rate R]
 //!     [--obs-out PATH]
@@ -35,7 +35,6 @@ fn main() {
     let port: u16 = parse_flag("--port", 8080);
     let workers: usize = parse_flag("--workers", 2);
     let queue: usize = parse_flag("--queue", 64);
-    let threads: usize = parse_flag("--threads", 1);
     let max_conns: usize = parse_flag("--max-conns", 256);
     let deadline_ms: u64 = parse_flag("--deadline-ms", 5000);
     let max_deadline_ms: u64 = parse_flag("--max-deadline-ms", 30_000);
@@ -64,11 +63,9 @@ fn main() {
         idle_timeout_ticks: 2400, // ~60 s of idle keep-alive
         conn_faults: dim_chaos::ConnPlan::new(chaos_seed, conn_chaos_rate),
         app: AppConfig {
-            parallelism: dim_par::Parallelism::new(threads),
             faults: dim_chaos::FaultPlan::new(chaos_seed, chaos_rate),
             ..AppConfig::default()
         },
-        ..ServerConfig::default()
     };
     let server = match dim_serve::start(config) {
         Ok(s) => s,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --bin loadgen -- [--clients N] [--requests N]
-//!     [--seed S] [--workers N] [--threads N] [--queue N] [--max-conns N]
+//!     [--seed S] [--workers N] [--queue N] [--max-conns N]
 //!     [--deadline-ms N] [--cache-per-shard N] [--warmup N]
 //!     [--retry-after-cap-ms N] [--out PATH] [--soak]
 //! ```
@@ -56,7 +56,6 @@ fn main() {
     let requests: usize = parse_flag("--requests", d_requests);
     let seed: u64 = parse_flag("--seed", 7);
     let workers: usize = parse_flag("--workers", d_workers);
-    let threads: usize = parse_flag("--threads", 1);
     let queue: usize = parse_flag("--queue", d_queue);
     let max_conns: usize = parse_flag("--max-conns", d_conns);
     let deadline_ms: u64 = parse_flag("--deadline-ms", d_deadline);
@@ -72,11 +71,7 @@ fn main() {
         max_connections: max_conns,
         default_deadline: Duration::from_millis(deadline_ms),
         idle_timeout_ticks: 2400,
-        app: AppConfig {
-            cache_per_shard,
-            parallelism: dim_par::Parallelism::new(threads),
-            ..AppConfig::default()
-        },
+        app: AppConfig { cache_per_shard, ..AppConfig::default() },
         ..ServerConfig::default()
     }) {
         Ok(s) => s,
@@ -116,7 +111,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"clients\": {clients}, \"requests_per_client\": {requests}, \"seed\": {seed}, \"workers\": {workers}, \"threads\": {threads}, \"queue\": {queue}, \"max_connections\": {max_conns}, \"deadline_ms\": {deadline_ms}, \"cache_per_shard\": {cache_per_shard}, \"warmup\": {warmup}, \"soak\": {soak}}},"
+        "  \"config\": {{\"clients\": {clients}, \"requests_per_client\": {requests}, \"seed\": {seed}, \"workers\": {workers}, \"queue\": {queue}, \"max_connections\": {max_conns}, \"deadline_ms\": {deadline_ms}, \"cache_per_shard\": {cache_per_shard}, \"warmup\": {warmup}, \"soak\": {soak}}},"
     );
     let _ = writeln!(json, "  \"deterministic\": {},", all.deterministic_json(cache_delta));
     let _ = writeln!(json, "  \"load\": {{");

@@ -11,13 +11,12 @@
 //! A request whose budget is exhausted before dispatch is **shed**: a
 //! deterministic `503` with `Retry-After`, counted under `srv.deadline.*`,
 //! and the connection stays open (the worker already owns it; the client's
-//! retry lands immediately). Budgets also propagate into the micro-batcher,
-//! which clamps its linger window to the tightest remaining budget in the
-//! pending batch — a request never waits for batch-mates it cannot afford.
+//! retry lands immediately). A request dispatched inside its budget runs to
+//! completion: the engine call is short and uninterruptible, so the budget
+//! is checked once, at dispatch, and never inside [`crate::App::handle`].
 //!
-//! [`Deadline`] is a plain `Copy` wrapper over `Option<Instant>`;
-//! [`Deadline::unbounded`] is the identity element used by tests and
-//! internal callers that predate deadline plumbing.
+//! [`Deadline`] is a plain `Copy` wrapper over `Option<Instant>`; `None`
+//! (a budget past the end of the clock) never expires.
 
 use std::time::{Duration, Instant};
 
@@ -33,19 +32,9 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// A deadline that never expires.
-    pub fn unbounded() -> Deadline {
-        Deadline { at: None }
-    }
-
     /// A deadline `budget` after `start`.
     pub fn after(start: Instant, budget: Duration) -> Deadline {
         Deadline { at: start.checked_add(budget) }
-    }
-
-    /// The absolute expiry instant, if bounded.
-    pub fn instant(self) -> Option<Instant> {
-        self.at
     }
 
     /// Whether the deadline has passed as of `now`.
@@ -56,11 +45,6 @@ impl Deadline {
     /// Whether the deadline has passed.
     pub fn expired(self) -> bool {
         self.expired_at(Instant::now())
-    }
-
-    /// Budget remaining as of `now` (zero once expired, `None` if unbounded).
-    pub fn remaining_at(self, now: Instant) -> Option<Duration> {
-        self.at.map(|at| at.saturating_duration_since(now))
     }
 }
 
@@ -97,14 +81,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unbounded_never_expires() {
-        let d = Deadline::unbounded();
-        assert!(!d.expired());
-        assert_eq!(d.instant(), None);
-        assert_eq!(d.remaining_at(Instant::now()), None);
-    }
-
-    #[test]
     fn bounded_expires_exactly_at_the_instant() {
         let start = Instant::now();
         let d = Deadline::after(start, Duration::from_millis(10));
@@ -115,11 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn remaining_saturates_to_zero() {
-        let start = Instant::now();
-        let d = Deadline::after(start, Duration::from_millis(5));
-        assert_eq!(d.remaining_at(start), Some(Duration::from_millis(5)));
-        assert_eq!(d.remaining_at(start + Duration::from_secs(1)), Some(Duration::ZERO));
+    fn budget_past_the_end_of_the_clock_never_expires() {
+        let d = Deadline::after(Instant::now(), Duration::MAX);
+        assert!(!d.expired());
     }
 
     #[test]

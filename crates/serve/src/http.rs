@@ -183,12 +183,7 @@ pub fn parse(buf: &[u8]) -> Result<Parsed, HttpError> {
     if req.header("transfer-encoding").is_some() {
         return Err(HttpError::UnsupportedTransferEncoding);
     }
-    let content_length = match req.header("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("invalid content-length: {v:?}")))?,
-    };
+    let content_length = content_length(&req.headers)?;
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge(content_length));
     }
@@ -198,6 +193,25 @@ pub fn parse(buf: &[u8]) -> Result<Parsed, HttpError> {
     let mut req = req;
     req.body = buf[head_len..head_len + content_length].to_vec(); // lint:allow(no_panic, the Partial check above guarantees buf.len() >= head_len + content_length)
     Ok(Parsed::Complete { request: req, consumed: head_len + content_length })
+}
+
+/// The declared body length: 0 without a `Content-Length` header. Every
+/// `Content-Length` value must be `1*DIGIT` (RFC 7230 §3.3.2, so no sign)
+/// and all of them must agree; otherwise the request is a `400`.
+fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(name, _)| name == "content-length") {
+        let n = match v.parse::<usize>() {
+            // `parse` alone would also take a leading `+`.
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::BadRequest(format!("invalid content-length: {v:?}"))),
+        };
+        if declared.is_some_and(|d| d != n) {
+            return Err(HttpError::BadRequest("conflicting content-length headers".to_string()));
+        }
+        declared = Some(n);
+    }
+    Ok(declared.unwrap_or(0))
 }
 
 /// Byte offset one past the `\r\n\r\n` head terminator, if present within
@@ -375,6 +389,10 @@ mod tests {
         assert_eq!(req.method, Method::Post);
         assert_eq!(req.body, b"abcd");
         assert_eq!(used, raw.len() - 5, "trailing pipelined bytes are not consumed");
+        // Repeated Content-Length headers are fine while they agree.
+        let raw = b"POST /link HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        let (req, _) = complete(raw);
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]
@@ -411,6 +429,8 @@ mod tests {
             b"GET relative HTTP/1.1\r\n\r\n",
             b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
             b"GET /x HTTP/1.1\r\nContent-Length: twelve\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 10\r\n\r\nbody",
             b"POST /x HTTP/1.1\r\nBad Header Name: v\r\n\r\n",
         ] {
             let err = parse(raw).expect_err("malformed");

@@ -13,10 +13,9 @@
 //! - **Fixed resources.** A bounded MPMC queue ([`queue`]) feeds a fixed
 //!   worker pool; a full queue is a deterministic `503`, never an unbounded
 //!   backlog ([`server`]).
-//! - **Batching without byte drift.** Concurrent `/link` and `/annotate`
-//!   requests coalesce into the same `par_map`/`annotate_batch` calls the
-//!   offline pipeline uses ([`batcher`]); item-independence makes the
-//!   coalescing invisible in response bytes.
+//! - **One engine call per request.** A worker answers `/link` and
+//!   `/annotate` by calling the DimKS engine directly, so a response is a
+//!   function of its request alone, whatever else is in flight ([`app`]).
 //! - **Deterministic caching.** A sharded LRU keyed on route + body, with
 //!   FNV-1a shard routing that is a pure function of the key ([`cache`]).
 //! - **Chaos on the request path.** Every `POST` consults the workspace
@@ -35,7 +34,6 @@
 
 pub mod admission;
 pub mod app;
-pub mod batcher;
 pub mod cache;
 pub mod deadline;
 pub mod http;
@@ -47,7 +45,6 @@ pub mod smoke;
 
 pub use admission::{ConnGate, ConnPermit, Watermarks};
 pub use app::{App, AppConfig};
-pub use batcher::MicroBatcher;
 pub use cache::ShardedLru;
 pub use deadline::Deadline;
 pub use http::{Method, Parsed, Request, Response};

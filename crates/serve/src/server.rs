@@ -72,9 +72,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Hard cap on simultaneously open (admitted) connections.
     pub max_connections: usize,
-    /// Queue-depth watermarks `(high, low)`; `None` derives
-    /// [`Watermarks::for_capacity`] from `queue_capacity`.
-    pub watermarks: Option<(usize, usize)>,
     /// Default per-request deadline budget when the client sends no
     /// `X-Deadline-Ms`.
     pub default_deadline: Duration,
@@ -104,7 +101,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 32,
             max_connections: 256,
-            watermarks: None,
             default_deadline: Duration::from_secs(5),
             max_deadline: Duration::from_secs(30),
             header_read_budget: Duration::from_secs(2),
@@ -197,10 +193,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let gate = ConnGate::new(config.max_connections);
     let stats = Arc::new(ServerStats::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let watermarks = match config.watermarks {
-        Some((high, low)) => Watermarks::new(high, low),
-        None => Watermarks::for_capacity(config.queue_capacity),
-    };
+    let watermarks = Watermarks::for_capacity(config.queue_capacity);
 
     let acceptor = {
         let queue = queue.clone();
@@ -460,9 +453,7 @@ fn serve_connection(
                     stats.deadline_shed.fetch_add(1, Ordering::AcqRel);
                     deadline_shed_response()
                 } else {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        app.handle_with_deadline(&request, deadline)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| app.handle(&request))) {
                         Ok(response) => response,
                         Err(payload) => {
                             PANICS_CAUGHT.inc();

@@ -9,6 +9,8 @@
 //!   final report is emitted;
 //! - a full connection queue is a deterministic `503` (backpressure),
 //!   counted in the drain report;
+//! - concurrent keep-alive clients on a cache-off server get exactly the
+//!   bodies `App::handle` gives on a fresh app;
 //! - chaos rate 0 is byte-identical to a chaos-free server; rate > 0
 //!   degrades faulted requests to structured `503`s — reproducibly across
 //!   runs — and never kills the process;
@@ -28,7 +30,7 @@
 use dim_serve::deadline::{parse_header_budget, HeaderBudget, MIN_DEADLINE};
 use dim_serve::http::{self, Parsed};
 use dim_serve::server::client;
-use dim_serve::{AppConfig, ServerConfig, ShardedLru};
+use dim_serve::{App, AppConfig, ServerConfig, ShardedLru};
 use proptest::prelude::*;
 use dim_chaos::{ConnPlan, FaultPlan};
 use std::io::Write as _;
@@ -50,7 +52,7 @@ fn chaos_server(
         workers,
         queue_capacity: queue,
         conn_faults,
-        app: AppConfig { batch_window: Duration::ZERO, faults, ..AppConfig::default() },
+        app: AppConfig { faults, ..AppConfig::default() },
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
@@ -182,7 +184,6 @@ fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
         workers: 1,
         queue_capacity: 4,
         header_read_budget: Duration::from_millis(150),
-        app: AppConfig { batch_window: Duration::ZERO, ..AppConfig::default() },
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
@@ -283,6 +284,76 @@ fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
     let report = server.shutdown();
     assert_eq!(report.open_connections, 0, "a dead peer leaked a gate permit");
     assert_eq!(report.panics_caught, 0, "a disconnect panicked a worker");
+}
+
+// ===================== concurrent clients =====================
+
+const CLIENTS: usize = 4;
+const REQUESTS_PER_CLIENT: usize = 24;
+const MENTIONS: [&str; 6] = ["km", "kg", "mph", "米", "°C", "kilowatt hour"];
+
+/// Client `c`'s script: `/link` and `/annotate` interleaved, every body
+/// unique across all clients.
+fn client_script(c: usize) -> Vec<(&'static str, String)> {
+    (0..REQUESTS_PER_CLIENT)
+        .map(|i| {
+            let mention = MENTIONS[(c + i) % MENTIONS.len()];
+            if i % 2 == 0 {
+                ("/link", format!("{{\"mention\":\"{mention}\",\"context\":\"client {c} probe {i}\"}}"))
+            } else {
+                ("/annotate", format!("{{\"text\":\"client {c} step {i}: {} {mention} then {i}.5 kg\"}}", c + i))
+            }
+        })
+        .collect()
+}
+
+/// Four keep-alive clients against two workers with the cache off: every
+/// request reaches the engine while others are in flight, and each body
+/// must equal what `App::handle` answers on a fresh app — a response is a
+/// function of its request alone.
+#[test]
+fn concurrent_clients_get_the_bodies_a_fresh_app_gives() {
+    let server = dim_serve::start(ServerConfig {
+        workers: 2,
+        app: AppConfig { cache_per_shard: 0, ..AppConfig::default() },
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+    // Every client is connected before any sends, so both workers are busy
+    // from the first request on.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut conn = client::Conn::connect(addr).expect("connect");
+                start.wait();
+                client_script(c)
+                    .into_iter()
+                    .map(|(target, body)| {
+                        let resp = conn.request("POST", target, &body).expect("response");
+                        (target, body, resp.status, resp.body)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let served: Vec<_> =
+        clients.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
+    server.shutdown();
+
+    assert_eq!(served.len(), CLIENTS * REQUESTS_PER_CLIENT);
+    let app = App::new(AppConfig::default());
+    for (target, body, status, got) in served {
+        let raw = format!("POST {target} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        let Ok(Parsed::Complete { request, .. }) = http::parse(raw.as_bytes()) else {
+            panic!("replay request does not parse: {raw:?}");
+        };
+        let want = app.handle(&request);
+        assert_eq!(status, 200, "{target} {body} -> {got}");
+        assert_eq!((status, got), (want.status, want.body), "{target} {body}");
+    }
 }
 
 // ===================== chaos =====================
