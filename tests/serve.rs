@@ -5,6 +5,8 @@
 //! - the smoke transcript is byte-identical to the committed golden
 //!   (`results/quick/serve.txt`) — same regeneration protocol as every
 //!   other golden: `UPDATE_GOLDEN=1 cargo test --test serve`;
+//! - the raw bytes on the wire — status line, headers and body — are
+//!   exactly `Response::render` of what `App::handle` answers;
 //! - graceful shutdown drains in-flight and queued requests before the
 //!   final report is emitted;
 //! - a full connection queue is a deterministic `503` (backpressure),
@@ -17,8 +19,10 @@
 //! - a server's fault plan is its own: a clean server running beside a
 //!   fully faulted one answers every request normally;
 //! - slow-loris trickling exhausts a bounded header-read budget (`408` +
-//!   close), half-closes and abrupt disconnects never panic a worker, and
-//!   connection-level chaos at rate 0 is byte-identical to no plan;
+//!   close), half-closes and abrupt disconnects never panic a worker,
+//!   connection-level chaos at rate 0 is byte-identical to no plan, and a
+//!   chaos partial write sends exactly the first half of the rendered
+//!   response before closing;
 //! - the sharded LRU reaches identical contents at dim-par widths 1 and 4;
 //! - the hand-rolled HTTP parser survives header soup, multi-script UTF-8,
 //!   truncation at every byte, and oversize declarations (proptests), and
@@ -33,7 +37,7 @@ use dim_serve::server::client;
 use dim_serve::{App, AppConfig, ServerConfig, ShardedLru};
 use proptest::prelude::*;
 use dim_chaos::{ConnPlan, FaultPlan};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::time::Duration;
 
 fn test_server(workers: usize, queue: usize) -> dim_serve::ServerHandle {
@@ -96,6 +100,60 @@ fn smoke_transcript_matches_golden() {
     assert_matches_golden("quick/serve.txt", &transcript);
 }
 
+/// The raw request for `method target` with `body`; `close` adds
+/// `Connection: close`.
+fn raw_request(method: &str, target: &str, body: &str, close: bool) -> String {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    format!(
+        "{method} {target} HTTP/1.1\r\nHost: dimserve\r\n{connection}Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// What the server must put on the wire for `raw`: the rendering of
+/// `App::handle` on `app`, with `close` set as the server sets it.
+fn expected_wire(app: &App, raw: &str) -> String {
+    let Ok(Parsed::Complete { request, .. }) = http::parse(raw.as_bytes()) else {
+        panic!("request does not parse: {raw:?}");
+    };
+    let mut response = app.handle(&request);
+    response.close |= request.wants_close();
+    response.render()
+}
+
+/// A raw connection that gives up after 10 s instead of hanging the test.
+fn raw_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream
+}
+
+/// The smoke script (minus `/metrics`, whose body is the process-wide
+/// registry) over one raw keep-alive connection: each response's bytes —
+/// status line, every header, body — equal `App::handle(..).render()` on a
+/// fresh app. The last request asks to close, so its response carries
+/// `Connection: close` and the stream then ends with no stray bytes.
+#[test]
+fn wire_bytes_equal_rendered_responses() {
+    let server = test_server(1, 8);
+    let mut stream = raw_connect(server.addr());
+    let app = App::new(AppConfig::default());
+    let script: Vec<_> =
+        dim_serve::smoke::SCRIPT.iter().filter(|(_, target, _)| *target != "/metrics").collect();
+    for (i, (method, target, body)) in script.iter().enumerate() {
+        let raw = raw_request(method, target, body, i + 1 == script.len());
+        stream.write_all(raw.as_bytes()).expect("send request");
+        let want = expected_wire(&app, &raw);
+        let mut got = vec![0u8; want.len()];
+        stream.read_exact(&mut got).expect("read the expected response bytes");
+        assert_eq!(String::from_utf8_lossy(&got), want, "{method} {target}");
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("EOF after Connection: close");
+    assert!(rest.is_empty(), "bytes after the last response: {:?}", String::from_utf8_lossy(&rest));
+    server.shutdown();
+}
+
 // ===================== graceful drain =====================
 
 /// An in-flight request — half its bytes on the wire when shutdown begins
@@ -130,7 +188,6 @@ fn graceful_shutdown_drains_in_flight_request() {
 }
 
 fn read_raw_response(stream: &mut std::net::TcpStream) -> String {
-    use std::io::Read;
     let mut out = String::new();
     let _ = stream.read_to_string(&mut out);
     out
@@ -537,6 +594,30 @@ fn conn_chaos_abrupt_close_surfaces_as_transport_error() {
     let report = server.shutdown();
     assert_eq!(report.conn_faults, 3, "exactly the three faulted connections");
     assert_eq!(report.open_connections, 0, "faulted connections released their permits");
+}
+
+/// With every connection partial-written, a `/solve` request receives
+/// exactly the first half of its response's full rendering, then EOF; the
+/// fault is counted once and the connection's permit is released.
+#[test]
+fn conn_chaos_partial_write_sends_the_first_half_then_eof() {
+    let partial = ConnPlan {
+        seed: 13,
+        rate: 1.0,
+        kinds: dim_chaos::ConnFaultKinds::only(dim_chaos::ConnFault::PartialWrite),
+    };
+    let server = chaos_server(1, 8, FaultPlan::OFF, partial);
+    let mut stream = raw_connect(server.addr());
+    let raw = raw_request("POST", "/solve", "{\"equation\":\"x=6*7\"}", false);
+    stream.write_all(raw.as_bytes()).expect("send request");
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("half a response, then EOF");
+    let full = expected_wire(&App::new(AppConfig::default()), &raw);
+    assert!(full.contains("{\"answer\":42}"), "{full}");
+    assert_eq!(String::from_utf8_lossy(&got), full[..full.len() / 2]);
+    let report = server.shutdown();
+    assert_eq!(report.conn_faults, 1, "exactly the one faulted connection");
+    assert_eq!(report.open_connections, 0, "the faulted connection released its permit");
 }
 
 // ===================== sharded LRU under dim-par =====================
