@@ -1,4 +1,4 @@
-//! Hand-rolled HTTP/1.1 request parsing and response writing.
+//! Hand-rolled HTTP/1.1 request parsing and response rendering.
 //!
 //! The parser is *incremental*: [`parse`] inspects a byte buffer and either
 //! returns a complete [`Request`] (plus how many bytes it consumed), asks
@@ -10,12 +10,13 @@
 //! [`MAX_HEAD_BYTES`] and bodies at [`MAX_BODY_BYTES`] (the same 64 KiB
 //! record guard `dimkb::degrade` applies to batch inputs).
 //!
-//! Responses are written without a `Date` header so a fixed request script
-//! yields byte-identical transcripts run to run — the property the
+//! A response is rendered whole into one string
+//! ([`Response::render_into`]), which the server sends with a single write.
+//! Responses carry no `Date` header, so a fixed request script yields
+//! byte-identical transcripts run to run — the property the
 //! `results/quick/serve.txt` golden pins.
 
-use std::fmt;
-use std::io::{self, Write};
+use std::fmt::{self, Write as _};
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -260,7 +261,7 @@ fn is_token_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
-/// An HTTP response. The writer emits `Content-Type`, `Content-Length`,
+/// An HTTP response. The renderer emits `Content-Type`, `Content-Length`,
 /// `Connection`, an optional `Retry-After` on overload sheds, and nothing
 /// else (no `Date`, no `Server`) — so responses are a pure function of the
 /// request and the server's admission decision.
@@ -314,31 +315,35 @@ impl Response {
         }
     }
 
-    /// Serializes the response to `w` (status line, the fixed headers plus
-    /// `Retry-After` when set, blank line, body).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(
-            w,
+    /// Overwrites `out` with the full wire form: status line, the fixed
+    /// headers plus `Retry-After` when set, blank line, body. `out` is
+    /// cleared first, so a buffer reused across a connection's responses
+    /// never carries a longer predecessor's tail into the next one.
+    pub fn render_into(&self, out: &mut String) {
+        out.clear();
+        // `fmt::Write` for `String` never fails.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             if self.close { "close" } else { "keep-alive" },
-        )?;
+        );
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            let _ = write!(out, "Retry-After: {secs}\r\n");
         }
-        write!(w, "\r\n{}", self.body)
+        out.push_str("\r\n");
+        out.push_str(&self.body);
     }
 
-    /// The full wire form as a string (what transcripts and tests compare).
+    /// The full wire form as a fresh string (what transcripts and tests
+    /// compare).
     pub fn render(&self) -> String {
-        let mut out = Vec::new();
-        // Writing to a Vec<u8> cannot fail; fall back to empty on the
-        // impossible branch rather than unwrapping on the hot path.
-        let _ = self.write_to(&mut out);
-        String::from_utf8(out).unwrap_or_default()
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
     }
 }
 
@@ -474,6 +479,25 @@ mod tests {
         assert!(wire.contains("\r\nRetry-After: 1\r\n\r\n"), "{wire}");
         let plain = Response::json(200, "{}".to_string());
         assert!(!plain.render().contains("Retry-After"));
+    }
+
+    /// A keep-alive connection renders every response into one reused
+    /// buffer: a short response after a long one must not keep the long
+    /// one's tail, whatever headers either carries.
+    #[test]
+    fn render_into_a_reused_buffer_equals_a_fresh_render() {
+        let long = Response::json(200, format!("{{\"text\":\"{}\"}}", "x".repeat(512)));
+        let short = Response::json(404, "{}".to_string());
+        let shed = Response::json(503, "{\"error\":\"x\"}".to_string()).with_retry_after(1);
+        let mut closing_shed = shed.clone();
+        closing_shed.close = true;
+        let mut closing = short.clone();
+        closing.close = true;
+        let mut wire = String::from("stale bytes left by an earlier response");
+        for r in [&long, &short, &shed, &long, &closing_shed, &closing, &long, &short] {
+            r.render_into(&mut wire);
+            assert_eq!(wire, r.render(), "{} {:?}", r.status, r.retry_after);
+        }
     }
 
     #[test]

@@ -350,8 +350,7 @@ fn reject(mut stream: TcpStream, why: &str, retry_after: Option<u16>) {
     let mut resp = Response::json(503, body);
     resp.close = true;
     resp.retry_after = retry_after;
-    if resp.write_to(&mut stream).is_err() {
-        WRITE_FAILED.inc();
+    if ResponseWriter::default().send(&mut stream, &resp).is_err() {
         return;
     }
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -378,7 +377,7 @@ fn serve_connection(
 ) {
     let ConnTask { mut stream, permit, accepted, seq } = task;
     let _permit = permit; // held for the connection's whole lifetime
-    let mut truncate_next_write = false;
+    let mut out = ResponseWriter::default();
     if let Some(fault) = params.conn_faults.decide(SITE_CONN, seq) {
         stats.conn_faults.fetch_add(1, Ordering::AcqRel);
         match fault {
@@ -395,7 +394,7 @@ fn serve_connection(
             }
             ConnFault::PartialWrite => {
                 CONN_FAULT_PARTIAL.inc();
-                truncate_next_write = true;
+                out.truncate_next = true;
             }
         }
     }
@@ -436,7 +435,7 @@ fn serve_connection(
                             400,
                             "{\"error\":\"invalid x-deadline-ms header\"}".to_string(),
                         );
-                        if write_response(&mut stream, &resp, &mut truncate_next_write).is_err() {
+                        if out.send(&mut stream, &resp).is_err() {
                             return;
                         }
                         continue;
@@ -467,9 +466,7 @@ fn serve_connection(
                 if request.wants_close() || draining {
                     response.close = true;
                 }
-                if write_response(&mut stream, &response, &mut truncate_next_write).is_err()
-                    || response.close
-                {
+                if out.send(&mut stream, &response).is_err() || response.close {
                     return;
                 }
                 continue;
@@ -477,7 +474,7 @@ fn serve_connection(
             Ok(Parsed::Partial) => {}
             Err(e) => {
                 let resp = Response::from_error(&e);
-                let _ = write_response(&mut stream, &resp, &mut truncate_next_write);
+                let _ = out.send(&mut stream, &resp);
                 return;
             }
         }
@@ -493,7 +490,7 @@ fn serve_connection(
             .with_retry_after(RETRY_AFTER_SECS);
             let mut closing = resp;
             closing.close = true;
-            let _ = write_response(&mut stream, &closing, &mut truncate_next_write);
+            let _ = out.send(&mut stream, &closing);
             return;
         }
         match stream.read(&mut chunk) {
@@ -522,29 +519,36 @@ fn serve_connection(
     }
 }
 
-/// Writes one response, honoring a pending chaos partial-write (emit only
-/// half the rendered bytes, then report failure so the connection closes).
-/// Every failed write moves the `srv.write_failed` counter — a peer that
-/// vanished mid-response is routine under overload, never a panic.
-fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    truncate_next_write: &mut bool,
-) -> std::io::Result<()> {
-    if *truncate_next_write {
-        *truncate_next_write = false;
-        let wire = response.render();
-        let half = wire.len() / 2;
-        let _ = stream.write_all(&wire.as_bytes()[..half]); // lint:allow(no_panic, half <= wire.len() by construction)
-        let _ = stream.flush();
-        WRITE_FAILED.inc();
-        return Err(std::io::Error::new(ErrorKind::WriteZero, "chaos partial write"));
+/// A connection's response writer: one wire buffer reused for every
+/// response on the connection, plus a pending chaos partial write.
+#[derive(Default)]
+struct ResponseWriter {
+    wire: String,
+    truncate_next: bool,
+}
+
+impl ResponseWriter {
+    /// Renders `response` into the reused buffer and sends it with one
+    /// `write_all`. The socket has `TCP_NODELAY` set, so writing the head
+    /// piece by piece would cost a `write(2)` and a segment per piece. A
+    /// pending chaos partial write sends only the first half of the same
+    /// bytes, then reports failure so the connection closes. Every failed
+    /// write moves the `srv.write_failed` counter — a peer that vanished
+    /// mid-response is routine under overload, never a panic.
+    fn send(&mut self, stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+        response.render_into(&mut self.wire);
+        let wire = self.wire.as_bytes();
+        let result = if std::mem::take(&mut self.truncate_next) {
+            let _ = stream.write_all(&wire[..wire.len() / 2]); // lint:allow(no_panic, len / 2 <= len)
+            Err(std::io::Error::new(ErrorKind::WriteZero, "chaos partial write"))
+        } else {
+            stream.write_all(wire)
+        };
+        if result.is_err() {
+            WRITE_FAILED.inc();
+        }
+        result
     }
-    let result = response.write_to(stream);
-    if result.is_err() {
-        WRITE_FAILED.inc();
-    }
-    result
 }
 
 /// Renders a caught panic payload (string payloads pass through, anything
