@@ -55,13 +55,16 @@ serve-soak:
 # The benchmark (perfbench/, a package of its own outside the workspace)
 # compiles against the program crates: its tests plus one short untraced
 # suite_quick pass, whose oracle byte-checks the suite output, catch an API
-# break or output drift there. One short serve_miss pass runs the serve
-# oracle, which compares the digests of the server's responses with an
-# App::handle replay of the same requests.
+# break or output drift there. One short serve_miss pass and one short
+# serve_hot pass run the serve oracle, which compares the digests of the
+# server's responses with an App::handle replay of the same requests; the
+# serve_hot oracle also requires a cache hit ratio of at least 90%, so
+# cached responses cross the server's write path too.
 perfbench-smoke:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload suite_quick --seconds 1 --trace 0
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_miss --seconds 1 --trace 0
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_hot --seconds 1 --trace 0
 
 # The workspace invariant linter (crates/lint, DESIGN.md §11 and §16):
 # the string- and comment-aware per-file rules (no-panic-hotpath,
