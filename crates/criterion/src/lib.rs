@@ -11,7 +11,7 @@
 //! entries into that JSON file — this is how `BENCH_baseline.json` is
 //! produced (see EXPERIMENTS.md).
 
-use serde::Value;
+use dim_json::Value;
 use std::time::Instant;
 
 /// Re-export for parity with the real crate (benches mostly use
@@ -125,8 +125,11 @@ impl Criterion {
         }
         let mut entries: Vec<(String, Value)> = std::fs::read_to_string(&path)
             .ok()
-            .and_then(|text| serde_json::parse_value(&text).ok())
-            .and_then(|v| v.as_obj().map(<[(String, Value)]>::to_vec))
+            .and_then(|text| dim_json::parse_value(&text).ok())
+            .and_then(|v| match v {
+                Value::Obj(fields) => Some(fields),
+                _ => None,
+            })
             .unwrap_or_default();
         for r in &self.results {
             // Round the timing stats to 2 decimals at serialization so the
@@ -147,24 +150,10 @@ impl Criterion {
             }
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let doc = Value::Obj(entries);
-        match serde_json::to_string_pretty(&SerValue(&doc)) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&path, text + "\n") {
-                    eprintln!("warning: could not write {path}: {e}");
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize bench results: {e}"),
+        let text = dim_json::to_string_pretty(&Value::Obj(entries));
+        if let Err(e) = std::fs::write(&path, text + "\n") {
+            eprintln!("warning: could not write {path}: {e}");
         }
-    }
-}
-
-/// Adapter: `Value` itself doesn't implement `Serialize`, so wrap it.
-struct SerValue<'a>(&'a Value);
-
-impl serde::Serialize for SerValue<'_> {
-    fn serialize(&self) -> Value {
-        self.0.clone()
     }
 }
 

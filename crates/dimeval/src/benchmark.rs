@@ -58,7 +58,7 @@ impl Default for DimEvalConfig {
 }
 
 /// The assembled benchmark.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimEval {
     /// Items per choice task.
     pub choice: HashMap<TaskKind, Vec<ChoiceItem>>,
@@ -191,17 +191,6 @@ impl DimEval {
     /// True when the benchmark is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Serializes the benchmark to JSON (for inspection or offline reuse;
-    /// unit/kind ids refer to the KB the benchmark was built against).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("benchmark items always serialize")
-    }
-
-    /// Restores a benchmark serialized by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -382,6 +371,6 @@ mod tests {
             &kb,
             &DimEvalConfig { parallelism: dim_par::Parallelism::new(4), ..base },
         );
-        assert_eq!(seq.to_json(), par.to_json(), "parallel build must be byte-identical");
+        assert_eq!(seq, par, "parallel build must be identical");
     }
 }

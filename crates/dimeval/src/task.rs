@@ -1,10 +1,9 @@
 //! DimEval task definitions (Definitions 2–8 of the paper).
 
 use dimkb::{KindId, UnitId};
-use serde::{Deserialize, Serialize};
 
 /// The three capability categories of DimEval (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Identifying quantities and matching them to kinds.
     BasicPerception,
@@ -30,7 +29,7 @@ impl Category {
 }
 
 /// The seven DimEval tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Def. 2: extract quantities (value + unit) from text.
     QuantityExtraction,
@@ -97,7 +96,7 @@ impl TaskKind {
 
 /// Structured payload of a choice item, so mechanical solvers can reason
 /// over ids instead of re-parsing the prompt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ItemMeta {
     /// QuantityKind match: the kind and candidate units.
     KindMatch {
@@ -159,7 +158,7 @@ impl ItemMeta {
 }
 
 /// A multiple-choice DimEval item (m = 4 options, like the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChoiceItem {
     /// Which task this item belongs to.
     pub task: TaskKind,
@@ -176,7 +175,7 @@ pub struct ChoiceItem {
 }
 
 /// A gold quantity for the extraction task: the value and unit surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldExtraction {
     /// Numeric value.
     pub value: f64,
@@ -185,7 +184,7 @@ pub struct GoldExtraction {
 }
 
 /// A quantity-extraction item (Def. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionItem {
     /// The input text.
     pub text: String,
@@ -194,7 +193,7 @@ pub struct ExtractionItem {
 }
 
 /// A solver's extracted quantity: parsed value plus unit surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractedQuantity {
     /// Parsed numeric value.
     pub value: f64,

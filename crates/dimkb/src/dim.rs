@@ -16,14 +16,13 @@
 //! subtracted or compared, while multiplication/division of quantities adds/
 //! subtracts their exponent vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Div, Mul};
 use std::str::FromStr;
 
 /// The seven dimension bases, in the fixed order used by the paper's
 /// `DimensionVec` feature (`A0E0L0I0M1H0T-2D0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Base {
     /// Amount of substance (mole).
     Amount,
@@ -126,7 +125,7 @@ impl Base {
 /// assert_eq!(surface_tension.formula(), "MT⁻²");
 /// assert!(!surface_tension.comparable(force));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DimVec {
     exps: [i8; 7],
 }

@@ -6,11 +6,10 @@
 //! `L²MT⁻²`) — which is exactly why kind and dimension are separate features.
 
 use crate::dim::DimVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a quantity kind inside a [`crate::DimUnitKb`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KindId(pub u32);
 
 impl fmt::Display for KindId {
@@ -20,7 +19,7 @@ impl fmt::Display for KindId {
 }
 
 /// A quantity kind record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantityKind {
     /// Stable index within the knowledge base.
     pub id: KindId,

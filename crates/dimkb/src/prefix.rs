@@ -2,11 +2,8 @@
 //! prefixed family (`metre` → `kilometre`, `centimetre`, …), mirroring how
 //! QUDT reaches its unit count.
 
-use serde::Serialize;
-
-/// An SI decimal prefix. Serialize-only: prefixes are const tables of
-/// `&'static str` data, never deserialized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// An SI decimal prefix (a const table of `&'static str` data).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiPrefix {
     /// English prefix name, e.g. `kilo`.
     pub name_en: &'static str,

@@ -2,11 +2,10 @@
 
 use crate::dim::DimVec;
 use crate::kind::KindId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a unit inside a [`crate::DimUnitKb`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UnitId(pub u32);
 
 impl fmt::Display for UnitId {
@@ -21,7 +20,7 @@ impl fmt::Display for UnitId {
 /// `offset` is non-zero only for the relative temperature scales
 /// (°C, °F, °Ré); such units cannot appear inside compound unit
 /// expressions (the usual SI rule).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Conversion {
     /// Multiplicative factor to the coherent SI unit.
     pub factor: f64,
@@ -57,7 +56,7 @@ impl Conversion {
 }
 
 /// A unit record as stored in `DimUnitKB` (Table II of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Unit {
     /// `UnitID`: stable index within the knowledge base.
     pub id: UnitId,

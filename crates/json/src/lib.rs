@@ -1,16 +1,38 @@
-//! Offline drop-in subset of `serde_json`: [`to_string`], [`to_string_pretty`]
-//! and [`from_str`] over the compat `serde::Value` tree.
+//! JSON for the two places the workspace reads it: dim-serve request
+//! bodies and the criterion harness's `BENCH_JSON` read-merge-write.
 //!
-//! The writer emits canonical output: object fields in the order the
-//! serializer produced them (compat serde sorts map keys), floats in Rust's
-//! shortest-roundtrip `{}` formatting, integers without a trailing `.0`.
-//! Equal values therefore always serialize to byte-identical JSON — the
-//! property the workspace's determinism tests check end to end.
+//! [`parse_value`] turns text into a [`Value`] tree; [`to_string`] and
+//! [`to_string_pretty`] write one back. The writer is canonical: object
+//! fields in the order the tree holds them, floats in Rust's
+//! shortest-roundtrip `{}` formatting, integers without a trailing `.0`, so
+//! equal trees always write byte-identical JSON. [`write_string`] is the one
+//! string escaper, shared with dim-serve's hand-built response bodies.
 
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
-/// Serialization/deserialization error.
+/// Objects and arrays may nest at most this deep. The parser recurses once
+/// per level, so the limit keeps hostile input (`[[[[…`) from overflowing a
+/// worker's stack; deeper input is an [`Error`].
+const MAX_DEPTH: usize = 64;
+
+/// A parsed JSON document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// Any number (integers round-trip exactly up to 2^53).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object; the writer keeps the field order.
+    Obj(Vec<(String, Value)>),
+}
+
+/// A parse error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Error(pub String);
 
@@ -22,30 +44,18 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Error {
-        Error(e.0)
-    }
-}
-
-/// Serializes a value to compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Writes a value as compact JSON.
+pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&value.serialize(), &mut out);
-    Ok(out)
+    write_value(value, &mut out);
+    out
 }
 
-/// Serializes a value to 2-space-indented JSON.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Writes a value as 2-space-indented JSON.
+pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::new();
-    write_pretty(&value.serialize(), &mut out, 0);
-    Ok(out)
-}
-
-/// Parses JSON text into any [`Deserialize`] type.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::deserialize(&value)?)
+    write_pretty(value, &mut out, 0);
+    out
 }
 
 // ---- writer ----------------------------------------------------------------
@@ -123,7 +133,7 @@ fn push_indent(out: &mut String, indent: usize) {
 
 fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
-        // JSON has no NaN/Inf; null matches serde_json's lossy behaviour.
+        // JSON has no NaN/Inf; they are written as null.
         out.push_str("null");
         return;
     }
@@ -134,7 +144,8 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -157,7 +168,7 @@ fn write_string(s: &str, out: &mut String) {
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
     let chars: Vec<char> = s.chars().collect();
-    let mut p = Parser { chars, pos: 0 };
+    let mut p = Parser { chars, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -170,6 +181,8 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -212,58 +225,72 @@ impl Parser {
             Some('t') if self.literal("true") => Ok(Value::Bool(true)),
             Some('f') if self.literal("false") => Ok(Value::Bool(false)),
             Some('"') => Ok(Value::Str(self.string()?)),
-            Some('[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
+            Some(c @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at char {}",
+                        self.pos
+                    )));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(',') => self.pos += 1,
-                        Some(']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        other => {
-                            return Err(Error(format!("expected , or ] found {other:?}")));
-                        }
-                    }
-                }
-            }
-            Some('{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some('}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(',') => self.pos += 1,
-                        Some('}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        other => {
-                            return Err(Error(format!("expected , or }} found {other:?}")));
-                        }
-                    }
-                }
+                self.depth += 1;
+                let v = if c == '[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
             }
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at char {}", self.pos))),
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(',') => self.pos += 1,
+                Some(']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                other => {
+                    return Err(Error(format!("expected , or ] found {other:?}")));
+                }
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some('}') {
+            self.pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(',') => self.pos += 1,
+                Some('}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                other => {
+                    return Err(Error(format!("expected , or }} found {other:?}")));
+                }
+            }
         }
     }
 
@@ -360,6 +387,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn value_roundtrip() {
@@ -368,27 +396,29 @@ mod tests {
             ("b".into(), Value::Arr(vec![Value::Null, Value::Bool(true)])),
             ("zh".into(), Value::Str("千克 \"quoted\"\n".into())),
         ]);
-        let mut s = String::new();
-        write_value(&v, &mut s);
-        let back = parse_value(&s).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(parse_value(&to_string(&v)).unwrap(), v);
     }
 
     #[test]
     fn integers_have_no_decimal_point() {
-        let mut s = String::new();
-        write_value(&Value::Num(42.0), &mut s);
-        assert_eq!(s, "42");
+        assert_eq!(to_string(&Value::Num(42.0)), "42");
     }
 
     #[test]
     fn floats_roundtrip_shortest() {
         for x in [0.1, 1.0 / 3.0, 1e-12, 123456.789] {
-            let mut s = String::new();
-            write_value(&Value::Num(x), &mut s);
-            let Value::Num(back) = parse_value(&s).unwrap() else { panic!() };
+            let Value::Num(back) = parse_value(&to_string(&Value::Num(x))).unwrap() else {
+                panic!()
+            };
             assert_eq!(back, x);
         }
+    }
+
+    #[test]
+    fn string_escaping_covers_controls() {
+        let mut out = String::new();
+        write_string("a\"b\\c\nd\u{1}米", &mut out);
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001米\"");
     }
 
     #[test]
@@ -408,8 +438,71 @@ mod tests {
     #[test]
     fn pretty_output_parses_back() {
         let v = Value::Obj(vec![("k".into(), Value::Arr(vec![Value::Num(1.0)]))]);
-        let mut s = String::new();
-        write_pretty(&v, &mut s, 0);
-        assert_eq!(parse_value(&s).unwrap(), v);
+        assert_eq!(parse_value(&to_string_pretty(&v)).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().starts_with("json error: nesting deeper than 64"), "{err}");
+        let obj = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_value(&obj).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_on_a_default_stack() {
+        // A plain spawned thread has the default stack a server worker
+        // gets; without the depth cap this input overflows it and aborts.
+        let body = "[".repeat(65_000);
+        let parsed = std::thread::spawn(move || parse_value(&body).is_err()).join();
+        assert_eq!(parsed.ok(), Some(true));
+    }
+
+    #[test]
+    fn criterion_writer_reproduces_the_committed_baseline() {
+        // criterion's BENCH_JSON merge parses this file, updates its rows
+        // and writes `to_string_pretty(..) + "\n"`; the committed file is a
+        // fixed point of that round trip.
+        let text = include_str!("../../../BENCH_baseline.json");
+        let doc = parse_value(text).unwrap();
+        assert_eq!(to_string_pretty(&doc) + "\n", text);
+    }
+
+    /// Builds a finite tree from a flat list of draws: each draw picks a
+    /// node kind, a number and a string, and containers take their children
+    /// from the draws that follow.
+    fn tree(draws: &mut std::slice::Iter<'_, (u8, f64, String)>, depth: usize) -> Value {
+        let Some((tag, x, s)) = draws.next() else { return Value::Null };
+        let width = s.chars().count() % 4;
+        match tag % 8 {
+            0 => Value::Null,
+            1 => Value::Bool(*x < 0.0),
+            2 => Value::Num(x.round()),
+            3 => Value::Num(*x),
+            4 => Value::Num(x * 1e-300),
+            5 if depth < 4 => Value::Arr((0..width).map(|_| tree(draws, depth + 1)).collect()),
+            6 if depth < 4 => Value::Obj(
+                (0..width).map(|i| (format!("{s}{i}"), tree(draws, depth + 1))).collect(),
+            ),
+            _ => Value::Str(s.clone()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn written_values_parse_back_equal(
+            draws in prop::collection::vec(
+                (0u8..8, -1e18f64..1e18, "[\u{0}-\u{1f}\"\\\\/a-z 米😀]{0,6}"),
+                1..24,
+            )
+        ) {
+            let v = tree(&mut draws.iter(), 0);
+            prop_assert_eq!(parse_value(&to_string(&v)).unwrap(), v.clone());
+            prop_assert_eq!(parse_value(&to_string_pretty(&v)).unwrap(), v);
+        }
     }
 }

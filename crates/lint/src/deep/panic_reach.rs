@@ -182,7 +182,7 @@ fn own_panic_site(files: &[ParsedFile], g: &Graph, idx: usize) -> Option<Site> {
                 if punct_at(t, i.wrapping_sub(1), '.') && punct_at(t, i + 1, '(') =>
             {
                 // `self.expect(…)` where the impl defines its own `expect`
-                // (the vendored serde_json parser does) is a plain method
+                // (the `dim-json` parser does) is a plain method
                 // call, not `Option::expect` — the call graph carries it.
                 let is_own_method = super::receiver_ident(t, i) == Some("self")
                     && def.impl_type.is_some()

@@ -5,11 +5,10 @@
 //! descent parser plus evaluator form the "calculator" the paper uses to
 //! score equation-generating models (§VI-D).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Addition.
     Add,
@@ -42,7 +41,7 @@ impl Op {
 /// An equation tree node. `Q(i)` references the i-th quantity of a problem;
 /// `Const` holds literal constants (conversion factors, the 1 in work-rate
 /// problems); `Bin` combines subtrees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// Reference to a problem quantity.
     Q(usize),

@@ -7,10 +7,9 @@
 //! the equation with the corresponding conversion factor.
 
 use crate::equation::{fmt_number, Node};
-use serde::{Deserialize, Serialize};
 
 /// Which dataset style a problem was generated in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Source {
     /// Math23k-style (simpler, fewer operations).
     Math23k,
@@ -29,7 +28,7 @@ impl Source {
 }
 
 /// A quantity slot of a problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemQuantity {
     /// The written numeric value.
     pub value: f64,
@@ -75,7 +74,7 @@ impl ProblemQuantity {
 }
 
 /// One segment of problem text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Seg {
     /// Literal text.
     Text(String),
@@ -86,7 +85,7 @@ pub enum Seg {
 }
 
 /// A structured math word problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MwpProblem {
     /// Stable id within its dataset.
     pub id: u64,
@@ -107,16 +106,10 @@ pub struct MwpProblem {
     /// Unit-conversion steps embedded in the gold equation by augmentation:
     /// `(quantity index, wrap ratio)` — the equation multiplies `Q(i)` by
     /// the ratio to restore the original scale.
-    #[serde(default)]
     pub conversions: Vec<(usize, f64)>,
     /// Final answer conversion ratio applied at the equation root by
     /// question-based dimension substitution (1.0 when none).
-    #[serde(default = "one")]
     pub answer_conversion: f64,
-}
-
-fn one() -> f64 {
-    1.0
 }
 
 impl MwpProblem {

@@ -229,13 +229,13 @@ impl App {
     }
 
     /// `POST /link` — unit linking (Definition 1).
-    fn link(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+    fn link(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let mention = json::str_field(v, "mention").map_err(|e| (400, e))?;
         let context = json::opt_str_field(v, "context").map_err(|e| (400, e))?.unwrap_or("");
         let ks = self.ks();
         let links = ks.link(mention, context);
         let mut out = String::from("{\"mention\":");
-        json::string(&mut out, mention);
+        dim_json::write_string(mention, &mut out);
         out.push_str(",\"links\":[");
         for (i, l) in links.iter().enumerate() {
             if i > 0 {
@@ -248,7 +248,7 @@ impl App {
     }
 
     /// `POST /annotate` — sentence annotation via the DimKS annotator.
-    fn annotate(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+    fn annotate(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let text = json::str_field(v, "text").map_err(|e| (400, e))?;
         let ks = self.ks();
         let mentions = ks.annotate(text);
@@ -260,9 +260,9 @@ impl App {
             out.push_str("{\"value\":");
             json::number(&mut out, m.value);
             out.push_str(",\"unit\":");
-            json::string(&mut out, &ks.kb().unit(m.best_unit()).code);
+            dim_json::write_string(&ks.kb().unit(m.best_unit()).code, &mut out);
             out.push_str(",\"surface\":");
-            json::string(&mut out, &m.unit_surface);
+            dim_json::write_string(&m.unit_surface, &mut out);
             out.push_str(&format!(",\"start\":{},\"end\":{}", m.start, m.end));
             out.push_str(&format!(",\"candidates\":{}", m.links.len()));
             out.push('}');
@@ -273,7 +273,7 @@ impl App {
 
     /// `POST /convert` — dimensional conversion through the KB, applying
     /// the dimension law (incomparable units are a structured `422`).
-    fn convert(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+    fn convert(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let value = json::num_field(v, "value").map_err(|e| (400, e))?;
         let from = json::str_field(v, "from").map_err(|e| (400, e))?;
         let to = json::str_field(v, "to").map_err(|e| (400, e))?;
@@ -289,9 +289,9 @@ impl App {
                 let mut out = String::from("{\"value\":");
                 json::number(&mut out, converted);
                 out.push_str(",\"from\":");
-                json::string(&mut out, &kb.unit(from_id).code);
+                dim_json::write_string(&kb.unit(from_id).code, &mut out);
                 out.push_str(",\"to\":");
-                json::string(&mut out, &kb.unit(to_id).code);
+                dim_json::write_string(&kb.unit(to_id).code, &mut out);
                 out.push('}');
                 Ok(out)
             }
@@ -300,7 +300,7 @@ impl App {
     }
 
     /// `POST /solve` — the §VI-D calculator over an MWP equation string.
-    fn solve(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+    fn solve(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let equation = json::str_field(v, "equation").map_err(|e| (400, e))?;
         match dim_mwp::calculate(equation) {
             Ok(answer) => {
@@ -320,10 +320,10 @@ impl App {
     /// fallback. The verdict is typed, never a bare bool: the dimension
     /// law reports the offending node and expected-vs-found vectors, the
     /// conversion law the node whose admissible scales are disjoint.
-    fn verify(&self, v: &serde::Value) -> Result<String, (u16, String)> {
+    fn verify(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let equation = json::str_field(v, "equation").map_err(|e| (400, e))?;
         let items = match json::field(v, "quantities") {
-            Some(serde::Value::Arr(items)) => items,
+            Some(dim_json::Value::Arr(items)) => items,
             Some(_) => return Err((400, "field \"quantities\" must be an array".to_string())),
             None => return Err((400, "missing field \"quantities\"".to_string())),
         };
@@ -387,16 +387,16 @@ impl App {
                     dim_verify::Ty::Any => "any".to_string(),
                     dim_verify::Ty::Dim(d) => d.vector_form(),
                 };
-                json::string(&mut out, &vector);
+                dim_json::write_string(&vector, &mut out);
                 out.push('}');
             }
             dim_verify::VerifyReport::Inconsistent { node, site, expected, found } => {
                 out.push_str(&format!("{{\"consistent\":false,\"node\":{node},\"site\":"));
-                json::string(&mut out, site.symbol());
+                dim_json::write_string(site.symbol(), &mut out);
                 out.push_str(",\"expected\":");
-                json::string(&mut out, &expected.vector_form());
+                dim_json::write_string(&expected.vector_form(), &mut out);
                 out.push_str(",\"found\":");
-                json::string(&mut out, &found.vector_form());
+                dim_json::write_string(&found.vector_form(), &mut out);
                 out.push('}');
             }
             dim_verify::VerifyReport::UnresolvableUnit { quantity } => {
@@ -410,7 +410,7 @@ impl App {
             dim_verify::ScaleReport::Consistent => out.push_str("{\"consistent\":true}"),
             dim_verify::ScaleReport::Mismatch { node, site } => {
                 out.push_str(&format!("{{\"consistent\":false,\"node\":{node},\"site\":"));
-                json::string(&mut out, site.symbol());
+                dim_json::write_string(site.symbol(), &mut out);
                 out.push('}');
             }
         }
@@ -434,9 +434,9 @@ impl App {
             }
         }
         let mut body = String::from("{\"degraded\":true,\"kind\":");
-        json::string(&mut body, error.kind());
+        dim_json::write_string(error.kind(), &mut body);
         body.push_str(",\"error\":");
-        json::string(&mut body, &error.to_string());
+        dim_json::write_string(&error.to_string(), &mut body);
         body.push('}');
         Response::json(503, body)
     }
@@ -470,7 +470,7 @@ fn resolve_unit(ks: &DimKs, surface: &str) -> Option<dimkb::UnitId> {
 /// Renders one link candidate into the response body.
 fn render_link(ks: &DimKs, out: &mut String, l: &LinkResult) {
     out.push_str("{\"code\":");
-    json::string(out, &ks.kb().unit(l.unit).code);
+    dim_json::write_string(&ks.kb().unit(l.unit).code, out);
     out.push_str(",\"score\":");
     json::number(out, l.score);
     out.push_str(",\"prior\":");
@@ -490,7 +490,7 @@ fn cache_key(target: &str, body: &str) -> String {
 /// A structured error response (`{"error": ...}`).
 fn error_response(status: u16, message: &str) -> Response {
     let mut body = String::from("{\"error\":");
-    json::string(&mut body, message);
+    dim_json::write_string(message, &mut body);
     body.push('}');
     Response::json(status, body)
 }

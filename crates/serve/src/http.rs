@@ -303,7 +303,7 @@ impl Response {
     /// The deterministic error-shaped response for a parse rejection.
     pub fn from_error(err: &HttpError) -> Response {
         let mut body = String::from("{\"error\":");
-        crate::json::string(&mut body, &err.to_string());
+        dim_json::write_string(&err.to_string(), &mut body);
         body.push('}');
         // Parse errors leave the stream in an unknown state; always close.
         Response {

@@ -3,35 +3,11 @@
 //! Response bodies are assembled by hand (same discipline as
 //! `dim_obs::Snapshot::to_json`): fields appear in the order the handler
 //! writes them, floats use Rust's shortest-roundtrip `{}` formatting, and
-//! equal inputs therefore always produce byte-identical bodies. Request
-//! bodies are parsed through the vendored `serde_json` into the compat
-//! [`serde::Value`] tree and fields are extracted by name.
+//! equal inputs therefore always produce byte-identical bodies; strings go
+//! through [`dim_json::write_string`]. Request bodies are parsed into a
+//! [`dim_json::Value`] tree and fields are extracted by name.
 
-use serde::Value;
-
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xF;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use dim_json::Value;
 
 /// Appends a finite `f64` (integers without a trailing `.0` would change
 /// meaning here, so plain `{}` — shortest roundtrip — is used; non-finite
@@ -79,21 +55,14 @@ pub fn num_field(v: &Value, name: &str) -> Result<f64, String> {
     }
 }
 
-/// Parses a request body into the compat [`Value`] tree.
+/// Parses a request body into a [`Value`] tree.
 pub fn parse(body: &str) -> Result<Value, String> {
-    serde_json::parse_value(body).map_err(|e| e.to_string())
+    dim_json::parse_value(body).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn string_escaping_covers_controls() {
-        let mut out = String::new();
-        string(&mut out, "a\"b\\c\nd\u{1}米");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001米\"");
-    }
 
     #[test]
     fn numbers_render_shortest_roundtrip() {

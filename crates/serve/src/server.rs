@@ -345,7 +345,7 @@ fn accept_loop(
 /// (bounded by a short timeout) until it closes.
 fn reject(mut stream: TcpStream, why: &str, retry_after: Option<u16>) {
     let mut body = String::from("{\"error\":");
-    crate::json::string(&mut body, why);
+    dim_json::write_string(why, &mut body);
     body.push('}');
     let mut resp = Response::json(503, body);
     resp.close = true;

@@ -2,7 +2,6 @@
 //! detector, mention conversion, and benchmark serialization.
 
 use dimension_perception::core::DimKs;
-use dimension_perception::eval::{DimEval, DimEvalConfig, TaskKind};
 use dimension_perception::kb::DimUnitKb;
 
 #[test]
@@ -31,23 +30,6 @@ fn convert_mention_applies_the_dimension_law() {
     assert!((v - 300.0).abs() < 1e-9, "150 kg = 300 jin, got {v}");
     // Cross-dimension conversion is refused.
     assert!(ks.convert_mention("重量是150千克", "米").is_none());
-}
-
-#[test]
-fn benchmark_json_roundtrip() {
-    let kb = DimUnitKb::shared();
-    let eval = DimEval::build(
-        &kb,
-        &DimEvalConfig { per_task: 5, extraction_items: 5, ..Default::default() },
-    );
-    let json = eval.to_json();
-    let restored = DimEval::from_json(&json).expect("roundtrip");
-    assert_eq!(restored.len(), eval.len());
-    assert_eq!(
-        restored.choice[&TaskKind::UnitConversion],
-        eval.choice[&TaskKind::UnitConversion]
-    );
-    assert_eq!(restored.extraction, eval.extraction);
 }
 
 #[test]

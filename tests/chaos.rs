@@ -93,10 +93,7 @@ fn rate_zero_try_paths_match_classic_at_both_widths() {
         let cfg = DimEvalConfig { parallelism: par, ..eval_cfg };
         let (eval, quarantine) = DimEval::try_build(&kb, &cfg, zero).unwrap();
         assert!(quarantine.is_empty());
-        assert_eq!(
-            serde_json::to_string(&eval).unwrap(),
-            serde_json::to_string(&classic_eval).unwrap()
-        );
+        assert_eq!(eval, classic_eval);
     }
 }
 

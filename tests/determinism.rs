@@ -1,8 +1,6 @@
 //! End-to-end determinism contract of the `dim-par` fan-out: every
 //! parallelized pipeline stage must produce byte-identical output at
-//! `threads = 1` and `threads = 4`. Serialized JSON is compared where a
-//! serializer exists (the workspace serde writes map keys in sorted order,
-//! so equal values mean equal bytes); `PartialEq` otherwise.
+//! `threads = 1` and `threads = 4`, compared with `PartialEq`.
 
 use dim_core::pipeline::{self, PipelineConfig};
 use dim_mwp::{Augmenter, GenConfig, Source};
@@ -17,12 +15,11 @@ const THREADS: usize = 4;
 fn dimeval_build_is_byte_identical_across_thread_counts() {
     let kb = DimUnitKb::shared();
     let base = DimEvalConfig { per_task: 8, extraction_items: 8, ..Default::default() };
-    let seq = DimEval::build(&kb, &base).to_json();
+    let seq = DimEval::build(&kb, &base);
     let par = DimEval::build(
         &kb,
         &DimEvalConfig { parallelism: Parallelism::new(THREADS), ..base },
-    )
-    .to_json();
+    );
     assert_eq!(seq, par);
 }
 
@@ -32,18 +29,12 @@ fn mwp_generation_and_augmentation_are_byte_identical() {
     let cfg = GenConfig { count: 200, seed: 4242 };
     let seq_gen = dim_mwp::generate(Source::Ape210k, &cfg);
     let par_gen = dim_mwp::generate_with(Source::Ape210k, &cfg, Parallelism::new(THREADS));
-    assert_eq!(
-        serde_json::to_string(&seq_gen).unwrap(),
-        serde_json::to_string(&par_gen).unwrap()
-    );
+    assert_eq!(seq_gen, par_gen);
 
     let seq_aug = Augmenter::new(&kb, 7).augment_dataset(&seq_gen, 0.5);
     let par_aug =
         Augmenter::new(&kb, 7).augment_dataset_with(&seq_gen, 0.5, Parallelism::new(THREADS));
-    assert_eq!(
-        serde_json::to_string(&seq_aug).unwrap(),
-        serde_json::to_string(&par_aug).unwrap()
-    );
+    assert_eq!(seq_aug, par_aug);
 }
 
 #[test]
@@ -67,7 +58,7 @@ fn mwp_training_mixture_is_byte_identical() {
         &kb,
         &PipelineConfig { parallelism: Parallelism::new(THREADS), ..base },
     );
-    assert_eq!(serde_json::to_string(&seq).unwrap(), serde_json::to_string(&par).unwrap());
+    assert_eq!(seq, par);
 }
 
 #[test]

@@ -84,6 +84,17 @@ proptest! {
     }
 
     #[test]
+    fn json_parser_never_panics(
+        text in "\\PC{0,80}",
+        soup in "[\\[\\]{}\",:\\\\/ubfnrt0-9eE.+\\- ]{0,80}"
+    ) {
+        // Arbitrary text, then bracket/quote/escape/number soup that is
+        // mostly malformed: parsing returns a value or an error, never panics.
+        let _ = dim_json::parse_value(&text);
+        let _ = dim_json::parse_value(&soup);
+    }
+
+    #[test]
     fn linker_never_panics(mention in "\\PC{0,20}", context in "\\PC{0,40}") {
         let _ = ks().link(&mention, &context);
     }

@@ -343,6 +343,22 @@ fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
     assert_eq!(report.panics_caught, 0, "a disconnect panicked a worker");
 }
 
+/// A body nested far past the JSON depth cap is a typed 400, not a stack
+/// overflow that aborts the process; the next connection is served.
+#[test]
+fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
+    let server = test_server(1, 8);
+    let addr = server.addr();
+    let nested = "[".repeat(65_000);
+    let resp = client::request(addr, "POST", "/annotate", &nested).expect("nested body");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting deeper than 64"), "{}", resp.body);
+    let ok = client::request(addr, "POST", "/annotate", "{\"text\":\"5 km\"}").expect("next");
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    let report = server.shutdown();
+    assert_eq!(report.panics_caught, 0);
+}
+
 // ===================== concurrent clients =====================
 
 const CLIENTS: usize = 4;
