@@ -8,7 +8,7 @@
 //! version strings) that trip naive heuristic annotators — the failure mode
 //! Algorithm 1's masked-LM filter exists to catch.
 
-use crate::noise::{decoy_token, DECOY_AFTER_HINTS};
+use crate::noise::decoy_token;
 use crate::sentence::{Domain, QuantitySpan, Sentence};
 use dimkb::DimUnitKb;
 use rand::rngs::StdRng;
@@ -328,11 +328,6 @@ pub(crate) fn round_sig(v: f64, digits: i32) -> f64 {
     let mag = v.abs().log10().floor() as i32;
     let factor = 10f64.powi(digits - 1 - mag);
     (v * factor).round() / factor
-}
-
-/// Hint strings that precede decoys in templates (re-exported for tests).
-pub fn decoy_hints() -> &'static [&'static str] {
-    DECOY_AFTER_HINTS
 }
 
 #[cfg(test)]

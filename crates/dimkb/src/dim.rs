@@ -90,19 +90,6 @@ impl Base {
             Base::Time => "s",
         }
     }
-
-    /// The fundamental quantity name (Table III).
-    pub fn fundamental_quantity(self) -> &'static str {
-        match self {
-            Base::Amount => "Amount of Substance",
-            Base::Current => "Electric Current",
-            Base::Length => "Length",
-            Base::Luminous => "Luminous Intensity",
-            Base::Mass => "Mass",
-            Base::Temperature => "Thermodynamic Temperature",
-            Base::Time => "Time",
-        }
-    }
 }
 
 /// A dimension vector: the seven integer exponents of a dimensional formula.

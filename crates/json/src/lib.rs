@@ -6,7 +6,8 @@
 //! fields in the order the tree holds them, floats in Rust's
 //! shortest-roundtrip `{}` formatting, integers without a trailing `.0`, so
 //! equal trees always write byte-identical JSON. [`write_string`] is the one
-//! string escaper, shared with dim-serve's hand-built response bodies.
+//! string escaper, shared with dim-serve's hand-built response bodies and
+//! the dim-obs and dim-lint JSON reports.
 
 use std::fmt;
 

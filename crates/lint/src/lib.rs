@@ -1,6 +1,7 @@
 //! `dim-lint`: the workspace lint engine enforcing the repository's
-//! determinism, no-panic, concurrency, and zero-dep invariants. Its only
-//! dependency is the vendored `dim-par` fan-out for the parallel file pass.
+//! determinism, no-panic, concurrency, and zero-dep invariants. It depends
+//! only on in-repo crates: the `dim-par` fan-out for the parallel file pass
+//! and `dim-json`'s string escaper for the JSON report.
 //!
 //! The reproduction's core claim — DimEval/DimPerc outputs are
 //! byte-identical across runs and thread widths — has been broken twice by
@@ -204,6 +205,8 @@ impl RuleId {
                     // must shed without allocating.
                     || rel_path == "crates/serve/src/admission.rs"
                     || rel_path == "crates/serve/src/deadline.rs"
+                    // Every request moves the server's metrics.
+                    || rel_path == "crates/serve/src/metrics.rs"
                     // The two checker layers run per beam candidate per
                     // problem inside the repair search.
                     || rel_path.starts_with("crates/verify/src/")
@@ -420,6 +423,7 @@ mod tests {
         assert!(ha.applies_to("crates/par/src/lib.rs"));
         assert!(ha.applies_to("crates/serve/src/admission.rs"), "shedding must not allocate");
         assert!(ha.applies_to("crates/serve/src/deadline.rs"), "budget checks are per-request");
+        assert!(ha.applies_to("crates/serve/src/metrics.rs"), "metric increments are per-request");
         assert!(ha.applies_to("crates/verify/src/scale.rs"), "scale sets run per beam candidate");
         assert!(!ha.applies_to("crates/serve/src/load.rs"), "the load client may allocate");
         assert!(!ha.applies_to("crates/dimlink/src/reference.rs"), "the oracle may allocate");

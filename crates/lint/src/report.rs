@@ -150,7 +150,7 @@ impl LintReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            json_str(&mut out, r);
+            dim_json::write_string(r, &mut out);
         }
         out.push_str("],\n");
         out.push_str(&format!("  \"deep\": {},\n", self.deep));
@@ -167,13 +167,13 @@ impl LintReport {
                 out.push(',');
             }
             out.push_str("\n    {\"path\": ");
-            json_str(&mut out, &d.path);
+            dim_json::write_string(&d.path, &mut out);
             out.push_str(&format!(", \"line\": {}, \"rule\": ", d.line));
-            json_str(&mut out, d.rule);
+            dim_json::write_string(d.rule, &mut out);
             out.push_str(", \"severity\": ");
-            json_str(&mut out, d.severity.name());
+            dim_json::write_string(d.severity.name(), &mut out);
             out.push_str(", \"message\": ");
-            json_str(&mut out, &d.message);
+            dim_json::write_string(&d.message, &mut out);
             if !d.witness.is_empty() {
                 out.push_str(", \"witness\": [");
                 for (j, w) in d.witness.iter().enumerate() {
@@ -181,9 +181,9 @@ impl LintReport {
                         out.push_str(", ");
                     }
                     out.push_str("{\"fn\": ");
-                    json_str(&mut out, &w.func);
+                    dim_json::write_string(&w.func, &mut out);
                     out.push_str(", \"path\": ");
-                    json_str(&mut out, &w.path);
+                    dim_json::write_string(&w.path, &mut out);
                     out.push_str(&format!(", \"line\": {}}}", w.line));
                 }
                 out.push(']');
@@ -194,7 +194,7 @@ impl LintReport {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    json_str(&mut out, l);
+                    dim_json::write_string(l, &mut out);
                 }
                 out.push(']');
             }
@@ -204,23 +204,6 @@ impl LintReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping.
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! must never be, which falls out of the same policy. Entries are sorted so
 //! diagnostics come out in a stable order on every machine.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The files one lint run covers, as workspace-relative `/`-paths.
 #[derive(Debug, Default)]
@@ -85,9 +85,4 @@ fn to_rel_string(p: &Path) -> String {
         parts.push(c.as_os_str().to_string_lossy().into_owned());
     }
     parts.join("/")
-}
-
-/// Re-exported for scope predicates that need a `PathBuf` root.
-pub fn root_from_arg(arg: Option<&str>) -> PathBuf {
-    arg.map(PathBuf::from).unwrap_or_else(|| PathBuf::from("."))
 }

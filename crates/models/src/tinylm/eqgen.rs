@@ -18,7 +18,6 @@
 //! paper's negative equation-tokenization result (Fig. 7).
 
 use dim_embed::tokenize::is_cjk;
-use dim_mwp::equation::fmt_number;
 use dim_mwp::{detokenize, tokenize_equation, EqTokenization, MwpProblem, Node, Op, Prediction};
 use dimlink::scan_numbers;
 use rand::rngs::StdRng;
@@ -89,11 +88,6 @@ impl EquationGenerator {
     /// Number of learned conversion pairs.
     pub fn known_pairs(&self) -> usize {
         self.normalizer.len()
-    }
-
-    /// Number of learned unit surfaces.
-    pub fn known_surfaces(&self) -> usize {
-        self.unit_codes.len()
     }
 
     /// Seeds a conversion pair (`value[from] × β = value[to]`), e.g. from a
@@ -432,11 +426,6 @@ fn strip_q_wrappers(node: &Node, conversions: &[(usize, f64)]) -> Node {
         Node::Q(i) => Node::Q(*i),
         Node::Const(c) => Node::Const(*c),
     }
-}
-
-/// Renders values for diagnostics.
-pub fn debug_value(v: f64) -> String {
-    fmt_number(v)
 }
 
 #[cfg(test)]

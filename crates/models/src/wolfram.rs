@@ -10,7 +10,6 @@
 
 use crate::simllm::{SimulatedLlm, ToolEffect};
 use dimeval::{ChoiceItem, DimEvalSolver, ExtractedQuantity, ItemMeta};
-use dimkb::expr::{eval, ExprValue};
 use dimkb::{DimUnitKb, DimVec, KbError, UnitId};
 use dim_mwp::{MwpProblem, MwpSolver, Prediction};
 use rand::rngs::StdRng;
@@ -94,11 +93,6 @@ impl WolframEngine {
         } else {
             None
         }
-    }
-
-    /// Evaluates a textual unit expression within the engine's coverage.
-    pub fn eval_expr(&self, input: &str) -> Result<ExprValue, KbError> {
-        eval(&self.kb, input)
     }
 }
 

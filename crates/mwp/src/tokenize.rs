@@ -14,12 +14,6 @@ pub enum EqTokenization {
     Digit,
 }
 
-/// The symbol alphabet of equations: digits and the operator set
-/// `{+,-,*,/,%,=,(,)}` of the paper, plus the decimal point.
-pub fn is_equation_symbol(c: char) -> bool {
-    c.is_ascii_digit() || matches!(c, '+' | '-' | '*' | '/' | '%' | '=' | '(' | ')' | '.' | 'x')
-}
-
 /// Tokenizes an equation string under the given strategy.
 pub fn tokenize_equation(eq: &str, strategy: EqTokenization) -> Vec<String> {
     match strategy {

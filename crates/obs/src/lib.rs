@@ -1,9 +1,10 @@
-//! `dim-obs`: a zero-dependency structured observability layer.
+//! `dim-obs`: a structured observability layer whose only dependency is the
+//! in-repo `dim-json` string escaper.
 //!
 //! The workspace's determinism contract says every paper-facing byte is a
 //! pure function of the experiment configuration — which leaves no room for
 //! timing output on stdout, and no appetite for a metrics dependency. This
-//! crate closes the gap with three primitives that live entirely *outside*
+//! crate closes the gap with two primitives that live entirely *outside*
 //! the results path:
 //!
 //! * [`Histogram`] — log-bucketed latency (or any `u64`) distribution with
@@ -12,19 +13,20 @@
 //!   drop, so instrumenting a stage is one line.
 //! * [`Counter`] — a monotonic, saturating `u64` (units linked, cache hits,
 //!   sentences filtered, items fanned out per worker).
-//! * [`Gauge`] — a last-value-wins `u64` (current thread width, memo size).
 //!
-//! All metrics are `static`s declared at their call site and register
-//! themselves in a global registry on first touch. The whole layer is
-//! disabled by default: every record path starts with one relaxed atomic
-//! load and returns immediately, so uninstrumented runs pay a branch, not a
-//! syscall — and the registry stays empty, which a test pins.
+//! The offline pipeline's metrics are `static`s declared at their call site
+//! that register themselves in a global registry on first touch. That
+//! layer is disabled by default: every record path starts with one relaxed
+//! atomic load and returns immediately, so uninstrumented runs pay a
+//! branch, not a syscall — and the registry stays empty, which a test pins.
+//! A [`Histogram`] owned by a value instead of a `static` (a server's
+//! request latencies) records through [`Histogram::observe`], always on and
+//! outside the registry, and reports its own [`Histogram::stats`].
 //!
 //! [`snapshot`] freezes the registry into a [`Snapshot`] that renders as a
 //! human table ([`Snapshot::render_table`], intended for stderr so stdout
 //! stays byte-identical) or machine-readable JSON ([`Snapshot::to_json`],
-//! the `obs_report.json` schema — hand-rolled here precisely so this crate
-//! depends on nothing).
+//! the `obs_report.json` schema).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -58,12 +60,11 @@ pub fn disable() {
 
 struct RegistryInner {
     counters: Vec<&'static Counter>,
-    gauges: Vec<&'static Gauge>,
     histograms: Vec<&'static Histogram>,
 }
 
 static REGISTRY: Mutex<RegistryInner> =
-    Mutex::new(RegistryInner { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() });
+    Mutex::new(RegistryInner { counters: Vec::new(), histograms: Vec::new() });
 
 /// Zeroes every registered metric and empties the registry (metrics
 /// re-register on their next recorded value). Test isolation helper; the
@@ -73,10 +74,6 @@ pub fn reset() {
     for c in r.counters.drain(..) {
         c.value.store(0, Ordering::SeqCst);
         c.registered.store(false, Ordering::SeqCst);
-    }
-    for g in r.gauges.drain(..) {
-        g.value.store(0, Ordering::SeqCst);
-        g.registered.store(false, Ordering::SeqCst);
     }
     for h in r.histograms.drain(..) {
         h.count.store(0, Ordering::SeqCst);
@@ -141,41 +138,6 @@ impl Counter {
         {
             REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner).counters.push(self);
         }
-    }
-}
-
-// ===================== gauge =====================
-
-/// A last-value-wins gauge.
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicU64,
-    registered: AtomicBool,
-}
-
-impl Gauge {
-    /// A gauge named `name` (const: declare as `static`).
-    pub const fn new(name: &'static str) -> Gauge {
-        Gauge { name, value: AtomicU64::new(0), registered: AtomicBool::new(false) }
-    }
-
-    /// Sets the value. No-op while recording is disabled.
-    #[inline]
-    pub fn set(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        if !self.registered.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, fast-path pre-check; the SeqCst swap below is authoritative)
-            && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner).gauges.push(self);
-        }
-        self.value.store(v, Ordering::Relaxed); // lint:allow(relaxed_ordering, last-value-wins cell; only the value matters)
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, last-value-wins cell; only the value matters)
     }
 }
 
@@ -261,6 +223,14 @@ impl Histogram {
         {
             REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner).histograms.push(self);
         }
+        self.observe(v);
+    }
+
+    /// Records one value whatever the enable flag says, without touching
+    /// the registry — the record path of a histogram owned by a value, which
+    /// the owner renders through [`Histogram::stats`].
+    #[inline]
+    pub fn observe(&self, v: u64) {
         // Independent stat cells; a snapshot may observe a torn cross-cell
         // view (count updated, sum not yet), which the quantile clamp and
         // the "stats are approximate while recording" contract absorb.
@@ -305,7 +275,8 @@ impl Histogram {
         hi
     }
 
-    fn stats(&self) -> HistogramStats {
+    /// Frozen statistics of this histogram.
+    pub fn stats(&self) -> HistogramStats {
         let count = self.count();
         HistogramStats {
             name: self.name.to_string(),
@@ -370,7 +341,8 @@ pub struct HistogramStats {
 pub struct Snapshot {
     /// `(name, value)` counters.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` gauges.
+    /// `(name, value)` gauges. The registry holds none; an owner of
+    /// last-value readings (a server's queue depth) adds its own.
     pub gauges: Vec<(String, u64)>,
     /// Histogram statistics (timing spans and value distributions).
     pub histograms: Vec<HistogramStats>,
@@ -381,13 +353,10 @@ pub fn snapshot() -> Snapshot {
     let r = REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut counters: Vec<(String, u64)> =
         r.counters.iter().map(|c| (c.name.to_string(), c.get())).collect();
-    let mut gauges: Vec<(String, u64)> =
-        r.gauges.iter().map(|g| (g.name.to_string(), g.get())).collect();
     let mut histograms: Vec<HistogramStats> = r.histograms.iter().map(|h| h.stats()).collect();
     counters.sort();
-    gauges.sort();
     histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    Snapshot { counters, gauges, histograms }
+    Snapshot { counters, gauges: Vec::new(), histograms }
 }
 
 impl Snapshot {
@@ -401,11 +370,6 @@ impl Snapshot {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Value of a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     /// Machine-readable JSON (the `obs_report.json` schema): top-level
     /// `counters`, `gauges` and `histograms` objects keyed by metric name,
     /// keys in sorted order so reports diff cleanly.
@@ -416,7 +380,7 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("\n    ");
-            json_str(&mut out, name);
+            dim_json::write_string(name, &mut out);
             out.push_str(&format!(": {v}"));
         }
         out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
@@ -426,7 +390,7 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("\n    ");
-            json_str(&mut out, name);
+            dim_json::write_string(name, &mut out);
             out.push_str(&format!(": {v}"));
         }
         out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
@@ -436,7 +400,7 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("\n    ");
-            json_str(&mut out, &h.name);
+            dim_json::write_string(&h.name, &mut out);
             out.push_str(&format!(
                 ": {{\"unit\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                  \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
@@ -498,24 +462,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (metric names are plain identifiers, but
-/// never trust an invariant a `&'static str` can't enforce).
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -630,23 +576,33 @@ mod tests {
         let _l = TEST_LOCK.lock().unwrap();
         disable();
         static C: Counter = Counter::new("test.disabled.counter");
-        static G: Gauge = Gauge::new("test.disabled.gauge");
         static H: Histogram = Histogram::new("test.disabled.hist");
         C.add(7);
         C.inc();
-        G.set(42);
         H.record(1000);
         {
             let span = H.span();
             span.end();
         }
         assert_eq!(C.get(), 0);
-        assert_eq!(G.get(), 0);
         assert_eq!(H.count(), 0);
         let snap = snapshot();
         assert!(snap.counter("test.disabled.counter").is_none());
-        assert!(snap.gauge("test.disabled.gauge").is_none());
         assert!(snap.histogram("test.disabled.hist").is_none());
+    }
+
+    #[test]
+    fn observe_records_without_the_flag_or_the_registry() {
+        let _l = TEST_LOCK.lock().unwrap();
+        disable();
+        let h = Histogram::with_unit("test.owned", "items");
+        for v in [4u64, 8, 12] {
+            h.observe(v);
+        }
+        let stats = h.stats();
+        assert_eq!((stats.count, stats.sum, stats.min, stats.max, stats.p50), (3, 24, 4, 12, 8));
+        assert_eq!((stats.name.as_str(), stats.unit), ("test.owned", "items"));
+        assert!(snapshot().histogram("test.owned").is_none(), "an owned histogram never registers");
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl Parallelism {
         Parallelism { threads }
     }
 
-    /// True when work should run inline without spawning.
-    pub fn is_sequential(self) -> bool {
-        self.threads <= 1
-    }
-
     /// The worker count a fan-out over `n` items actually spawns: the
     /// requested width, capped at the host's logical CPU count (extra
     /// threads on a CPU-bound map are pure overhead) and at one worker per

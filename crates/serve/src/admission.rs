@@ -19,13 +19,12 @@
 //!    Only the acceptor thread consults the watermarks, so the state is a
 //!    plain `bool`, not an atomic.
 //!
-//! Both sheds are counted (`srv.admission.*`) and both carry `Retry-After`,
-//! which the loadgen's seeded backoff client honors.
+//! The server counts both sheds (`srv.admission.*`) and sets the
+//! `srv.conn.open` gauge from [`ConnGate::open`]; both sheds carry
+//! `Retry-After`, which the loadgen's seeded backoff client honors.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-static OPEN_CONNS: dim_obs::Gauge = dim_obs::Gauge::new("srv.conn.open");
 
 /// Bounded count of simultaneously open connections.
 pub struct ConnGate {
@@ -65,10 +64,7 @@ impl ConnGate {
                 Ordering::AcqRel,
                 Ordering::Relaxed, // lint:allow(relaxed_ordering, the failure load only feeds the retry; no data is published on failure)
             ) {
-                Ok(_) => {
-                    OPEN_CONNS.set((current + 1) as u64);
-                    return Some(ConnPermit { gate: Arc::clone(self) });
-                }
+                Ok(_) => return Some(ConnPermit { gate: Arc::clone(self) }),
                 Err(seen) => current = seen,
             }
         }
@@ -83,8 +79,7 @@ pub struct ConnPermit {
 
 impl Drop for ConnPermit {
     fn drop(&mut self) {
-        let before = self.gate.open.fetch_sub(1, Ordering::AcqRel);
-        OPEN_CONNS.set(before.saturating_sub(1) as u64);
+        self.gate.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -122,11 +117,6 @@ impl Watermarks {
         } else if depth >= self.high {
             self.shedding = true;
         }
-        self.shedding
-    }
-
-    /// Whether the last update left the acceptor in shedding mode.
-    pub fn is_shedding(&self) -> bool {
         self.shedding
     }
 }

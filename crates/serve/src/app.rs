@@ -11,7 +11,7 @@
 //! | `POST /solve`    | `{"equation"}`                            | calculator answer (§VI-D)     |
 //! | `POST /verify`   | `{"equation", "quantities", "answer_unit"?}` | typed dimensional verdict  |
 //! | `GET /healthz`   | —                                         | liveness                      |
-//! | `GET /metrics`   | —                                         | `dim-obs` snapshot JSON       |
+//! | `GET /metrics`   | —                                         | this server's metrics JSON    |
 //!
 //! Every `POST` consults [`dimkb::degrade::inject`] once under the
 //! [`SITE_REQUEST`] site with the app's [`AppConfig::faults`] plan before
@@ -24,21 +24,14 @@
 use crate::cache::ShardedLru;
 use crate::http::{Method, Request, Response};
 use crate::json;
+use crate::metrics::ServerMetrics;
 use dim_chaos::FaultPlan;
 use dim_core::DimKs;
 use dimkb::degrade::{QuarantineEntry, RecordError};
 use dimlink::LinkResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-static REQUESTS: dim_obs::Counter = dim_obs::Counter::new("srv.requests");
-static REQUEST_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("srv.request");
-static RESP_2XX: dim_obs::Counter = dim_obs::Counter::new("srv.responses.2xx");
-static RESP_4XX: dim_obs::Counter = dim_obs::Counter::new("srv.responses.4xx");
-static RESP_5XX: dim_obs::Counter = dim_obs::Counter::new("srv.responses.5xx");
-static DEGRADED: dim_obs::Counter = dim_obs::Counter::new("srv.degraded");
-static QUARANTINED: dim_obs::Counter = dim_obs::Counter::new("srv.quarantined");
-static RELOADS: dim_obs::Counter = dim_obs::Counter::new("srv.reloads");
+use std::time::Instant;
 
 /// Chaos/quarantine site for the request path (every `POST` consults it).
 pub const SITE_REQUEST: &str = "srv.request";
@@ -65,13 +58,14 @@ impl Default for AppConfig {
     }
 }
 
-/// The assembled application: DimKS plus serving infrastructure.
+/// The assembled application: DimKS plus serving infrastructure, and the
+/// metrics of the server it runs in.
 pub struct App {
     ks: Mutex<Arc<DimKs>>,
     cache: ShardedLru,
     faults: FaultPlan,
     seq: AtomicU64,
-    handled: AtomicU64,
+    metrics: ServerMetrics,
     quarantine: Mutex<Vec<QuarantineEntry>>,
 }
 
@@ -83,7 +77,7 @@ impl App {
             cache: ShardedLru::new(CACHE_SHARDS, config.cache_per_shard),
             faults: config.faults,
             seq: AtomicU64::new(0),
-            handled: AtomicU64::new(0),
+            metrics: ServerMetrics::default(),
             quarantine: Mutex::new(Vec::new()),
         }
     }
@@ -91,6 +85,16 @@ impl App {
     /// The response cache (test/report hook).
     pub fn cache(&self) -> &ShardedLru {
         &self.cache
+    }
+
+    /// The server's metrics; the server's threads count into them too.
+    pub fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+
+    /// The metrics as `GET /metrics` and the drain report render them.
+    pub fn metrics_snapshot(&self) -> dim_obs::Snapshot {
+        self.metrics.snapshot(self.cache.len())
     }
 
     /// The current knowledge system. Requests clone the `Arc` once, so an
@@ -122,16 +126,11 @@ impl App {
             *slot = Arc::new(ks);
         }
         self.cache.clear();
-        RELOADS.inc();
+        self.metrics.reloads.inc();
         Response::json(
             200,
             format!("{{\"reloaded\":true,\"source\":\"built\",\"units\":{units},\"kinds\":{kinds}}}"),
         )
-    }
-
-    /// Requests handled so far (monotonic, includes degraded ones).
-    pub fn requests_handled(&self) -> u64 {
-        self.handled.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, monotonic stat read; no data guarded by it)
     }
 
     /// Snapshot of retained quarantine entries.
@@ -144,29 +143,24 @@ impl App {
     /// through the engine or an injected fault, and the server worker wraps
     /// this call in per-request isolation — see [`App::degraded_response`].)
     pub fn handle(&self, req: &Request) -> Response {
-        let _span = REQUEST_SPAN.span();
-        REQUESTS.inc();
-        self.handled.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; atomicity alone gives a lossless total)
+        let started = Instant::now();
+        let m = &self.metrics;
+        m.requests.inc();
         let response = self.route(req);
         match response.status {
-            200..=299 => RESP_2XX.inc(),
-            400..=499 => RESP_4XX.inc(),
-            _ => RESP_5XX.inc(),
+            200..=299 => m.responses_2xx.inc(),
+            400..=499 => m.responses_4xx.inc(),
+            _ => m.responses_5xx.inc(),
         }
+        m.request.observe(started.elapsed().as_nanos() as u64);
         response
-    }
-
-    /// The sequence number the next request will be stamped with — the
-    /// index the chaos decision function sees.
-    pub fn next_sequence(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, advisory read of the stamp counter; no data guarded by it)
     }
 
     fn route(&self, req: &Request) -> Response {
         match (req.method, req.target.as_str()) {
             (Method::Get, "/healthz") => Response::json(200, "{\"status\":\"ok\"}".to_string()),
             (Method::Get, "/metrics") => {
-                let mut body = dim_obs::snapshot().to_json();
+                let mut body = self.metrics_snapshot().to_json();
                 // The obs writer pretty-prints with a trailing newline;
                 // serve bodies are exact-length, so keep it as-is.
                 if body.ends_with('\n') {
@@ -421,8 +415,7 @@ impl App {
     /// The structured degraded `503` for a chaos-faulted request, recording
     /// the quarantine entry (bounded) and the `srv.degraded` counter.
     fn quarantined_response(&self, seq: u64, error: RecordError) -> Response {
-        DEGRADED.inc();
-        QUARANTINED.inc();
+        self.metrics.degraded.inc();
         {
             let mut q = self.lock_quarantine();
             if q.len() < MAX_QUARANTINE_ENTRIES {
@@ -446,7 +439,7 @@ impl App {
     /// injected chaos panics land here).
     pub fn degraded_response(&self, message: String) -> Response {
         let seq = self.seq.load(Ordering::Relaxed).saturating_sub(1); // lint:allow(relaxed_ordering, best-effort attribution of a panicked request; exactness is not required)
-        RESP_5XX.inc();
+        self.metrics.responses_5xx.inc();
         self.quarantined_response(seq, RecordError::Panicked(message))
     }
 

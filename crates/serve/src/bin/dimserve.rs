@@ -12,6 +12,11 @@
 //! `GET /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
 //! closing the pipe — `std` has no portable signal handling), then drains
 //! gracefully and writes the final obs report.
+//!
+//! The server counts its own `srv.*` metrics whatever the process does;
+//! this binary also turns the process-wide `dim-obs` registry on, so
+//! `/metrics` and the `--obs-out` report carry the engine's metrics
+//! (`link.*`, `kb.search.*`, …) next to the server's.
 
 use dim_serve::{AppConfig, ServerConfig};
 use std::io::Read;
@@ -32,6 +37,7 @@ fn parse_flag<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn main() {
+    dim_obs::enable();
     let port: u16 = parse_flag("--port", 8080);
     let workers: usize = parse_flag("--workers", 2);
     let queue: usize = parse_flag("--queue", 64);

@@ -8,18 +8,24 @@
 //! keeps the global contents deterministic for any fixed per-shard
 //! operation order (the property the cross-width cache tests pin).
 //!
-//! Hit/miss/eviction counts are reported through `dim-obs`
-//! (`srv.cache.hits` / `srv.cache.misses` / `srv.cache.evictions`, plus the
-//! `srv.cache.entries` gauge) and surface in the server's final report and
-//! `GET /metrics`.
+//! Hits, misses and evictions are always-on counts shared by every cache
+//! in the process ([`counters`]); the server's metrics snapshot reports
+//! them as `srv.cache.{hits,misses,evictions}`, next to the
+//! `srv.cache.entries` gauge it reads from [`ShardedLru::len`] when it
+//! renders.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-static CACHE_HITS: dim_obs::Counter = dim_obs::Counter::new("srv.cache.hits");
-static CACHE_MISSES: dim_obs::Counter = dim_obs::Counter::new("srv.cache.misses");
-static CACHE_EVICTIONS: dim_obs::Counter = dim_obs::Counter::new("srv.cache.evictions");
-static CACHE_ENTRIES: dim_obs::Gauge = dim_obs::Gauge::new("srv.cache.entries");
+static HITS: AtomicU64 = AtomicU64::new(0);
+static MISSES: AtomicU64 = AtomicU64::new(0);
+static EVICTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one cache event.
+fn bump(count: &AtomicU64) {
+    count.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; atomicity alone gives a lossless total)
+}
 
 /// One shard: a queue ordered least- to most-recently-used. Capacities are
 /// small (hundreds of entries), so the linear scans are cheaper than the
@@ -81,11 +87,11 @@ impl ShardedLru {
                 let entry = shard.entries.remove(i)?;
                 let value = entry.1.clone();
                 shard.entries.push_back(entry);
-                CACHE_HITS.inc();
+                bump(&HITS);
                 Some(value)
             }
             None => {
-                CACHE_MISSES.inc();
+                bump(&MISSES);
                 None
             }
         }
@@ -103,15 +109,12 @@ impl ShardedLru {
             shard.entries.remove(i);
         }
         shard.entries.push_back((key.to_string(), value));
-        let evicted = if shard.entries.len() > self.per_shard_capacity {
-            CACHE_EVICTIONS.inc();
+        if shard.entries.len() > self.per_shard_capacity {
+            bump(&EVICTIONS);
             shard.entries.pop_front().map(|(k, _)| k)
         } else {
             None
-        };
-        drop(shard);
-        CACHE_ENTRIES.set(self.len() as u64);
-        evicted
+        }
     }
 
     /// Empties every shard. Used on `/admin/reload`: cached responses
@@ -121,7 +124,6 @@ impl ShardedLru {
         for shard in &self.shards {
             lock(shard).entries.clear();
         }
-        CACHE_ENTRIES.set(0);
     }
 
     /// The keys of one shard, least- to most-recently-used (test hook for
@@ -132,12 +134,13 @@ impl ShardedLru {
     }
 }
 
-/// Process-wide cache counter readings `(hits, misses, evictions)` — the
-/// statics every [`ShardedLru`] in the process reports into (meaningful
-/// when one cache exists, i.e. one server; loadgen and the drain report
-/// read these).
+/// Process-wide cache counts `(hits, misses, evictions)`: every
+/// [`ShardedLru`] in the process counts into them, always (meaningful when
+/// one cache exists, i.e. one server; loadgen, the soak harness and the
+/// metrics snapshot read these).
 pub fn counters() -> (u64, u64, u64) {
-    (CACHE_HITS.get(), CACHE_MISSES.get(), CACHE_EVICTIONS.get())
+    let read = |count: &AtomicU64| count.load(Ordering::Relaxed); // lint:allow(relaxed_ordering, monotonic stat read; no data guarded by it)
+    (read(&HITS), read(&MISSES), read(&EVICTIONS))
 }
 
 /// Locks a shard, recovering from poisoning: the cache holds plain data, so
@@ -213,31 +216,30 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_counters_move_when_obs_enabled() {
-        dim_obs::enable();
+    fn hit_miss_counters_always_move() {
         let cache = ShardedLru::new(2, 4);
-        let (hits0, misses0) = (CACHE_HITS.get(), CACHE_MISSES.get());
+        let (hits0, misses0, _) = counters();
         assert_eq!(cache.get("absent"), None);
         cache.insert("present", "v".to_string());
         assert_eq!(cache.get("present"), Some("v".to_string()));
         // Deltas are ≥ because other tests in this process share the
-        // statics; monotonicity makes the assertion race-free.
-        assert!(CACHE_MISSES.get() > misses0);
-        assert!(CACHE_HITS.get() > hits0);
+        // counts; monotonicity makes the assertion race-free.
+        let (hits1, misses1, _) = counters();
+        assert!(misses1 > misses0);
+        assert!(hits1 > hits0);
     }
 
     #[test]
     fn zero_capacity_turns_the_cache_off() {
-        dim_obs::enable();
         let cache = ShardedLru::new(0, 0);
         assert_eq!((cache.shard_count(), cache.per_shard_capacity()), (1, 0));
-        let misses0 = CACHE_MISSES.get();
+        let (_, misses0, _) = counters();
         for _ in 0..3 {
             assert_eq!(cache.insert("k", "v".to_string()), None, "nothing to evict");
             assert_eq!(cache.get("k"), None, "a disabled cache never hits");
         }
         assert!(cache.is_empty());
-        assert!(CACHE_MISSES.get() >= misses0 + 3, "every lookup counts a miss");
+        assert!(counters().1 >= misses0 + 3, "every lookup counts a miss");
     }
 
     #[test]

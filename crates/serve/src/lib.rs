@@ -26,8 +26,13 @@
 //!   and connection-level chaos faults prove the server sheds load as
 //!   deterministic `503 + Retry-After` instead of hanging or panicking; the
 //!   seeded retry client in [`load`] soaks it past 100k requests.
+//! - **Per-server metrics.** Every `srv.*` metric is a field of one
+//!   [`metrics::ServerMetrics`] value the [`App`] owns, always on, so two
+//!   servers in one process never count each other's traffic; `GET
+//!   /metrics` and the drain report render it ([`metrics`]). Starting a
+//!   server leaves the process-wide `dim-obs` registry alone.
 //! - **Graceful drain.** Shutdown stops accepting, drains queued and
-//!   in-flight requests, and emits a final obs report
+//!   in-flight requests, and emits a final metrics report
 //!   ([`server::ServerHandle::shutdown`]).
 
 #![warn(missing_docs)]
@@ -39,6 +44,7 @@ pub mod deadline;
 pub mod http;
 pub mod json;
 pub mod load;
+pub mod metrics;
 pub mod queue;
 pub mod server;
 pub mod smoke;

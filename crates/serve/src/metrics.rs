@@ -1,0 +1,181 @@
+//! Per-server metrics: one value the [`App`](crate::App) owns.
+//!
+//! Every `srv.*` metric of a server lives in its [`ServerMetrics`]: the
+//! acceptor counts sheds and samples the gate and queue, workers count the
+//! connections they take off the queue, deadline sheds, header timeouts,
+//! failed writes, caught panics and connection faults, and `App::handle` counts
+//! requests by status class and times them into the `srv.request`
+//! histogram. The counts are always on — one relaxed `fetch_add` per event,
+//! no enable flag and no registry — so two servers in one process never
+//! see each other's traffic. [`ServerMetrics::snapshot`] renders the value
+//! as a [`dim_obs::Snapshot`] under the same metric names, for `GET
+//! /metrics` and the drain report.
+//!
+//! The one process-wide exception is the response cache's hit, miss and
+//! eviction counts, which [`crate::cache::counters`] keeps for the load
+//! tools; the snapshot reports them as `srv.cache.{hits,misses,evictions}`.
+
+use dim_obs::{Histogram, Snapshot};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A monotonic count of one kind of event.
+#[derive(Default)]
+pub struct Count(AtomicU64);
+
+impl Count {
+    /// Counts one event.
+    #[inline]
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; atomicity alone gives a lossless total)
+    }
+
+    /// Events counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, monotonic stat read; no data guarded by it)
+    }
+}
+
+/// A last-value-wins level (queue depth, open connections).
+#[derive(Default)]
+pub struct Level(AtomicU64);
+
+impl Level {
+    /// Sets the level.
+    #[inline]
+    pub fn set(&self, v: usize) {
+        self.0.store(v as u64, Ordering::Relaxed); // lint:allow(relaxed_ordering, last-value-wins cell; only the value matters)
+    }
+
+    /// The last level set.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, last-value-wins cell; only the value matters)
+    }
+}
+
+/// Every `srv.*` metric of one server.
+pub struct ServerMetrics {
+    /// `srv.requests`: requests routed through `App::handle`.
+    pub requests: Count,
+    /// `srv.responses.2xx`.
+    pub responses_2xx: Count,
+    /// `srv.responses.4xx`.
+    pub responses_4xx: Count,
+    /// `srv.responses.5xx`, degraded responses to caught panics included.
+    pub responses_5xx: Count,
+    /// `srv.degraded` and `srv.quarantined`: requests answered with the
+    /// structured degraded `503` (each is also quarantined).
+    pub degraded: Count,
+    /// `srv.reloads`: successful `/admin/reload`s.
+    pub reloads: Count,
+    /// `srv.request`: nanoseconds spent in `App::handle`.
+    pub request: Histogram,
+    /// `srv.connections` and `srv.queue.pushed`: queued connections a worker
+    /// has taken up.
+    pub connections: Count,
+    /// `srv.rejected`: connections refused at admission (gate, watermark or
+    /// full queue).
+    pub rejected: Count,
+    /// `srv.admission.gate_shed`.
+    pub gate_shed: Count,
+    /// `srv.admission.watermark_shed`.
+    pub watermark_shed: Count,
+    /// `srv.deadline.shed`: requests shed because their deadline expired
+    /// before dispatch.
+    pub deadline_shed: Count,
+    /// `srv.deadline.shed_queue`: the subset that expired in the queue.
+    pub deadline_shed_queue: Count,
+    /// `srv.header_timeouts`: requests over the header-read budget.
+    pub header_timeouts: Count,
+    /// `srv.write_failed`: responses whose write failed.
+    pub write_failed: Count,
+    /// `srv.panics_caught`: request panics the workers caught.
+    pub panics_caught: Count,
+    /// `srv.conn_fault.stall`.
+    pub conn_fault_stall: Count,
+    /// `srv.conn_fault.partial_write`.
+    pub conn_fault_partial_write: Count,
+    /// `srv.conn_fault.abrupt_close`.
+    pub conn_fault_abrupt_close: Count,
+    /// `srv.conn.open`: connections holding an admission permit, set when
+    /// the acceptor admits or releases one and when a worker finishes one.
+    pub conn_open: Level,
+    /// `srv.queue.depth`: the queue depth the last admission check saw.
+    pub queue_depth: Level,
+}
+
+impl Default for ServerMetrics {
+    fn default() -> ServerMetrics {
+        ServerMetrics {
+            requests: Count::default(),
+            responses_2xx: Count::default(),
+            responses_4xx: Count::default(),
+            responses_5xx: Count::default(),
+            degraded: Count::default(),
+            reloads: Count::default(),
+            request: Histogram::new("srv.request"),
+            connections: Count::default(),
+            rejected: Count::default(),
+            gate_shed: Count::default(),
+            watermark_shed: Count::default(),
+            deadline_shed: Count::default(),
+            deadline_shed_queue: Count::default(),
+            header_timeouts: Count::default(),
+            write_failed: Count::default(),
+            panics_caught: Count::default(),
+            conn_fault_stall: Count::default(),
+            conn_fault_partial_write: Count::default(),
+            conn_fault_abrupt_close: Count::default(),
+            conn_open: Level::default(),
+            queue_depth: Level::default(),
+        }
+    }
+}
+
+impl ServerMetrics {
+    /// Renders this server's metrics as one snapshot: the `srv.*` values,
+    /// with `cache_entries` as the `srv.cache.entries` gauge and the
+    /// process-wide cache counts, merged with the process registry (empty
+    /// unless the process turned it on). Each list is sorted by name.
+    pub fn snapshot(&self, cache_entries: usize) -> Snapshot {
+        let (hits, misses, evictions) = crate::cache::counters();
+        let counters = [
+            ("srv.admission.gate_shed", self.gate_shed.get()),
+            ("srv.admission.watermark_shed", self.watermark_shed.get()),
+            ("srv.cache.evictions", evictions),
+            ("srv.cache.hits", hits),
+            ("srv.cache.misses", misses),
+            ("srv.conn_fault.abrupt_close", self.conn_fault_abrupt_close.get()),
+            ("srv.conn_fault.partial_write", self.conn_fault_partial_write.get()),
+            ("srv.conn_fault.stall", self.conn_fault_stall.get()),
+            ("srv.connections", self.connections.get()),
+            ("srv.deadline.shed", self.deadline_shed.get()),
+            ("srv.deadline.shed_queue", self.deadline_shed_queue.get()),
+            ("srv.degraded", self.degraded.get()),
+            ("srv.header_timeouts", self.header_timeouts.get()),
+            ("srv.panics_caught", self.panics_caught.get()),
+            ("srv.quarantined", self.degraded.get()),
+            ("srv.queue.pushed", self.connections.get()),
+            ("srv.rejected", self.rejected.get()),
+            ("srv.reloads", self.reloads.get()),
+            ("srv.requests", self.requests.get()),
+            ("srv.responses.2xx", self.responses_2xx.get()),
+            ("srv.responses.4xx", self.responses_4xx.get()),
+            ("srv.responses.5xx", self.responses_5xx.get()),
+            ("srv.write_failed", self.write_failed.get()),
+        ];
+        let gauges = [
+            ("srv.cache.entries", cache_entries as u64),
+            ("srv.conn.open", self.conn_open.get()),
+            ("srv.queue.depth", self.queue_depth.get()),
+        ];
+        let mut snap = dim_obs::snapshot();
+        let owned = |(name, v): (&str, u64)| (name.to_string(), v); // lint:allow(hot_alloc, snapshot rendering runs per scrape, not per request)
+        snap.counters.extend(counters.into_iter().map(owned));
+        snap.gauges.extend(gauges.into_iter().map(owned));
+        snap.histograms.push(self.request.stats());
+        snap.counters.sort();
+        snap.gauges.sort();
+        snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        snap
+    }
+}

@@ -11,9 +11,6 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-static QUEUE_DEPTH: dim_obs::Gauge = dim_obs::Gauge::new("srv.queue.depth");
-static QUEUE_PUSHED: dim_obs::Counter = dim_obs::Counter::new("srv.queue.pushed");
-
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -71,8 +68,6 @@ impl<T> Bounded<T> {
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
-        QUEUE_PUSHED.inc();
-        QUEUE_DEPTH.set(inner.items.len() as u64);
         drop(inner);
         self.ready.notify_one();
         Ok(())
@@ -84,7 +79,6 @@ impl<T> Bounded<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                QUEUE_DEPTH.set(inner.items.len() as u64);
                 return Some(item);
             }
             if inner.closed {
@@ -102,11 +96,6 @@ impl<T> Bounded<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
-    }
-
-    /// Whether [`Bounded::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<T>> {

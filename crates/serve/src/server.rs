@@ -18,37 +18,28 @@
 //! instant — one that expires while queued is shed at dispatch instead of
 //! burning a worker on an answer the client has given up on.
 //!
+//! Every shed, fault and hand-off is counted in the app's
+//! [`ServerMetrics`](crate::metrics::ServerMetrics), so each server reports
+//! only its own traffic.
+//!
 //! Graceful shutdown follows the queue's own drain order: stop accepting,
 //! close the queue (workers finish the backlog), join everything, then emit
-//! the final [`DrainReport`] with the obs snapshot.
+//! the final [`DrainReport`] with the metrics snapshot.
 
 use crate::admission::{ConnGate, ConnPermit, Watermarks};
 use crate::app::{App, AppConfig};
 use crate::deadline::{parse_header_budget, Deadline, HeaderBudget};
 use crate::http::{self, Parsed, Response};
+use crate::metrics::ServerMetrics;
 use crate::queue::{Bounded, PushError};
 use dim_chaos::{ConnFault, ConnPlan};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-static CONNECTIONS: dim_obs::Counter = dim_obs::Counter::new("srv.connections");
-static REJECTED: dim_obs::Counter = dim_obs::Counter::new("srv.rejected");
-static PANICS_CAUGHT: dim_obs::Counter = dim_obs::Counter::new("srv.panics_caught");
-static GATE_SHED: dim_obs::Counter = dim_obs::Counter::new("srv.admission.gate_shed");
-static WATERMARK_SHED: dim_obs::Counter = dim_obs::Counter::new("srv.admission.watermark_shed");
-static DEADLINE_SHED: dim_obs::Counter = dim_obs::Counter::new("srv.deadline.shed");
-static DEADLINE_SHED_QUEUE: dim_obs::Counter = dim_obs::Counter::new("srv.deadline.shed_queue");
-static HEADER_TIMEOUTS: dim_obs::Counter = dim_obs::Counter::new("srv.header_timeouts");
-static WRITE_FAILED: dim_obs::Counter = dim_obs::Counter::new("srv.write_failed");
-static CONN_FAULT_STALL: dim_obs::Counter = dim_obs::Counter::new("srv.conn_fault.stall");
-static CONN_FAULT_PARTIAL: dim_obs::Counter =
-    dim_obs::Counter::new("srv.conn_fault.partial_write");
-static CONN_FAULT_ABRUPT: dim_obs::Counter = dim_obs::Counter::new("srv.conn_fault.abrupt_close");
 
 /// Chaos site for connection-level faults (one decision per accepted
 /// connection, keyed by the acceptor's connection sequence number).
@@ -122,21 +113,13 @@ struct ConnTask {
     seq: u64,
 }
 
-/// Per-server shed/fault tallies (obs counters are process-global, so
-/// multi-server tests and the soak harness need per-handle numbers).
-#[derive(Default)]
-struct ServerStats {
-    deadline_shed: AtomicU64,
-    conn_faults: AtomicU64,
-    panics_caught: AtomicU64,
-}
-
 /// What the server did over its lifetime, emitted by a graceful shutdown.
 #[derive(Debug)]
 pub struct DrainReport {
     /// Requests routed through the app (including degraded ones).
     pub requests: u64,
-    /// Connections accepted and queued.
+    /// Queued connections a worker took up (after the drain, every queued
+    /// one).
     pub connections: u64,
     /// Connections refused at admission (gate, watermark, or full queue).
     pub rejected: u64,
@@ -151,7 +134,8 @@ pub struct DrainReport {
     pub open_connections: usize,
     /// Quarantined (chaos-degraded) requests.
     pub degraded: usize,
-    /// The final `dim-obs` snapshot, rendered as JSON.
+    /// The final metrics snapshot ([`App::metrics_snapshot`]), rendered as
+    /// JSON.
     pub obs_json: String,
 }
 
@@ -162,9 +146,8 @@ pub struct ServerHandle {
     app: Arc<App>,
     queue: Arc<Bounded<ConnTask>>,
     gate: Arc<ConnGate>,
-    stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<u64>>,
+    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -182,24 +165,22 @@ struct ConnParams {
 
 /// Binds, spawns the acceptor and worker pool, and returns the handle.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    // The serving layer *is* an obs consumer: cache hit-rates, queue depth,
-    // and the drain report all read the registry, so recording is on for
-    // the life of the process.
-    dim_obs::enable();
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     let app = Arc::new(App::new(config.app.clone()));
     let queue = Arc::new(Bounded::new(config.queue_capacity));
     let gate = ConnGate::new(config.max_connections);
-    let stats = Arc::new(ServerStats::default());
     let stop = Arc::new(AtomicBool::new(false));
     let watermarks = Watermarks::for_capacity(config.queue_capacity);
 
     let acceptor = {
+        let app = app.clone();
         let queue = queue.clone();
         let gate = gate.clone();
         let stop = stop.clone();
-        std::thread::spawn(move || accept_loop(&listener, &queue, &gate, watermarks, &stop))
+        std::thread::spawn(move || {
+            accept_loop(&listener, app.metrics(), &queue, &gate, watermarks, &stop)
+        })
     };
 
     let params = ConnParams {
@@ -214,11 +195,16 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|_| {
             let app = app.clone();
             let queue = queue.clone();
-            let stats = stats.clone();
+            let gate = gate.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
+                let m = app.metrics();
                 while let Some(task) = queue.pop() {
-                    serve_connection(&app, task, &stats, &stop, params);
+                    // Counted before any of its requests is read, so a
+                    // `/metrics` answer always counts its own connection.
+                    m.connections.inc();
+                    serve_connection(&app, task, &stop, params);
+                    m.conn_open.set(gate.open());
                 }
             })
         })
@@ -229,7 +215,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         app,
         queue,
         gate,
-        stats,
         stop,
         acceptor: Some(acceptor),
         workers,
@@ -258,39 +243,41 @@ impl ServerHandle {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking `accept` with a wake-up dial.
         let _ = TcpStream::connect(self.local_addr);
-        let rejected = match self.acceptor.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => 0,
-        };
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
         // New pushes now fail; workers drain the backlog, then see `None`.
         self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        let m = self.app.metrics();
         DrainReport {
-            requests: self.app.requests_handled(),
-            connections: CONNECTIONS.get(),
-            rejected,
-            deadline_shed: self.stats.deadline_shed.load(Ordering::Acquire),
-            conn_faults: self.stats.conn_faults.load(Ordering::Acquire),
-            panics_caught: self.stats.panics_caught.load(Ordering::Acquire),
+            requests: m.requests.get(),
+            connections: m.connections.get(),
+            rejected: m.rejected.get(),
+            deadline_shed: m.deadline_shed.get(),
+            conn_faults: m.conn_fault_stall.get()
+                + m.conn_fault_partial_write.get()
+                + m.conn_fault_abrupt_close.get(),
+            panics_caught: m.panics_caught.get(),
             open_connections: self.gate.open(),
             degraded: self.app.quarantine_entries().len(),
-            obs_json: dim_obs::snapshot().to_json(),
+            obs_json: self.app.metrics_snapshot().to_json(),
         }
     }
 }
 
 /// Accepts until the stop flag is raised, shedding at the connection gate
-/// and the queue watermarks. Returns the number of refused connections.
+/// and the queue watermarks.
 fn accept_loop(
     listener: &TcpListener,
+    m: &ServerMetrics,
     queue: &Bounded<ConnTask>,
     gate: &Arc<ConnGate>,
     mut watermarks: Watermarks,
     stop: &AtomicBool,
-) -> u64 {
-    let mut rejected = 0u64;
+) {
     let mut seq = 0u64;
     loop {
         let stream = match listener.accept() {
@@ -304,36 +291,35 @@ fn accept_loop(
         };
         if stop.load(Ordering::SeqCst) {
             // The wake-up dial (or a late client); refuse politely.
-            reject(stream, "shutting down", None);
+            reject(m, stream, "shutting down", None);
             break;
         }
         let Some(permit) = gate.try_admit() else {
-            rejected += 1;
-            REJECTED.inc();
-            GATE_SHED.inc();
-            reject(stream, "too many connections", Some(RETRY_AFTER_SECS));
+            m.rejected.inc();
+            m.gate_shed.inc();
+            reject(m, stream, "too many connections", Some(RETRY_AFTER_SECS));
             continue;
         };
-        if watermarks.should_shed(queue.len()) {
-            rejected += 1;
-            REJECTED.inc();
-            WATERMARK_SHED.inc();
-            reject(stream, "queue full", Some(RETRY_AFTER_SECS));
+        m.conn_open.set(gate.open());
+        let depth = queue.len();
+        m.queue_depth.set(depth);
+        if watermarks.should_shed(depth) {
+            m.rejected.inc();
+            m.watermark_shed.inc();
+            reject(m, stream, "queue full", Some(RETRY_AFTER_SECS));
             drop(permit);
+            m.conn_open.set(gate.open());
             continue;
         }
         let task = ConnTask { stream, permit, accepted: Instant::now(), seq };
         seq += 1;
-        match queue.push(task) {
-            Ok(()) => CONNECTIONS.inc(),
-            Err(PushError::Full(task)) | Err(PushError::Closed(task)) => {
-                rejected += 1;
-                REJECTED.inc();
-                reject(task.stream, "queue full", Some(RETRY_AFTER_SECS));
-            }
+        if let Err(PushError::Full(task) | PushError::Closed(task)) = queue.push(task) {
+            m.rejected.inc();
+            reject(m, task.stream, "queue full", Some(RETRY_AFTER_SECS));
+            drop(task.permit);
+            m.conn_open.set(gate.open());
         }
     }
-    rejected
 }
 
 /// The deterministic admission refusal: fixed bytes, connection closed.
@@ -343,14 +329,14 @@ fn accept_loop(
 /// sends an RST that may discard the in-flight `503` before the client
 /// reads it. So: respond, FIN our side, then drain the peer's bytes
 /// (bounded by a short timeout) until it closes.
-fn reject(mut stream: TcpStream, why: &str, retry_after: Option<u16>) {
+fn reject(m: &ServerMetrics, mut stream: TcpStream, why: &str, retry_after: Option<u16>) {
     let mut body = String::from("{\"error\":");
     dim_json::write_string(why, &mut body);
     body.push('}');
     let mut resp = Response::json(503, body);
     resp.close = true;
     resp.retry_after = retry_after;
-    if ResponseWriter::default().send(&mut stream, &resp).is_err() {
+    if ResponseWriter::new(m).send(&mut stream, &resp).is_err() {
         return;
     }
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -368,32 +354,26 @@ fn deadline_shed_response() -> Response {
 
 /// Serves one connection's keep-alive request loop until the peer closes,
 /// an error forces a close, a budget runs out, or shutdown.
-fn serve_connection(
-    app: &App,
-    task: ConnTask,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    params: ConnParams,
-) {
+fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnParams) {
     let ConnTask { mut stream, permit, accepted, seq } = task;
     let _permit = permit; // held for the connection's whole lifetime
-    let mut out = ResponseWriter::default();
+    let m = app.metrics();
+    let mut out = ResponseWriter::new(m);
     if let Some(fault) = params.conn_faults.decide(SITE_CONN, seq) {
-        stats.conn_faults.fetch_add(1, Ordering::AcqRel);
         match fault {
             ConnFault::AbruptClose => {
                 // The peer's view: connection accepted, then dropped with
                 // no bytes — the client must survive an unexpected EOF.
-                CONN_FAULT_ABRUPT.inc();
+                m.conn_fault_abrupt_close.inc();
                 return;
             }
             ConnFault::Stall => {
-                CONN_FAULT_STALL.inc();
+                m.conn_fault_stall.inc();
                 let ms = params.conn_faults.stall_ms(SITE_CONN, seq);
                 std::thread::sleep(Duration::from_millis(ms));
             }
             ConnFault::PartialWrite => {
-                CONN_FAULT_PARTIAL.inc();
+                m.conn_fault_partial_write.inc();
                 out.truncate_next = true;
             }
         }
@@ -443,20 +423,18 @@ fn serve_connection(
                 };
                 let deadline = Deadline::after(started, budget);
                 let mut response = if deadline.expired() {
-                    DEADLINE_SHED.inc();
+                    m.deadline_shed.inc();
                     if first_request {
                         // Expired before a worker ever saw the connection:
                         // the time went to the admission queue.
-                        DEADLINE_SHED_QUEUE.inc();
+                        m.deadline_shed_queue.inc();
                     }
-                    stats.deadline_shed.fetch_add(1, Ordering::AcqRel);
                     deadline_shed_response()
                 } else {
                     match catch_unwind(AssertUnwindSafe(|| app.handle(&request))) {
                         Ok(response) => response,
                         Err(payload) => {
-                            PANICS_CAUGHT.inc();
-                            stats.panics_caught.fetch_add(1, Ordering::AcqRel);
+                            m.panics_caught.inc();
                             app.degraded_response(panic_message(payload))
                         }
                     }
@@ -482,7 +460,7 @@ fn serve_connection(
         // but the *total* time spent trickling one request head/body is
         // bounded — a peer can hold a worker for at most this budget.
         if head_started.is_some_and(|t| t.elapsed() >= params.header_read_budget) {
-            HEADER_TIMEOUTS.inc();
+            m.header_timeouts.inc();
             let resp = Response::json(
                 408,
                 "{\"error\":\"request header read budget exceeded\"}".to_string(),
@@ -521,13 +499,17 @@ fn serve_connection(
 
 /// A connection's response writer: one wire buffer reused for every
 /// response on the connection, plus a pending chaos partial write.
-#[derive(Default)]
-struct ResponseWriter {
+struct ResponseWriter<'m> {
     wire: String,
     truncate_next: bool,
+    metrics: &'m ServerMetrics,
 }
 
-impl ResponseWriter {
+impl<'m> ResponseWriter<'m> {
+    fn new(metrics: &'m ServerMetrics) -> ResponseWriter<'m> {
+        ResponseWriter { wire: String::new(), truncate_next: false, metrics }
+    }
+
     /// Renders `response` into the reused buffer and sends it with one
     /// `write_all`. The socket has `TCP_NODELAY` set, so writing the head
     /// piece by piece would cost a `write(2)` and a segment per piece. A
@@ -545,7 +527,7 @@ impl ResponseWriter {
             stream.write_all(wire)
         };
         if result.is_err() {
-            WRITE_FAILED.inc();
+            self.metrics.write_failed.inc();
         }
         result
     }

@@ -3,8 +3,8 @@
 //! `make serve-smoke` compares against `results/quick/serve.txt`.
 //!
 //! Determinism contract: every line is a pure function of the request
-//! script and the engine — no ports, timestamps, latencies, or obs-registry
-//! contents (the `/metrics` probe records only its status). The same
+//! script and the engine — no ports, timestamps, latencies, or metric
+//! values (the `/metrics` probe records only its status). The same
 //! transcript must come out at any worker count and dim-par width.
 
 use crate::server::{client, start, ServerConfig};
@@ -60,8 +60,8 @@ pub fn transcript(workers: usize) -> std::io::Result<String> {
             let _ = writeln!(out, "> {body}");
         }
         if *target == "/metrics" {
-            // The obs registry accumulates across the process; only the
-            // status is stable.
+            // The body carries latencies and the process-wide cache
+            // counts; only the status is stable.
             let _ = writeln!(out, "< {}", resp.status);
         } else {
             let _ = writeln!(out, "< {} {}", resp.status, resp.body);

@@ -18,6 +18,9 @@
 //!   runs — and never kills the process;
 //! - a server's fault plan is its own: a clean server running beside a
 //!   fully faulted one answers every request normally;
+//! - a server's metrics are its own: `/metrics` names exactly the pinned
+//!   `srv.*` set, and two servers running at once each count only their
+//!   own traffic, in `/metrics` and in the drain report;
 //! - slow-loris trickling exhausts a bounded header-read budget (`408` +
 //!   close), half-closes and abrupt disconnects never panic a worker,
 //!   connection-level chaos at rate 0 is byte-identical to no plan, and a
@@ -128,8 +131,8 @@ fn raw_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
     stream
 }
 
-/// The smoke script (minus `/metrics`, whose body is the process-wide
-/// registry) over one raw keep-alive connection: each response's bytes —
+/// The smoke script (minus `/metrics`, whose body counts the server's
+/// traffic) over one raw keep-alive connection: each response's bytes —
 /// status line, every header, body — equal `App::handle(..).render()` on a
 /// fresh app. The last request asks to close, so its response carries
 /// `Connection: close` and the stream then ends with no stray bytes.
@@ -634,6 +637,177 @@ fn conn_chaos_partial_write_sends_the_first_half_then_eof() {
     let report = server.shutdown();
     assert_eq!(report.conn_faults, 1, "exactly the one faulted connection");
     assert_eq!(report.open_connections, 0, "the faulted connection released its permit");
+}
+
+// ===================== per-server metrics =====================
+
+/// Every `srv.*` name `/metrics` reports, by section, sorted. Renaming a
+/// metric is a deliberate act: it changes this list.
+const SRV_COUNTERS: [&str; 23] = [
+    "srv.admission.gate_shed",
+    "srv.admission.watermark_shed",
+    "srv.cache.evictions",
+    "srv.cache.hits",
+    "srv.cache.misses",
+    "srv.conn_fault.abrupt_close",
+    "srv.conn_fault.partial_write",
+    "srv.conn_fault.stall",
+    "srv.connections",
+    "srv.deadline.shed",
+    "srv.deadline.shed_queue",
+    "srv.degraded",
+    "srv.header_timeouts",
+    "srv.panics_caught",
+    "srv.quarantined",
+    "srv.queue.pushed",
+    "srv.rejected",
+    "srv.reloads",
+    "srv.requests",
+    "srv.responses.2xx",
+    "srv.responses.4xx",
+    "srv.responses.5xx",
+    "srv.write_failed",
+];
+const SRV_GAUGES: [&str; 3] = ["srv.cache.entries", "srv.conn.open", "srv.queue.depth"];
+const SRV_HISTOGRAMS: [&str; 1] = ["srv.request"];
+
+/// The process-wide cache counts: the one exception to per-server metrics.
+const PROCESS_WIDE: [&str; 3] = ["srv.cache.evictions", "srv.cache.hits", "srv.cache.misses"];
+
+/// The `srv.*` entries of one section (`counters`, `gauges` or
+/// `histograms`) of a metrics JSON body, in body order. A histogram's value
+/// is its `count`.
+fn srv_section(json: &str, section: &str) -> Vec<(String, u64)> {
+    let root = dim_json::parse_value(json).expect("metrics body is JSON");
+    let Some(dim_json::Value::Obj(entries)) = dim_serve::json::field(&root, section) else {
+        panic!("no {section} object in {json}");
+    };
+    entries
+        .iter()
+        .filter(|(name, _)| name.starts_with("srv."))
+        .map(|(name, value)| {
+            let value = match value {
+                dim_json::Value::Obj(_) => dim_serve::json::field(value, "count"),
+                scalar => Some(scalar),
+            };
+            let Some(dim_json::Value::Num(n)) = value else {
+                panic!("{name} has no numeric value in {json}");
+            };
+            (name.clone(), *n as u64)
+        })
+        .collect()
+}
+
+fn names(entries: &[(String, u64)]) -> Vec<&str> {
+    entries.iter().map(|(name, _)| name.as_str()).collect()
+}
+
+/// `/metrics` on a fresh server after the smoke script names exactly the
+/// pinned `srv.*` metrics: 23 counters, 3 gauges and one histogram.
+#[test]
+fn srv_metric_names_are_pinned() {
+    let server = test_server(2, 8);
+    let mut conn = client::Conn::connect(server.addr()).expect("connect");
+    let mut metrics = String::new();
+    for (method, target, body) in dim_serve::smoke::SCRIPT {
+        let resp = conn.request(method, target, body).expect("smoke request");
+        if *target == "/metrics" {
+            assert_eq!(resp.status, 200);
+            metrics = resp.body;
+        }
+        if resp.close {
+            conn = client::Conn::connect(server.addr()).expect("reconnect");
+        }
+    }
+    assert_eq!(names(&srv_section(&metrics, "counters")), SRV_COUNTERS);
+    assert_eq!(names(&srv_section(&metrics, "gauges")), SRV_GAUGES);
+    assert_eq!(names(&srv_section(&metrics, "histograms")), SRV_HISTOGRAMS);
+    server.shutdown();
+}
+
+/// Checks every per-server `srv.*` value of a metrics body against
+/// `expected`; a name missing from `expected` must read 0.
+fn assert_srv_values(json: &str, expected: &[(&str, u64)]) {
+    for section in ["counters", "gauges", "histograms"] {
+        for (name, value) in srv_section(json, section) {
+            if PROCESS_WIDE.contains(&name.as_str()) {
+                continue;
+            }
+            let want = expected.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v);
+            assert_eq!(value, want, "{name} in {json}");
+        }
+    }
+}
+
+/// Two servers run at once with different traffic. Each one's `/metrics`
+/// and drain report count only its own requests and connections (the
+/// cache's process-wide hit, miss and eviction counts aside).
+#[test]
+fn two_servers_count_only_their_own_traffic() {
+    let a = test_server(1, 8);
+    let b = test_server(2, 8);
+    let mut a1 = client::Conn::connect(a.addr()).expect("connect a");
+    let mut b1 = client::Conn::connect(b.addr()).expect("connect b1");
+    // Interleaved so both servers are busy at the same time.
+    let solve = "{\"equation\":\"x=1+1\"}";
+    assert_eq!(a1.request("POST", "/solve", solve).expect("a").status, 200);
+    assert_eq!(b1.request("POST", "/link", "{\"mention\":\"km\"}").expect("b").status, 200);
+    assert_eq!(a1.request("GET", "/healthz", "").expect("a").status, 200);
+    let incomparable = "{\"value\":1,\"from\":\"m\",\"to\":\"s\"}";
+    assert_eq!(b1.request("POST", "/convert", incomparable).expect("b").status, 422);
+    assert_eq!(a1.request("POST", "/solve", solve).expect("a").status, 200);
+    assert_eq!(a1.request("GET", "/nope", "").expect("a").status, 404);
+    let mut b2 = client::Conn::connect(b.addr()).expect("connect b2");
+    assert_eq!(b2.request("POST", "/solve", "{\"equation\":\"x=1+\"}").expect("b").status, 422);
+    assert_eq!(b2.request("POST", "/link", "{not json").expect("b").status, 400);
+    assert_eq!(b2.request("GET", "/healthz", "").expect("b").status, 200);
+    let text = "{\"text\":\"The rope is 3 m long.\"}";
+    assert_eq!(b2.request("POST", "/annotate", text).expect("b").status, 200);
+
+    // A `/metrics` request counts itself, but not its status or time yet.
+    let metrics_a = a1.request("GET", "/metrics", "").expect("a metrics").body;
+    let metrics_b = b2.request("GET", "/metrics", "").expect("b metrics").body;
+    assert_srv_values(
+        &metrics_a,
+        &[
+            ("srv.requests", 5),
+            ("srv.responses.2xx", 3),
+            ("srv.responses.4xx", 1),
+            ("srv.request", 4),
+            ("srv.connections", 1),
+            ("srv.queue.pushed", 1),
+            ("srv.conn.open", 1),
+            ("srv.cache.entries", 1),
+        ],
+    );
+    assert_srv_values(
+        &metrics_b,
+        &[
+            ("srv.requests", 7),
+            ("srv.responses.2xx", 3),
+            ("srv.responses.4xx", 3),
+            ("srv.request", 6),
+            ("srv.connections", 2),
+            ("srv.queue.pushed", 2),
+            ("srv.conn.open", 2),
+            ("srv.cache.entries", 2),
+        ],
+    );
+
+    drop((a1, b1, b2));
+    let report_a = a.shutdown();
+    let report_b = b.shutdown();
+    assert_eq!((report_a.requests, report_a.connections, report_a.rejected), (5, 1, 0));
+    assert_eq!((report_b.requests, report_b.connections, report_b.rejected), (7, 2, 0));
+    for report in [&report_a, &report_b] {
+        assert_eq!((report.deadline_shed, report.conn_faults, report.panics_caught), (0, 0, 0));
+        assert_eq!((report.open_connections, report.degraded), (0, 0));
+    }
+    let requests = |json: &str| {
+        srv_section(json, "counters").into_iter().find(|(n, _)| n == "srv.requests").map(|(_, v)| v)
+    };
+    assert_eq!(requests(&report_a.obs_json), Some(5));
+    assert_eq!(requests(&report_b.obs_json), Some(7));
 }
 
 // ===================== sharded LRU under dim-par =====================
