@@ -102,14 +102,13 @@ no-artifacts:
 bench-gate:
 	cargo run --release -p dim-bench --bin bench_gate
 
-# Dimensional-verification regression gate: regenerates the dim-verify
-# repair table and the perturbation detection table at thread widths 1
-# and 4, byte-compares them against results/quick/verify_repair.txt and
-# verify_perturb.txt, and asserts the after >= before repair invariant
-# plus nonzero detection on every mutation class (see EXPERIMENTS.md
-# "Perturbation methodology"). Refresh goldens after an intentional
-# change with
-#   UPDATE_GOLDEN=1 cargo run --release -p dim-bench --bin verify_gate
+# Dimensional-verification regression gate: asserts the after >= before
+# repair invariant plus nonzero detection on every mutation class (see
+# EXPERIMENTS.md "Dimensional verification gate"). The repair and
+# perturbation tables are byte-compared at thread widths 1 and 4 against
+# results/quick/verify_repair.txt and verify_perturb.txt by `make golden`;
+# refresh them after an intentional change with
+#   UPDATE_GOLDEN=1 cargo test --test golden_results
 verify-gate:
 	cargo run --release -p dim-bench --bin verify_gate
 

@@ -1,90 +1,35 @@
 //! verify-gate: the dimensional-verification regression gate
 //! (`make verify-gate`).
 //!
-//! Pins the ISSUE-9 acceptance invariants of `dim-verify` +
-//! `dimeval::perturb` (see EXPERIMENTS.md "Perturbation methodology"):
+//! Pins two acceptance invariants of `dim-verify` + `dimeval::perturb`
+//! on the numbers (see EXPERIMENTS.md "Perturbation methodology"):
 //!
-//! 1. **Width determinism** — the repair table and the perturbation table
-//!    are byte-identical at thread widths 1 and 4.
-//! 2. **Goldens** — both tables byte-match the committed transcripts
-//!    `results/quick/verify_repair.txt` / `verify_perturb.txt`. After an
-//!    intentional change, refresh with
-//!    `UPDATE_GOLDEN=1 cargo run --release -p dim-bench --bin verify_gate`
-//!    and review the results/ diff.
-//! 3. **Repair never hurts** — `after >= before` on every evaluation set
+//! 1. **Repair never hurts** — `after >= before` on every evaluation set
 //!    (gold equations always verify, so rejection can only promote).
-//! 4. **Detection** — every mutation class applies to at least one
+//! 2. **Detection** — every mutation class applies to at least one
 //!    problem and is detected at a nonzero rate on every Q-set.
+//!
+//! The rendered tables are byte-pinned at thread widths 1 and 4 by
+//! `tests/golden_results.rs`; refresh those goldens after an intentional
+//! change with `UPDATE_GOLDEN=1 cargo test --test golden_results`.
 
-use dim_bench::render;
-use dim_core::experiments::{build_mwp_eval, quick_config, ExperimentConfig};
+use dim_core::experiments::{build_mwp_eval, quick_config};
 use dim_verify::{repair_row, DEFAULT_NOISE};
 use dimeval::detection_rates;
-use std::path::PathBuf;
-
-fn quick_at(threads: usize) -> ExperimentConfig {
-    let mut cfg = quick_config();
-    cfg.parallelism = dim_par::Parallelism::new(threads);
-    cfg.pipeline.parallelism = dim_par::Parallelism::new(threads);
-    cfg
-}
-
-fn golden_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/quick").join(rel)
-}
-
-/// Byte-compares `actual` against the committed golden (or rewrites it
-/// under `UPDATE_GOLDEN`); returns pass/fail.
-fn check_golden(rel: &str, actual: &str) -> bool {
-    let path = golden_path(rel);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("golden must be writable");
-        eprintln!("verify-gate: rewrote {}", path.display());
-        return true;
-    }
-    match std::fs::read_to_string(&path) {
-        Ok(expected) => expected == *actual,
-        Err(_) => false,
-    }
-}
 
 fn main() {
     let mut failed = false;
 
-    // Gate 1: byte-identical tables at widths 1 and 4.
-    let repair1 = render::verify_repair(&quick_at(1));
-    let repair4 = render::verify_repair(&quick_at(4));
-    let perturb1 = render::verify_perturb(&quick_at(1));
-    let perturb4 = render::verify_perturb(&quick_at(4));
-    let width_ok = repair1 == repair4 && perturb1 == perturb4;
-    println!(
-        "verify-gate: width determinism       {}",
-        if width_ok { "PASS" } else { "FAIL" }
-    );
-    failed |= !width_ok;
-
-    // Gate 2: committed goldens.
-    let repair_golden = check_golden("verify_repair.txt", &repair1);
-    let perturb_golden = check_golden("verify_perturb.txt", &perturb1);
-    println!(
-        "verify-gate: repair golden           {}",
-        if repair_golden { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "verify-gate: perturb golden          {}",
-        if perturb_golden { "PASS" } else { "FAIL" }
-    );
-    failed |= !repair_golden || !perturb_golden;
-
-    // Gates 3 and 4 re-run the underlying experiments through the data
-    // API, so the assertions hold on the numbers, not the rendering.
-    let cfg = quick_at(1);
+    // Both gates re-run the underlying experiments through the data API,
+    // so the assertions hold on the numbers, not the rendering.
+    let cfg = quick_config();
+    let par = cfg.pipeline.parallelism;
     let kb = dimkb::DimUnitKb::shared();
     let sets = build_mwp_eval(&cfg);
 
     let mut repair_ok = true;
     for (name, problems) in sets.iter() {
-        let row = repair_row(name, problems, &kb, cfg.seed, DEFAULT_NOISE, cfg.parallelism);
+        let row = repair_row(name, problems, &kb, cfg.seed, DEFAULT_NOISE, par);
         if row.after < row.before {
             eprintln!("verify-gate: {name}: after {} < before {}", row.after, row.before);
             repair_ok = false;
@@ -101,7 +46,7 @@ fn main() {
         if !name.starts_with("Q-") {
             continue;
         }
-        for row in detection_rates(problems, &kb, cfg.seed, cfg.parallelism) {
+        for row in detection_rates(problems, &kb, cfg.seed, par) {
             if row.n == 0 || row.detected == 0 {
                 eprintln!(
                     "verify-gate: {name}/{}: n={} detected={}",

@@ -93,9 +93,7 @@ pub fn config_from_args() -> dim_core::experiments::ExperimentConfig {
         dim_core::experiments::ExperimentConfig::default()
     };
     if let Some(threads) = threads_flag() {
-        let par = dim_par::Parallelism::new(threads);
-        config.parallelism = par;
-        config.pipeline.parallelism = par;
+        config.pipeline.parallelism = dim_par::Parallelism::new(threads);
     }
     config
 }

@@ -449,8 +449,9 @@ pub fn verify_repair(cfg: &ExperimentConfig) -> String {
         "Dataset", "#Prob", "Before", "After", "Rejected", "Promoted"
     );
     rule_to(&mut out, 72);
+    let par = cfg.pipeline.parallelism;
     for (name, problems) in sets.iter() {
-        let row = repair_row(name, problems, &kb, cfg.seed, DEFAULT_NOISE, cfg.parallelism);
+        let row = repair_row(name, problems, &kb, cfg.seed, DEFAULT_NOISE, par);
         let _ = writeln!(
             out,
             "{:<12} {:>6} {:>8}% {:>8}% {:>9} {:>9}",
@@ -491,7 +492,7 @@ pub fn verify_perturb(cfg: &ExperimentConfig) -> String {
     );
     rule_to(&mut out, 64);
     for (name, problems) in sets.iter() {
-        for row in detection_rates(problems, &kb, cfg.seed, cfg.parallelism) {
+        for row in detection_rates(problems, &kb, cfg.seed, cfg.pipeline.parallelism) {
             let _ = writeln!(
                 out,
                 "{:<12} {:<18} {:>6} {:>9} {:>7}%",
@@ -550,7 +551,7 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
     let annotator =
         Annotator::new(UnitLinker::new(dimkb::DimUnitKb::shared(), None, LinkerConfig::default()));
     let mut quarantine = Vec::new();
-    match annotator.try_annotate_batch(&texts, cfg.parallelism, policy) {
+    match annotator.try_annotate_batch(&texts, cfg.pipeline.parallelism, policy) {
         Ok(d) => {
             let _ = writeln!(
                 out,

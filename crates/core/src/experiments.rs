@@ -37,10 +37,9 @@ pub struct ExperimentConfig {
     pub mwp_eval: usize,
     /// Evaluation seed (distinct from all training seeds).
     pub seed: u64,
-    /// Fan-out for evaluation-set construction. Results are identical for
-    /// every thread count; training fan-out is `pipeline.parallelism`.
-    pub parallelism: dim_par::Parallelism,
-    /// Pipeline (training) configuration.
+    /// Pipeline (training) configuration. Its `parallelism` is also the
+    /// fan-out for evaluation-set construction; results are identical for
+    /// every thread count.
     pub pipeline: PipelineConfig,
 }
 
@@ -50,7 +49,6 @@ impl Default for ExperimentConfig {
             eval_per_task: 45,
             mwp_eval: 225,
             seed: 20_24,
-            parallelism: dim_par::Parallelism::SEQUENTIAL,
             pipeline: PipelineConfig::default(),
         }
     }
@@ -64,7 +62,6 @@ pub fn quick_config() -> ExperimentConfig {
         eval_per_task: 20,
         mwp_eval: 80,
         seed: 20_24,
-        parallelism: dim_par::Parallelism::SEQUENTIAL,
         pipeline: PipelineConfig {
             train_per_task: 200,
             epochs: 3,
@@ -236,20 +233,21 @@ impl MwpDatasets {
 /// Builds the four evaluation sets (seeds disjoint from training).
 pub fn build_mwp_eval(config: &ExperimentConfig) -> MwpDatasets {
     let kb = DimUnitKb::shared();
+    let par = config.pipeline.parallelism;
     let n_math23k = dim_mwp::generate_with(
         Source::Math23k,
         &GenConfig { count: config.mwp_eval, seed: config.seed ^ 0xE23 },
-        config.parallelism,
+        par,
     );
     let n_ape210k = dim_mwp::generate_with(
         Source::Ape210k,
         &GenConfig { count: config.mwp_eval, seed: config.seed ^ 0xEA2 },
-        config.parallelism,
+        par,
     );
     let q_math23k =
-        Augmenter::new(&kb, config.seed ^ 0x923u64).to_qmwp_with(&n_math23k, config.parallelism);
+        Augmenter::new(&kb, config.seed ^ 0x923u64).to_qmwp_with(&n_math23k, par);
     let q_ape210k =
-        Augmenter::new(&kb, config.seed ^ 0x9A2u64).to_qmwp_with(&n_ape210k, config.parallelism);
+        Augmenter::new(&kb, config.seed ^ 0x9A2u64).to_qmwp_with(&n_ape210k, par);
     MwpDatasets { n_math23k, n_ape210k, q_math23k, q_ape210k }
 }
 
@@ -302,7 +300,7 @@ pub fn build_eval_dimeval(config: &ExperimentConfig) -> DimEval {
             per_task: config.eval_per_task,
             extraction_items: config.eval_per_task,
             seed: config.seed,
-            parallelism: config.parallelism,
+            parallelism: config.pipeline.parallelism,
             ..Default::default()
         },
     )

@@ -19,7 +19,7 @@
 //! is driven by per-item seed streams ([`dim_par::seed_for`]) keyed on
 //! the problem index, so rates are identical at every thread width.
 
-use dim_mwp::{MwpProblem, Node};
+use dim_mwp::MwpProblem;
 use dim_par::{par_map_indexed, seed_for, Parallelism};
 use dim_verify::verify_problem;
 use dimkb::prefix::SI_PREFIXES;
@@ -172,22 +172,6 @@ fn replacements<'a>(kb: &'a DimUnitKb, orig: &Unit, class: MutationClass) -> Vec
     out
 }
 
-/// Quantity indices the gold equation references, in first-use order.
-fn used_quantities(node: &Node, out: &mut Vec<usize>) {
-    match node {
-        Node::Const(_) => {}
-        Node::Q(i) => {
-            if !out.contains(i) {
-                out.push(*i);
-            }
-        }
-        Node::Bin(_, l, r) => {
-            used_quantities(l, out);
-            used_quantities(r, out);
-        }
-    }
-}
-
 /// Applies one `class` mutation to `problem`, choosing the target
 /// quantity and replacement unit from `rng`. Returns `None` when no
 /// equation-relevant quantity has a replacement in this class.
@@ -197,9 +181,9 @@ pub fn mutate(
     class: MutationClass,
     rng: &mut StdRng,
 ) -> Option<(MwpProblem, Mutation)> {
-    let mut used = Vec::new();
-    used_quantities(&problem.equation, &mut used);
-    let eligible: Vec<usize> = used
+    let eligible: Vec<usize> = problem
+        .equation
+        .used_quantities()
         .into_iter()
         .filter(|&i| {
             problem.quantities.get(i).is_some_and(|q| !q.is_percent && q.unit_code.is_some())

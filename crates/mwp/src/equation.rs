@@ -65,6 +65,27 @@ impl Node {
         }
     }
 
+    /// Quantity indices the tree references, in first-use order.
+    pub fn used_quantities(&self) -> Vec<usize> {
+        fn walk(node: &Node, out: &mut Vec<usize>) {
+            match node {
+                Node::Const(_) => {}
+                Node::Q(i) => {
+                    if !out.contains(i) {
+                        out.push(*i);
+                    }
+                }
+                Node::Bin(_, l, r) => {
+                    walk(l, out);
+                    walk(r, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Evaluates against quantity values (`values[i]` is the arithmetic
     /// value of quantity `i`, percent already divided by 100).
     pub fn eval(&self, values: &[f64]) -> f64 {

@@ -1,6 +1,6 @@
 //! Admission control ahead of the worker queue.
 //!
-//! Two gates sit between `accept()` and the bounded queue:
+//! Two bounds sit between `accept()` and the workers:
 //!
 //! 1. **Connection gate** ([`ConnGate`]) — a hard cap on simultaneously open
 //!    connections. The acceptor takes a [`ConnPermit`] per connection; if
@@ -10,18 +10,15 @@
 //!    panic unwind) releases the slot, so the gate cannot leak under any
 //!    exit path.
 //!
-//! 2. **Queue watermarks** ([`Watermarks`]) — hysteresis over queue depth.
-//!    At or above the high watermark the acceptor starts shedding new
-//!    connections *early*, before the queue is actually full; it keeps
-//!    shedding until depth falls to the low watermark. Without hysteresis a
-//!    queue oscillating around capacity alternates accept/reject per
-//!    connection, which converts overload into client-visible flapping.
-//!    Only the acceptor thread consults the watermarks, so the state is a
-//!    plain `bool`, not an atomic.
+//! 2. **Queue bound** ([`Bounded`](crate::queue::Bounded)) — an admitted
+//!    connection that finds the queue full is answered with the same kind
+//!    of `503` + `Retry-After` and its permit released. A slot freed by a
+//!    worker admits the next connection at once.
 //!
-//! The server counts both sheds (`srv.admission.*`) and sets the
-//! `srv.conn.open` gauge from [`ConnGate::open`]; both sheds carry
-//! `Retry-After`, which the loadgen's seeded backoff client honors.
+//! The server counts both sheds (`srv.admission.gate_shed`,
+//! `srv.admission.queue_full`) and sets the `srv.conn.open` gauge from
+//! [`ConnGate::open`]; the loadgen's seeded backoff client honors the
+//! `Retry-After`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,44 +80,6 @@ impl Drop for ConnPermit {
     }
 }
 
-/// Queue-depth hysteresis: shed at `high`, recover at `low`.
-#[derive(Debug)]
-pub struct Watermarks {
-    high: usize,
-    low: usize,
-    shedding: bool,
-}
-
-impl Watermarks {
-    /// Watermarks with `low` clamped below `high` (equal marks would make
-    /// the hysteresis band empty and reintroduce flapping).
-    pub fn new(high: usize, low: usize) -> Watermarks {
-        let high = high.max(1);
-        Watermarks { high, low: low.min(high - 1), shedding: false }
-    }
-
-    /// The conventional defaults for a queue of `capacity`: start shedding
-    /// when the queue is actually full, stop once it has drained halfway.
-    /// (High == capacity keeps the observable accept/reject behavior of the
-    /// pre-watermark server, which rejected only on `PushError::Full`.)
-    pub fn for_capacity(capacity: usize) -> Watermarks {
-        Watermarks::new(capacity, capacity / 2)
-    }
-
-    /// Updates the hysteresis state with the current queue depth and says
-    /// whether a new connection should be shed.
-    pub fn should_shed(&mut self, depth: usize) -> bool {
-        if self.shedding {
-            if depth <= self.low {
-                self.shedding = false;
-            }
-        } else if depth >= self.high {
-            self.shedding = true;
-        }
-        self.shedding
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,28 +123,5 @@ mod tests {
         });
         assert_eq!(gate.open(), 0, "all permits returned");
         assert!(admitted.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn watermarks_hysteresis_sheds_high_recovers_low() {
-        let mut wm = Watermarks::new(8, 4);
-        assert!(!wm.should_shed(7));
-        assert!(wm.should_shed(8), "hit high");
-        assert!(wm.should_shed(6), "still shedding above low");
-        assert!(wm.should_shed(5));
-        assert!(!wm.should_shed(4), "recovered at low");
-        assert!(!wm.should_shed(7), "not shedding again until high");
-        assert!(wm.should_shed(9));
-    }
-
-    #[test]
-    fn watermarks_degenerate_configs_are_clamped() {
-        let mut wm = Watermarks::new(1, 5);
-        assert!(wm.should_shed(1));
-        assert!(!wm.should_shed(0), "low clamped below high");
-        let mut eq = Watermarks::new(4, 4);
-        assert!(eq.should_shed(4));
-        assert!(eq.should_shed(4));
-        assert!(!eq.should_shed(3), "low forced to high-1");
     }
 }

@@ -30,7 +30,7 @@ use dim_core::DimKs;
 use dimkb::degrade::{QuarantineEntry, RecordError};
 use dimlink::LinkResult;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Chaos/quarantine site for the request path (every `POST` consults it).
@@ -61,7 +61,7 @@ impl Default for AppConfig {
 /// The assembled application: DimKS plus serving infrastructure, and the
 /// metrics of the server it runs in.
 pub struct App {
-    ks: Mutex<Arc<DimKs>>,
+    ks: DimKs,
     cache: ShardedLru,
     faults: FaultPlan,
     seq: AtomicU64,
@@ -73,7 +73,7 @@ impl App {
     /// Builds the app over the standard (lexical) DimKS.
     pub fn new(config: AppConfig) -> App {
         App {
-            ks: Mutex::new(Arc::new(DimKs::standard())),
+            ks: DimKs::standard(),
             cache: ShardedLru::new(CACHE_SHARDS, config.cache_per_shard),
             faults: config.faults,
             seq: AtomicU64::new(0),
@@ -95,42 +95,6 @@ impl App {
     /// The metrics as `GET /metrics` and the drain report render them.
     pub fn metrics_snapshot(&self) -> dim_obs::Snapshot {
         self.metrics.snapshot(self.cache.len())
-    }
-
-    /// The current knowledge system. Requests clone the `Arc` once, so an
-    /// `/admin/reload` mid-flight never changes the KB under a handler.
-    pub fn ks(&self) -> Arc<DimKs> {
-        match self.ks.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// `POST /admin/reload` — hot-swaps the knowledge system for a fresh
-    /// [`DimKs::standard`] (new linker). The request takes no body: a
-    /// non-empty one is a 400 and the current KS keeps serving.
-    /// On success the response cache is emptied — cached bodies embed unit
-    /// codes and scores from the KB they were computed against.
-    fn reload(&self, req: &Request) -> Response {
-        if !req.body.trim_ascii().is_empty() {
-            return error_response(400, "/admin/reload takes no body");
-        }
-        let ks = DimKs::standard();
-        let units = ks.kb().units().len();
-        let kinds = ks.kb().kinds().len();
-        {
-            let mut slot = match self.ks.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *slot = Arc::new(ks);
-        }
-        self.cache.clear();
-        self.metrics.reloads.inc();
-        Response::json(
-            200,
-            format!("{{\"reloaded\":true,\"source\":\"built\",\"units\":{units},\"kinds\":{kinds}}}"),
-        )
     }
 
     /// Snapshot of retained quarantine entries.
@@ -168,7 +132,6 @@ impl App {
                 }
                 Response::json(200, body)
             }
-            (Method::Post, "/admin/reload") => self.reload(req),
             (Method::Post, "/link" | "/annotate" | "/convert" | "/solve") => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, uniqueness comes from fetch_add atomicity; no ordering needed)
                 // The chaos hook: an inactive plan has no effect.
@@ -226,7 +189,7 @@ impl App {
     fn link(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let mention = json::str_field(v, "mention").map_err(|e| (400, e))?;
         let context = json::opt_str_field(v, "context").map_err(|e| (400, e))?.unwrap_or("");
-        let ks = self.ks();
+        let ks = &self.ks;
         let links = ks.link(mention, context);
         let mut out = String::from("{\"mention\":");
         dim_json::write_string(mention, &mut out);
@@ -235,7 +198,7 @@ impl App {
             if i > 0 {
                 out.push(',');
             }
-            render_link(&ks, &mut out, l);
+            render_link(ks, &mut out, l);
         }
         out.push_str("]}");
         Ok(out)
@@ -244,7 +207,7 @@ impl App {
     /// `POST /annotate` — sentence annotation via the DimKS annotator.
     fn annotate(&self, v: &dim_json::Value) -> Result<String, (u16, String)> {
         let text = json::str_field(v, "text").map_err(|e| (400, e))?;
-        let ks = self.ks();
+        let ks = &self.ks;
         let mentions = ks.annotate(text);
         let mut out = String::from("{\"mentions\":[");
         for (i, m) in mentions.iter().enumerate() {
@@ -271,12 +234,12 @@ impl App {
         let value = json::num_field(v, "value").map_err(|e| (400, e))?;
         let from = json::str_field(v, "from").map_err(|e| (400, e))?;
         let to = json::str_field(v, "to").map_err(|e| (400, e))?;
-        let ks = self.ks();
-        let from_id = resolve_unit(&ks, from).ok_or_else(|| {
+        let ks = &self.ks;
+        let from_id = resolve_unit(ks, from).ok_or_else(|| {
             (422, format!("unknown unit {from:?}"))
         })?;
         let to_id =
-            resolve_unit(&ks, to).ok_or_else(|| (422, format!("unknown unit {to:?}")))?;
+            resolve_unit(ks, to).ok_or_else(|| (422, format!("unknown unit {to:?}")))?;
         let kb = ks.kb();
         match kb.convert(value, from_id, to_id) {
             Ok(converted) => {
@@ -321,7 +284,7 @@ impl App {
             Some(_) => return Err((400, "field \"quantities\" must be an array".to_string())),
             None => return Err((400, "missing field \"quantities\"".to_string())),
         };
-        let ks = self.ks();
+        let ks = &self.ks;
         let kb = ks.kb();
         let mut quantities = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
@@ -335,7 +298,7 @@ impl App {
             } else if unit == "%" {
                 (None, true)
             } else {
-                let id = resolve_unit(&ks, unit)
+                let id = resolve_unit(ks, unit)
                     .ok_or_else(|| (422, format!("unresolvable unit {unit:?} in quantity {i}")))?;
                 (Some(kb.unit(id).code.clone()), false)
             };
@@ -353,7 +316,7 @@ impl App {
                 (dim_verify::Ty::Dim(dimkb::DimVec::DIMENSIONLESS), dim_verify::Scales::one(1.0))
             }
             Some(surface) => {
-                let id = resolve_unit(&ks, surface)
+                let id = resolve_unit(ks, surface)
                     .ok_or_else(|| (422, format!("unresolvable answer unit {surface:?}")))?;
                 let u = kb.unit(id);
                 let scales = if u.conversion.is_affine() {
@@ -666,36 +629,5 @@ mod tests {
         let r = app.handle(&get("/metrics"));
         assert_eq!(r.status, 200);
         assert!(r.body.starts_with('{') && r.body.contains("\"counters\""), "{}", r.body);
-    }
-
-    #[test]
-    fn admin_reload_swaps_the_ks_and_clears_the_cache() {
-        let app = app();
-        let link = post("/link", "{\"mention\":\"km\",\"context\":\"road\"}");
-        let before = app.handle(&link);
-        assert_eq!(before.status, 200);
-        assert_eq!(app.cache().len(), 1);
-        let old_ks = app.ks();
-
-        let r = app.handle(&post("/admin/reload", ""));
-        assert_eq!(r.status, 200, "{}", r.body);
-        assert!(r.body.contains("\"reloaded\":true"), "{}", r.body);
-        assert!(r.body.contains("\"source\":\"built\""), "{}", r.body);
-        assert_eq!(app.cache().len(), 0, "reload must clear the cache");
-        assert!(!Arc::ptr_eq(&old_ks, &app.ks()), "reload must swap the Arc");
-
-        // The swapped-in KS answers identically.
-        assert_eq!(app.handle(&link).body, before.body);
-    }
-
-    #[test]
-    fn admin_reload_with_a_body_is_a_400_and_keeps_serving() {
-        let app = app();
-        let old_ks = app.ks();
-        let r = app.handle(&post("/admin/reload", "{\"snapshot\":\"kb.dimksnap\"}"));
-        assert_eq!(r.status, 400, "{}", r.body);
-        assert!(r.body.starts_with("{\"error\":"), "{}", r.body);
-        assert!(Arc::ptr_eq(&old_ks, &app.ks()), "a rejected reload must keep the old KS");
-        assert_eq!(app.handle(&get("/healthz")).status, 200);
     }
 }

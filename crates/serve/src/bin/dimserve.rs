@@ -8,7 +8,7 @@
 //!     [--obs-out PATH]
 //! ```
 //!
-//! Serves `POST /link|/annotate|/convert|/solve|/verify|/admin/reload` and
+//! Serves `POST /link|/annotate|/convert|/solve|/verify` and
 //! `GET /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
 //! closing the pipe — `std` has no portable signal handling), then drains
 //! gracefully and writes the final obs report.
@@ -16,7 +16,7 @@
 //! The server counts its own `srv.*` metrics whatever the process does;
 //! this binary also turns the process-wide `dim-obs` registry on, so
 //! `/metrics` and the `--obs-out` report carry the engine's metrics
-//! (`link.*`, `kb.search.*`, …) next to the server's.
+//! (`link.*`, …) next to the server's.
 
 use dim_serve::{AppConfig, ServerConfig};
 use std::io::Read;
@@ -65,8 +65,7 @@ fn main() {
         default_deadline: Duration::from_millis(deadline_ms),
         max_deadline: Duration::from_millis(max_deadline_ms),
         header_read_budget: Duration::from_millis(header_budget_ms),
-        read_timeout: Duration::from_millis(25),
-        idle_timeout_ticks: 2400, // ~60 s of idle keep-alive
+        idle_timeout: Duration::from_secs(60),
         conn_faults: dim_chaos::ConnPlan::new(chaos_seed, conn_chaos_rate),
         app: AppConfig {
             faults: dim_chaos::FaultPlan::new(chaos_seed, chaos_rate),

@@ -70,7 +70,7 @@ fn main() {
         queue_capacity: queue,
         max_connections: max_conns,
         default_deadline: Duration::from_millis(deadline_ms),
-        idle_timeout_ticks: 2400,
+        idle_timeout: Duration::from_secs(60),
         app: AppConfig { cache_per_shard, ..AppConfig::default() },
         ..ServerConfig::default()
     }) {

@@ -53,7 +53,7 @@ fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
         queue_capacity: 4,
         max_connections: 6,
         default_deadline: Duration::from_millis(100),
-        idle_timeout_ticks: 2400,
+        idle_timeout: Duration::from_secs(60),
         conn_faults,
         app: AppConfig {
             cache_per_shard: 1024,

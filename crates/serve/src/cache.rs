@@ -14,6 +14,7 @@
 //! `srv.cache.entries` gauge it reads from [`ShardedLru::len`] when it
 //! renders.
 
+use dimkb::intern::fnv1a;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -117,15 +118,6 @@ impl ShardedLru {
         }
     }
 
-    /// Empties every shard. Used on `/admin/reload`: cached responses
-    /// embed unit codes and scores from the KB they were computed against,
-    /// so a KB swap invalidates them all.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            lock(shard).entries.clear();
-        }
-    }
-
     /// The keys of one shard, least- to most-recently-used (test hook for
     /// the eviction-order contract).
     pub fn shard_keys(&self, shard: usize) -> Vec<String> {
@@ -151,17 +143,6 @@ fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// FNV-1a over the key bytes: stable across runs, platforms and thread
-/// widths (`DefaultHasher` promises none of that).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //!   are hand-rolled over `std::net` ([`http`]).
 //! - **Fixed resources.** A bounded MPMC queue ([`queue`]) feeds a fixed
 //!   worker pool; a full queue is a deterministic `503`, never an unbounded
-//!   backlog ([`server`]).
+//!   backlog, and the next connection after a worker frees a slot is
+//!   admitted ([`server`]).
 //! - **One engine call per request.** A worker answers `/link` and
 //!   `/annotate` by calling the DimKS engine directly, so a response is a
 //!   function of its request alone, whatever else is in flight ([`app`]).
@@ -22,7 +23,7 @@
 //!   fault-injection machinery; a faulted request degrades to a structured
 //!   `503` and a quarantine entry — the process never dies ([`app`]).
 //! - **Overload resilience.** Per-request deadline budgets ([`deadline`]),
-//!   a bounded connection gate plus queue-depth watermarks ([`admission`]),
+//!   a bounded connection gate ahead of the bounded queue ([`admission`]),
 //!   and connection-level chaos faults prove the server sheds load as
 //!   deterministic `503 + Retry-After` instead of hanging or panicking; the
 //!   seeded retry client in [`load`] soaks it past 100k requests.
@@ -49,7 +50,7 @@ pub mod queue;
 pub mod server;
 pub mod smoke;
 
-pub use admission::{ConnGate, ConnPermit, Watermarks};
+pub use admission::{ConnGate, ConnPermit};
 pub use app::{App, AppConfig};
 pub use cache::ShardedLru;
 pub use deadline::Deadline;

@@ -137,14 +137,7 @@ pub fn build_pool(c: usize, rng: &mut rand::rngs::StdRng) -> Vec<Payload> {
 
 /// FNV-1a over bytes (the checksum primitive; XOR-folded across responses
 /// so the total is order-independent).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use dimkb::intern::fnv1a;
 
 /// What one client observed (merged into [`LoadReport`]).
 #[derive(Default)]

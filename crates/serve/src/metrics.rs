@@ -65,20 +65,20 @@ pub struct ServerMetrics {
     /// `srv.degraded` and `srv.quarantined`: requests answered with the
     /// structured degraded `503` (each is also quarantined).
     pub degraded: Count,
-    /// `srv.reloads`: successful `/admin/reload`s.
-    pub reloads: Count,
     /// `srv.request`: nanoseconds spent in `App::handle`.
     pub request: Histogram,
     /// `srv.connections` and `srv.queue.pushed`: queued connections a worker
     /// has taken up.
     pub connections: Count,
-    /// `srv.rejected`: connections refused at admission (gate, watermark or
-    /// full queue).
+    /// `srv.rejected`: connections refused at admission (gate or full
+    /// queue).
     pub rejected: Count,
-    /// `srv.admission.gate_shed`.
+    /// `srv.admission.gate_shed`: connections refused at the connection
+    /// gate.
     pub gate_shed: Count,
-    /// `srv.admission.watermark_shed`.
-    pub watermark_shed: Count,
+    /// `srv.admission.queue_full`: admitted connections refused because
+    /// the queue was full.
+    pub queue_full: Count,
     /// `srv.deadline.shed`: requests shed because their deadline expired
     /// before dispatch.
     pub deadline_shed: Count,
@@ -99,7 +99,8 @@ pub struct ServerMetrics {
     /// `srv.conn.open`: connections holding an admission permit, set when
     /// the acceptor admits or releases one and when a worker finishes one.
     pub conn_open: Level,
-    /// `srv.queue.depth`: the queue depth the last admission check saw.
+    /// `srv.queue.depth`: the queue depth the acceptor saw just before its
+    /// last push.
     pub queue_depth: Level,
 }
 
@@ -111,12 +112,11 @@ impl Default for ServerMetrics {
             responses_4xx: Count::default(),
             responses_5xx: Count::default(),
             degraded: Count::default(),
-            reloads: Count::default(),
             request: Histogram::new("srv.request"),
             connections: Count::default(),
             rejected: Count::default(),
             gate_shed: Count::default(),
-            watermark_shed: Count::default(),
+            queue_full: Count::default(),
             deadline_shed: Count::default(),
             deadline_shed_queue: Count::default(),
             header_timeouts: Count::default(),
@@ -140,7 +140,7 @@ impl ServerMetrics {
         let (hits, misses, evictions) = crate::cache::counters();
         let counters = [
             ("srv.admission.gate_shed", self.gate_shed.get()),
-            ("srv.admission.watermark_shed", self.watermark_shed.get()),
+            ("srv.admission.queue_full", self.queue_full.get()),
             ("srv.cache.evictions", evictions),
             ("srv.cache.hits", hits),
             ("srv.cache.misses", misses),
@@ -156,7 +156,6 @@ impl ServerMetrics {
             ("srv.quarantined", self.degraded.get()),
             ("srv.queue.pushed", self.connections.get()),
             ("srv.rejected", self.rejected.get()),
-            ("srv.reloads", self.reloads.get()),
             ("srv.requests", self.requests.get()),
             ("srv.responses.2xx", self.responses_2xx.get()),
             ("srv.responses.4xx", self.responses_4xx.get()),

@@ -3,7 +3,9 @@
 //!
 //! The producer side never blocks: [`Bounded::push`] on a full queue
 //! returns the item back immediately, which the server turns into a
-//! deterministic `503` (and the `srv.rejected` counter). The consumer side
+//! deterministic `503` (counted as `srv.rejected` and
+//! `srv.admission.queue_full`). This is the server's one queue-full check:
+//! a slot a consumer frees is open to the very next push. The consumer side
 //! blocks on a condvar until an item arrives or the queue is closed;
 //! [`Bounded::close`] lets already-queued items drain before consumers see
 //! the end-of-stream, which is exactly the graceful-shutdown order.

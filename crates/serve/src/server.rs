@@ -6,9 +6,11 @@
 //!
 //! ```text
 //! acceptor ──▶ ConnGate ──▶ Bounded<ConnTask> ──▶ worker 0..N ──▶ App::handle
-//!    │            │              (capacity Q)          │
-//!    │            └ gate full ⇒ 503 + Retry-After      ├── deadline expired ⇒ 503 shed
-//!    └ depth ≥ high watermark ⇒ 503 + Retry-After      └── catch_unwind ⇒ degraded 503
+//!                 │         (capacity Q)  │            │
+//!                 │                       │            ├── deadline expired ⇒ 503 shed
+//!                 │                       │            └── catch_unwind ⇒ degraded 503
+//!                 │                       └ queue full ⇒ 503 + Retry-After
+//!                 └ gate full ⇒ 503 + Retry-After
 //! ```
 //!
 //! Overload never blocks and never hangs: every shed is a fixed-byte `503`
@@ -26,7 +28,7 @@
 //! close the queue (workers finish the backlog), join everything, then emit
 //! the final [`DrainReport`] with the metrics snapshot.
 
-use crate::admission::{ConnGate, ConnPermit, Watermarks};
+use crate::admission::{ConnGate, ConnPermit};
 use crate::app::{App, AppConfig};
 use crate::deadline::{parse_header_budget, Deadline, HeaderBudget};
 use crate::http::{self, Parsed, Response};
@@ -52,6 +54,10 @@ pub const DEADLINE_SHED_BODY: &str = "{\"error\":\"deadline exceeded\",\"shed\":
 /// backoff; the loadgen client treats it as a floor, not a sleep mandate).
 const RETRY_AFTER_SECS: u16 = 1;
 
+/// Socket read timeout of a served connection: how often an idle worker
+/// checks for shutdown and for the idle timeout.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -74,10 +80,9 @@ pub struct ServerConfig {
     /// (slow-loris hardening — per-byte progress resets the idle clock but
     /// not this one).
     pub header_read_budget: Duration,
-    /// Socket read timeout — also the shutdown-check cadence.
-    pub read_timeout: Duration,
-    /// Consecutive idle read timeouts before an open connection is closed.
-    pub idle_timeout_ticks: u32,
+    /// How long an open connection may sit idle, with no request bytes
+    /// arriving, before the server closes it.
+    pub idle_timeout: Duration,
     /// Connection faults injected at adoption, one decision per accepted
     /// connection (off by default).
     pub conn_faults: ConnPlan,
@@ -95,8 +100,7 @@ impl Default for ServerConfig {
             default_deadline: Duration::from_secs(5),
             max_deadline: Duration::from_secs(30),
             header_read_budget: Duration::from_secs(2),
-            read_timeout: Duration::from_millis(25),
-            idle_timeout_ticks: 400,
+            idle_timeout: Duration::from_secs(10),
             conn_faults: ConnPlan::OFF,
             app: AppConfig::default(),
         }
@@ -121,7 +125,7 @@ pub struct DrainReport {
     /// Queued connections a worker took up (after the drain, every queued
     /// one).
     pub connections: u64,
-    /// Connections refused at admission (gate, watermark, or full queue).
+    /// Connections refused at admission (gate or full queue).
     pub rejected: u64,
     /// Requests shed because their deadline expired before dispatch.
     pub deadline_shed: u64,
@@ -155,8 +159,7 @@ pub struct ServerHandle {
 /// worker needs, copied once at startup).
 #[derive(Clone, Copy)]
 struct ConnParams {
-    read_timeout: Duration,
-    idle_timeout_ticks: u32,
+    idle_timeout: Duration,
     default_deadline: Duration,
     max_deadline: Duration,
     header_read_budget: Duration,
@@ -171,7 +174,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let queue = Arc::new(Bounded::new(config.queue_capacity));
     let gate = ConnGate::new(config.max_connections);
     let stop = Arc::new(AtomicBool::new(false));
-    let watermarks = Watermarks::for_capacity(config.queue_capacity);
 
     let acceptor = {
         let app = app.clone();
@@ -179,13 +181,12 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let gate = gate.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
-            accept_loop(&listener, app.metrics(), &queue, &gate, watermarks, &stop)
+            accept_loop(&listener, app.metrics(), &queue, &gate, &stop)
         })
     };
 
     let params = ConnParams {
-        read_timeout: config.read_timeout,
-        idle_timeout_ticks: config.idle_timeout_ticks,
+        idle_timeout: config.idle_timeout,
         default_deadline: config.default_deadline,
         max_deadline: config.max_deadline,
         header_read_budget: config.header_read_budget,
@@ -269,13 +270,12 @@ impl ServerHandle {
 }
 
 /// Accepts until the stop flag is raised, shedding at the connection gate
-/// and the queue watermarks.
+/// and at a full queue.
 fn accept_loop(
     listener: &TcpListener,
     m: &ServerMetrics,
     queue: &Bounded<ConnTask>,
     gate: &Arc<ConnGate>,
-    mut watermarks: Watermarks,
     stop: &AtomicBool,
 ) {
     let mut seq = 0u64;
@@ -301,20 +301,14 @@ fn accept_loop(
             continue;
         };
         m.conn_open.set(gate.open());
-        let depth = queue.len();
-        m.queue_depth.set(depth);
-        if watermarks.should_shed(depth) {
-            m.rejected.inc();
-            m.watermark_shed.inc();
-            reject(m, stream, "queue full", Some(RETRY_AFTER_SECS));
-            drop(permit);
-            m.conn_open.set(gate.open());
-            continue;
-        }
+        m.queue_depth.set(queue.len());
         let task = ConnTask { stream, permit, accepted: Instant::now(), seq };
         seq += 1;
+        // The queue closes only after this loop has returned, so a refusal
+        // here is a full queue.
         if let Err(PushError::Full(task) | PushError::Closed(task)) = queue.push(task) {
             m.rejected.inc();
+            m.queue_full.inc();
             reject(m, task.stream, "queue full", Some(RETRY_AFTER_SECS));
             drop(task.permit);
             m.conn_open.set(gate.open());
@@ -378,11 +372,12 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
             }
         }
     }
-    let _ = stream.set_read_timeout(Some(params.read_timeout));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    let mut idle_ticks = 0u32;
+    // When request bytes last arrived (or the worker took the connection).
+    let mut last_bytes = Instant::now();
     let mut first_request = true;
     // When the bytes of the currently-incomplete request started arriving;
     // `None` while the connection is idle between requests.
@@ -392,7 +387,6 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
         match http::parse(&buf) {
             Ok(Parsed::Complete { request, consumed }) => {
                 buf.drain(..consumed);
-                idle_ticks = 0;
                 // The budget clock starts when the request's bytes started
                 // waiting: the accept instant for a connection's first
                 // request (queue time counts), the head-arrival instant
@@ -474,9 +468,9 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => {
-                idle_ticks = 0;
+                last_bytes = Instant::now();
                 if buf.is_empty() {
-                    head_started = Some(Instant::now());
+                    head_started = Some(last_bytes);
                 }
                 buf.extend_from_slice(&chunk[..n]); // lint:allow(no_panic, read() returns n <= chunk.len())
             }
@@ -486,8 +480,7 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
                 if stop.load(Ordering::SeqCst) && buf.is_empty() {
                     return;
                 }
-                idle_ticks += 1;
-                if idle_ticks >= params.idle_timeout_ticks {
+                if last_bytes.elapsed() >= params.idle_timeout {
                     return;
                 }
             }
@@ -810,6 +803,27 @@ mod tests {
         assert_eq!((retry.status, retry.body.as_str()), (200, "{\"answer\":42}"));
         let report = server.shutdown();
         assert_eq!(report.deadline_shed, 1);
+    }
+
+    #[test]
+    fn idle_keep_alive_connection_closes_after_idle_timeout() {
+        let server = start(ServerConfig {
+            workers: 1,
+            idle_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        })
+        .expect("bind ephemeral");
+        let mut conn = client::Conn::connect(server.addr()).expect("connect");
+        assert_eq!(conn.request("GET", "/healthz", "").expect("healthz").status, 200);
+        let idle_from = Instant::now();
+        let mut rest = Vec::new();
+        conn.stream().read_to_end(&mut rest).expect("server closes the idle connection");
+        assert!(rest.is_empty(), "no bytes after the response");
+        // Idle time counts from the request's bytes, a little before the
+        // response arrived here.
+        assert!(idle_from.elapsed() >= Duration::from_millis(50), "closed too early");
+        let report = server.shutdown();
+        assert_eq!(report.open_connections, 0);
     }
 
     #[test]

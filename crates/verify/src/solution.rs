@@ -91,22 +91,6 @@ fn check_once(node: &Node, leaves: &ResolvedLeaves) -> (VerifyReport, ScaleRepor
     (report, scale)
 }
 
-/// Quantity indices referenced by the tree, in first-use order.
-fn used_quantities(node: &Node, out: &mut Vec<usize>) {
-    match node {
-        Node::Const(_) => {}
-        Node::Q(i) => {
-            if !out.contains(i) {
-                out.push(*i);
-            }
-        }
-        Node::Bin(_, l, r) => {
-            used_quantities(l, out);
-            used_quantities(r, out);
-        }
-    }
-}
-
 /// Verifies an already-bound equation tree against a problem, retrying
 /// candidate unit assignments from the KB's same-surface alternatives
 /// when the primary reading is rejected (the repair search).
@@ -120,8 +104,7 @@ pub fn verify(problem: &MwpProblem, kb: &DimUnitKb, node: &Node) -> Verdict {
     // Repair: enumerate alternative readings for the quantities the
     // equation actually uses, primary reading first (index 0 of each
     // candidate list), in lexicographic order.
-    let mut used = Vec::new();
-    used_quantities(node, &mut used);
+    let used = node.used_quantities();
     let candidates: Vec<Vec<(Ty, Scales)>> =
         used.iter().map(|&i| resolve::leaf_candidates(problem, kb, i)).collect();
     let mut picks = vec![0usize; candidates.len()];
@@ -273,8 +256,7 @@ mod tests {
         let p = ps.iter().find(|p| p.quantities.iter().any(|q| q.is_percent));
         let p = p.expect("a percent problem in 60");
         let bound = bind(&parse(&p.equation_text()).expect("parses"), p);
-        let mut used = Vec::new();
-        used_quantities(&bound, &mut used);
+        let used = bound.used_quantities();
         assert!(
             p.quantities.iter().enumerate().any(|(i, q)| q.is_percent && used.contains(&i)),
             "percent quantity not bound in {:?}",

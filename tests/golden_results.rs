@@ -65,7 +65,6 @@ fn assert_matches_golden(rel: &str, actual: &str) {
 /// The quick experiment configuration at an explicit fan-out width.
 fn quick_at(threads: usize) -> ExperimentConfig {
     let mut cfg = quick_config();
-    cfg.parallelism = dim_par::Parallelism::new(threads);
     cfg.pipeline.parallelism = dim_par::Parallelism::new(threads);
     cfg
 }

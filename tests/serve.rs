@@ -10,7 +10,8 @@
 //! - graceful shutdown drains in-flight and queued requests before the
 //!   final report is emitted;
 //! - a full connection queue is a deterministic `503` (backpressure),
-//!   counted in the drain report;
+//!   counted in the drain report, and admits again as soon as a worker
+//!   frees one slot;
 //! - concurrent keep-alive clients on a cache-off server get exactly the
 //!   bodies `App::handle` gives on a fresh app;
 //! - chaos rate 0 is byte-identical to a chaos-free server; rate > 0
@@ -231,6 +232,45 @@ fn queue_full_is_deterministic_503_and_backlog_still_drains() {
 
     let report = server.shutdown();
     assert_eq!(report.rejected, 1, "exactly one backpressure rejection");
+}
+
+/// A full queue refuses only while it is full: once the worker pops one
+/// queued connection, the very next connection is admitted.
+#[test]
+fn full_queue_admits_again_as_soon_as_one_slot_frees() {
+    let server = test_server(1, 4);
+    let addr = server.addr();
+
+    // conn0 parks the only worker; conn1..conn4 fill the queue.
+    let mut conn0 = client::Conn::connect(addr).expect("conn0");
+    assert_eq!(conn0.request("GET", "/healthz", "").expect("warm").status, 200);
+    let mut queued: Vec<client::Conn> =
+        (1..=4).map(|_| client::Conn::connect(addr).expect("conn1..conn4")).collect();
+
+    // The acceptor handles connections in order, so conn5 finds the queue
+    // holding conn1..conn4.
+    let conn5 = client::request(addr, "GET", "/healthz", "").expect("conn5 read");
+    assert_eq!((conn5.status, conn5.body.as_str()), (503, "{\"error\":\"queue full\"}"));
+    assert_eq!(conn5.retry_after, Some(1));
+
+    // Freeing the worker lets it pop conn1; an answer on conn1 proves it.
+    drop(conn0);
+    let solve = "{\"equation\":\"x=1+1\"}";
+    let popped = queued[0].request("POST", "/solve", solve).expect("conn1");
+    assert_eq!((popped.status, popped.body.as_str()), (200, "{\"answer\":2}"));
+
+    // One slot is free again, so conn6 is queued, and served once the
+    // connections ahead of it close.
+    let mut conn6 = client::Conn::connect(addr).expect("conn6");
+    // Let the acceptor decide on conn6 while conn2..conn4 still wait.
+    std::thread::sleep(Duration::from_millis(50));
+    drop(queued);
+    let served = conn6.request("GET", "/healthz", "").expect("conn6 read");
+    assert_eq!((served.status, served.body.as_str()), (200, "{\"status\":\"ok\"}"));
+
+    drop(conn6);
+    let report = server.shutdown();
+    assert_eq!(report.rejected, 1, "only conn5 was refused");
 }
 
 // ===================== overload hardening =====================
@@ -643,9 +683,9 @@ fn conn_chaos_partial_write_sends_the_first_half_then_eof() {
 
 /// Every `srv.*` name `/metrics` reports, by section, sorted. Renaming a
 /// metric is a deliberate act: it changes this list.
-const SRV_COUNTERS: [&str; 23] = [
+const SRV_COUNTERS: [&str; 22] = [
     "srv.admission.gate_shed",
-    "srv.admission.watermark_shed",
+    "srv.admission.queue_full",
     "srv.cache.evictions",
     "srv.cache.hits",
     "srv.cache.misses",
@@ -661,7 +701,6 @@ const SRV_COUNTERS: [&str; 23] = [
     "srv.quarantined",
     "srv.queue.pushed",
     "srv.rejected",
-    "srv.reloads",
     "srv.requests",
     "srv.responses.2xx",
     "srv.responses.4xx",
