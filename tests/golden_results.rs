@@ -5,8 +5,8 @@
 //! fails here instead of silently rotting the committed tables.
 //!
 //! The config-independent outputs (Table IV, Fig. 3/4, both ablations)
-//! compare against `results/<name>.txt`; the config-dependent tables
-//! (VI, VII) run at the `--quick` configuration and compare against
+//! compare against `results/<name>.txt`; the config-dependent outputs
+//! (Tables VI–IX, Fig. 6/7) run at the `--quick` configuration and compare against
 //! `results/quick/<name>.txt`, at thread widths 1 and 4 — proving both
 //! the cross-thread determinism contract and that enabling the `dim-obs`
 //! metrics layer never perturbs paper-facing bytes.
@@ -133,6 +133,34 @@ fn quick_table6_matches_golden_at_every_thread_width() {
 fn quick_table7_matches_golden_at_every_thread_width() {
     for threads in [1, 4] {
         assert_matches_golden("quick/table7.txt", &render::table7(&quick_at(threads)));
+    }
+}
+
+#[test]
+fn quick_table8_matches_golden_at_every_thread_width() {
+    for threads in [1, 4] {
+        assert_matches_golden("quick/table8.txt", &render::table8(&quick_at(threads)));
+    }
+}
+
+#[test]
+fn quick_table9_matches_golden_at_every_thread_width() {
+    for threads in [1, 4] {
+        assert_matches_golden("quick/table9.txt", &render::table9(&quick_at(threads)));
+    }
+}
+
+#[test]
+fn quick_fig6_matches_golden_at_every_thread_width() {
+    for threads in [1, 4] {
+        assert_matches_golden("quick/fig6.txt", &render::fig6(&quick_at(threads)));
+    }
+}
+
+#[test]
+fn quick_fig7_matches_golden_at_every_thread_width() {
+    for threads in [1, 4] {
+        assert_matches_golden("quick/fig7.txt", &render::fig7(&quick_at(threads)));
     }
 }
 
