@@ -1,7 +1,7 @@
 //! The choice scorer: a linear softmax model over (question, option)
 //! crossed features, fine-tuned on DimEval items with CoT targets.
 
-use crate::tinylm::features::{choice_features_for, words};
+use crate::tinylm::features::{choice_features_for, PreparedQuestion};
 use crate::tinylm::linear::LinearModel;
 use dimeval::ChoiceItem;
 use rand::rngs::StdRng;
@@ -21,21 +21,31 @@ impl ChoiceScorer {
         ChoiceScorer { model: LinearModel::random(0.15, 0.02, seed), margin_threshold: 0.05 }
     }
 
-    /// Per-option features of an item; the question is tokenised once.
+    /// Per-option features of an item; the question is prepared once.
     fn item_features(item: &ChoiceItem) -> Vec<Vec<u32>> {
-        let task = item.task.name();
-        let q_words = words(&item.question);
-        item.options.iter().map(|o| choice_features_for(task, &q_words, o)).collect()
+        let q = PreparedQuestion::new(item.task.name(), &item.question);
+        item.options.iter().map(|o| choice_features_for(&q, o)).collect()
     }
 
     /// Trains on a batch of items for `epochs` passes (order shuffled
     /// deterministically). Returns the mean loss of the final epoch.
-    pub fn train(&mut self, items: &[ChoiceItem], epochs: usize, seed: u64) -> f32 {
+    pub fn train<'a>(
+        &mut self,
+        items: impl IntoIterator<Item = &'a ChoiceItem>,
+        epochs: usize,
+        seed: u64,
+    ) -> f32 {
         // Features never change between epochs, and featurising draws no
         // randomness, so every item is featurised once, up front.
-        let feats: Vec<Vec<Vec<u32>>> = items.iter().map(Self::item_features).collect();
+        let (feats, answers): (Vec<_>, Vec<_>) =
+            items.into_iter().map(|item| (Self::item_features(item), item.answer)).unzip();
+        self.fit(&feats, &answers, epochs, seed)
+    }
+
+    /// The SGD passes of [`ChoiceScorer::train`] over featurised items.
+    fn fit(&mut self, feats: &[Vec<Vec<u32>>], answers: &[usize], epochs: usize, seed: u64) -> f32 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..items.len()).collect();
+        let mut order: Vec<usize> = (0..feats.len()).collect();
         let mut last_loss = 0.0;
         for _ in 0..epochs {
             // Fisher-Yates shuffle.
@@ -44,9 +54,9 @@ impl ChoiceScorer {
             }
             let mut total = 0.0;
             for &i in &order {
-                total += self.model.sgd_softmax(&feats[i], items[i].answer);
+                total += self.model.sgd_softmax(&feats[i], answers[i]);
             }
-            last_loss = if items.is_empty() { 0.0 } else { total / items.len() as f32 };
+            last_loss = if feats.is_empty() { 0.0 } else { total / feats.len() as f32 };
         }
         last_loss
     }
@@ -103,6 +113,32 @@ mod tests {
             "fine-tuning must help: naive {a_naive} tuned {a_tuned}"
         );
         assert!(a_tuned > 0.45, "tuned accuracy {a_tuned}");
+    }
+
+    #[test]
+    fn training_matches_a_trainer_fed_reference_features() {
+        use crate::tinylm::features::tests::choice_features_reference;
+        let train: Vec<ChoiceItem> = TaskKind::CHOICE.iter().flat_map(|&t| items(t, 11, 40)).collect();
+        let mut fast = ChoiceScorer::naive(12);
+        let fast_loss = fast.train(&train, 2, 13);
+        // The same SGD, fed ids from the `format!`-based oracle.
+        let reference_feats: Vec<Vec<Vec<u32>>> = train
+            .iter()
+            .map(|i| {
+                let f = |o: &String| choice_features_reference(i.task.name(), &i.question, o);
+                i.options.iter().map(f).collect()
+            })
+            .collect();
+        let answers: Vec<usize> = train.iter().map(|i| i.answer).collect();
+        let mut reference = ChoiceScorer::naive(12);
+        let reference_loss = reference.fit(&reference_feats, &answers, 2, 13);
+        assert_eq!(fast_loss.to_bits(), reference_loss.to_bits());
+        for (item, feats) in train.iter().zip(&reference_feats) {
+            for f in feats {
+                assert_eq!(fast.model.score(f).to_bits(), reference.model.score(f).to_bits());
+            }
+            assert_eq!(fast.answer(item), reference.answer(item));
+        }
     }
 
     #[test]

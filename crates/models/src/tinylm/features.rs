@@ -11,6 +11,13 @@ use std::fmt::Write as _;
 /// Size of the hashed weight space (2^20).
 pub const FEATURE_DIM: usize = 1 << 20;
 
+/// Question words crossed with the option in [`choice_features`].
+const MAX_Q_WORDS: usize = 40;
+/// Option words crossed with each question word in [`choice_features`].
+const MAX_O_WORDS: usize = 8;
+
+const FNV_PRIME: u64 = 0x100000001b3;
+
 /// Streaming FNV-1a (stable across platforms and runs): hashing `"ab"`
 /// then `"c"` equals hashing `"abc"`. `Copy`, so a shared prefix such as
 /// `"{task}|"` is hashed once and extended per feature.
@@ -26,7 +33,7 @@ impl Fnv {
         let mut h = self.0;
         for &b in s.as_bytes() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         Fnv(h)
     }
@@ -54,6 +61,19 @@ impl std::fmt::Write for Fnv {
     }
 }
 
+/// Extends four FNV states by the same bytes, in lockstep: the four
+/// multiply chains are independent, so their latencies overlap.
+#[inline]
+fn str4(h: [Fnv; 4], s: &str) -> [Fnv; 4] {
+    let mut h = h.map(|f| f.0);
+    for &b in s.as_bytes() {
+        for v in &mut h {
+            *v = (*v ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    h.map(Fnv)
+}
+
 /// Hashes a feature string into the weight space.
 pub fn feat(s: &str) -> u32 {
     Fnv::new().str(s).finish()
@@ -64,28 +84,87 @@ pub fn words(text: &str) -> Vec<String> {
     tokenize(text).into_iter().map(|t| t.text).collect()
 }
 
+/// The byte offset of a word's [`suffix`].
+fn suffix_at(w: &str) -> usize {
+    w.char_indices().rev().nth(3).map_or(0, |(i, _)| i)
+}
+
 /// The last four chars of a word (the whole word when shorter). Word
 /// suffixes generalize across metric families: kilometre / centimetre /
 /// metre all share the "etre" stem, which carries the same-dimension
 /// signal a transformer would pick up subword-wise.
 fn suffix(w: &str) -> &str {
-    w.char_indices().rev().nth(3).map_or(w, |(i, _)| &w[i..])
+    &w[suffix_at(w)..]
 }
 
 /// Features of a (question, option) pair for choice scoring: option words,
 /// option word bigrams, and question×option crossed words (capped).
 pub fn choice_features(task: &str, question: &str, option: &str) -> Vec<u32> {
-    choice_features_for(task, &words(question), option)
+    choice_features_for(&PreparedQuestion::new(task, question), option)
 }
 
-/// [`choice_features`] over an already tokenised question, so an item's
-/// question is tokenised once for all of its options.
-pub(crate) fn choice_features_for(task: &str, q_words: &[String], option: &str) -> Vec<u32> {
+/// The cross-feature prefix states of four question words, one lane each:
+/// `"{task}|x:{qw}|"`, `"{task}|xs:{suffix(qw)}|"` and `"{task}|xO:{qw}|"`.
+struct Quad {
+    x: [Fnv; 4],
+    xs: [Fnv; 4],
+    xo: [Fnv; 4],
+}
+
+/// An item's question, prepared once and shared by all of its options:
+/// its words, each word's suffix offset, and the cross-feature prefix
+/// states of the first [`MAX_Q_WORDS`] words. An option then hashes only
+/// its own bytes onto those states ([`choice_features_for`]).
+pub(crate) struct PreparedQuestion {
+    /// `"{task}|"`.
+    task: Fnv,
+    words: Vec<String>,
+    suffix_at: Vec<usize>,
+    /// Question words that get cross features.
+    n_crossed: usize,
+    /// The crossed words four at a time; a short last quad repeats its
+    /// last word in the unused lanes.
+    quads: Vec<Quad>,
+}
+
+impl PreparedQuestion {
+    pub(crate) fn new(task: &str, question: &str) -> PreparedQuestion {
+        let words = words(question);
+        let suffix_at: Vec<usize> = words.iter().map(|w| suffix_at(w)).collect();
+        let task = Fnv::new().str(task).str("|");
+        let n_crossed = words.len().min(MAX_Q_WORDS);
+        let quads = (0..n_crossed.div_ceil(4))
+            .map(|g| {
+                let lane = |k: usize| (4 * g + k).min(n_crossed - 1);
+                let word = |k: usize| words[lane(k)].as_str();
+                let suf = |k: usize| &word(k)[suffix_at[lane(k)]..];
+                Quad {
+                    x: std::array::from_fn(|k| task.str("x:").str(word(k)).str("|")),
+                    xs: std::array::from_fn(|k| task.str("xs:").str(suf(k)).str("|")),
+                    xo: std::array::from_fn(|k| task.str("xO:").str(word(k)).str("|")),
+                }
+            })
+            .collect();
+        PreparedQuestion { task, words, suffix_at, n_crossed, quads }
+    }
+}
+
+/// [`choice_features`] for one option of a prepared question: the
+/// question's prefixes are hashed once per item, not once per feature.
+pub(crate) fn choice_features_for(q: &PreparedQuestion, option: &str) -> Vec<u32> {
     let o_words = words(option);
-    let (n_q, n_o) = (q_words.len().min(40), o_words.len().min(8));
-    let len = o_words.len() * 2 + o_words.len().saturating_sub(1) + 1 + n_q * (n_o * 2 + 1) + 2;
+    let n_o = o_words.len().min(MAX_O_WORDS);
+    let mut o_suffixes = [""; MAX_O_WORDS];
+    for (s, w) in o_suffixes.iter_mut().zip(&o_words) {
+        *s = suffix(w);
+    }
+    // Each crossed question word owns one block of the output: an `x:` and
+    // an `xs:` id per crossed option word, then its `xO:` id.
+    let block = n_o * 2 + 1;
+    let head = o_words.len() * 2 + o_words.len().saturating_sub(1) + 1;
+    let len = head + q.n_crossed * block + 2;
     let mut out = Vec::with_capacity(len);
-    let t = Fnv::new().str(task).str("|");
+    let t = q.task;
     for w in &o_words {
         out.push(t.str("o:").str(w).finish());
         out.push(t.str("os:").str(suffix(w)).finish());
@@ -96,13 +175,20 @@ pub(crate) fn choice_features_for(task: &str, q_words: &[String], option: &str) 
     // The whole option string as one memorization feature (crucial for
     // conversion factors like "1000").
     out.push(t.str("O:").str(option).finish());
-    for qw in &q_words[..n_q] {
-        let qs = suffix(qw);
-        for ow in &o_words[..n_o] {
-            out.push(t.str("x:").str(qw).str("|").str(ow).finish());
-            out.push(t.str("xs:").str(qs).str("|").str(suffix(ow)).finish());
+    out.resize(head + q.n_crossed * block, 0);
+    for (quad, blocks) in q.quads.iter().zip(out[head..].chunks_mut(4 * block)) {
+        for (j, ow) in o_words[..n_o].iter().enumerate() {
+            let x = str4(quad.x, ow);
+            let xs = str4(quad.xs, o_suffixes[j]);
+            for (b, (x, xs)) in blocks.chunks_exact_mut(block).zip(x.into_iter().zip(xs)) {
+                b[2 * j] = x.finish();
+                b[2 * j + 1] = xs.finish();
+            }
         }
-        out.push(t.str("xO:").str(qw).str("|").str(option).finish());
+        let xo = str4(quad.xo, option);
+        for (b, xo) in blocks.chunks_exact_mut(block).zip(xo) {
+            b[2 * n_o] = xo.finish();
+        }
     }
     // Overlap indicators: does the option share words / word-families with
     // the question? A linear proxy for the token-matching attention that
@@ -110,11 +196,13 @@ pub(crate) fn choice_features_for(task: &str, q_words: &[String], option: &str) 
     let mut share_word = 0usize;
     let mut share_suffix = 0usize;
     for ow in &o_words {
-        if q_words.iter().any(|qw| qw == ow) {
+        if q.words.iter().any(|qw| qw == ow) {
             share_word += 1;
         }
         let os = suffix(ow);
-        if os.chars().count() >= 3 && q_words.iter().any(|qw| suffix(qw) == os && qw != ow) {
+        if os.chars().count() >= 3
+            && q.words.iter().zip(&q.suffix_at).any(|(qw, &at)| &qw[at..] == os && qw != ow)
+        {
             share_suffix += 1;
         }
     }
@@ -141,13 +229,13 @@ pub fn extraction_features(unit_surface: &str, prev: &str, next: &str) -> Vec<u3
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
     /// The `format!`-based featuriser the streaming hasher replaced, kept
     /// as the differential oracle: ids must match it bit for bit.
-    fn choice_features_reference(task: &str, question: &str, option: &str) -> Vec<u32> {
+    pub(crate) fn choice_features_reference(task: &str, question: &str, option: &str) -> Vec<u32> {
         let q_words = words(question);
         let o_words = words(option);
         let suffix = |w: &str| -> String {
@@ -271,6 +359,31 @@ mod tests {
             extraction_features(&long_unit, "重", "，"),
             extraction_features_reference(&long_unit, "重", "，")
         );
+    }
+
+    #[test]
+    fn one_prepared_question_matches_the_reference_for_every_option() {
+        // Options with no words, with fewer and more than the eight crossed
+        // option words, and with words and suffixes the question shares.
+        let options =
+            ["", "1000", "metre", "kilometre1 metre centimetre a bc 千米 克 x y z", "0.001 km per 秒"];
+        // 0-9 words cover every remainder mod 4 of the four-lane groups;
+        // 38-42 straddle the 40-word cap; the last question mixes EN/CJK.
+        let vocab = ["metre", "kilometre", "centimetre", "kg", "per", "second", "km"];
+        let questions = (0..=9)
+            .chain(38..=42)
+            .map(|n| (0..n).map(|i| format!("{} ", vocab[i % 7])).collect::<String>())
+            .chain(["convert 3 kilometre5 to metre: how many 千米 is that per second?".into()]);
+        for question in questions {
+            let q = PreparedQuestion::new("task", &question);
+            for option in options {
+                assert_eq!(
+                    choice_features_for(&q, option),
+                    choice_features_reference("task", &question, option),
+                    "question {question:?}, option {option:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -88,9 +88,7 @@ impl TinyLm {
         let choice_in_order = || {
             TaskKind::CHOICE.iter().filter_map(|t| train.choice.get(t))
         };
-        let all_choice: Vec<ChoiceItem> =
-            choice_in_order().flat_map(|v| v.iter().cloned()).collect();
-        self.choice.train(&all_choice, epochs, seed);
+        self.choice.train(choice_in_order().flatten(), epochs, seed);
         self.extractor.train(&train.extraction, epochs, seed ^ 1);
         // Knowledge infusion: the CoT rationales of the training items
         // state facts verbatim — conversion factors, dimension vectors,
