@@ -338,7 +338,8 @@ pub fn table7(config: &ExperimentConfig) -> Vec<Table7Row> {
         ));
     }
     // DimPerc (ours).
-    let mut dimperc = pipeline::train_dimperc(&kb, &config.pipeline);
+    let base = TinyLm::llama_ift(config.pipeline.seed);
+    let mut dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
     let report = evaluate(&mut dimperc, &eval);
     rows.push(report_to_row("DimPerc (Ours)".into(), "7B".into(), true, &report));
     rows
@@ -355,13 +356,13 @@ pub struct Table8Row {
     pub categories: [(f64, f64); 3],
 }
 
-/// Runs Table VIII: LLaMA_IFT vs DimPerc.
+/// Runs Table VIII: LLaMA_IFT vs DimPerc fine-tuned from that same base.
 pub fn table8(config: &ExperimentConfig) -> Vec<Table8Row> {
     let _span = EXP_TABLE8.span();
     let kb = DimUnitKb::shared();
     let eval = build_eval_dimeval(config);
     let mut base = TinyLm::llama_ift(config.pipeline.seed);
-    let mut dimperc = pipeline::train_dimperc(&kb, &config.pipeline);
+    let mut dimperc = pipeline::train_dimperc(base.clone(), &kb, &config.pipeline);
     [&mut base as &mut dyn DimEvalSolver, &mut dimperc as &mut dyn DimEvalSolver]
         .into_iter()
         .map(|m| {
@@ -421,8 +422,10 @@ pub fn table9(config: &ExperimentConfig) -> Vec<Table9Row> {
         rows.push(mwp_row(&mut model, &sets));
     }
     // DimPerc: full pipeline (DimEval fine-tuning + augmented MWP training).
-    let mut dimperc = pipeline::train_dimperc(&kb, &config.pipeline);
-    pipeline::train_quantitative(&mut dimperc, &kb, &config.pipeline, 0, |_, _| {});
+    let base = TinyLm::llama_ift(config.pipeline.seed);
+    let mut dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
+    let training = pipeline::build_mwp_training(&kb, &config.pipeline);
+    pipeline::train_quantitative(&mut dimperc, &training, &config.pipeline, 0, |_, _| {});
     rows.push(mwp_row(&mut dimperc, &sets));
     rows
 }
@@ -434,12 +437,14 @@ pub fn fig6(config: &ExperimentConfig, etas: &[f64]) -> Vec<(f64, f64)> {
     let _span = EXP_FIG6.span();
     let kb = DimUnitKb::shared();
     let sets = build_mwp_eval(config);
-    let dimperc = pipeline::train_dimperc(&kb, &config.pipeline);
+    let base = TinyLm::llama_ift(config.pipeline.seed);
+    let dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
     etas.iter()
         .map(|&eta| {
             let mut model = dimperc.clone();
             let cfg = PipelineConfig { eta, ..config.pipeline };
-            pipeline::train_quantitative(&mut model, &kb, &cfg, 0, |_, _| {});
+            let training = pipeline::build_mwp_training(&kb, &cfg);
+            pipeline::train_quantitative(&mut model, &training, &cfg, 0, |_, _| {});
             (eta, accuracy(&mut model, &sets.q_ape210k))
         })
         .collect()
@@ -457,18 +462,22 @@ pub struct Curve {
 }
 
 /// Runs the training-dynamics ablation: base model vs DimPerc, with and
-/// without equation tokenization (`w/o ET` = regular tokenization).
+/// without equation tokenization (`w/o ET` = regular tokenization). All
+/// four variants start from one LLaMA_IFT and train on one MWP mixture,
+/// which does not depend on the tokenization.
 pub fn fig7(config: &ExperimentConfig, checkpoints: usize) -> Vec<Curve> {
     let _span = EXP_FIG7.span();
     let kb = DimUnitKb::shared();
     let sets = build_mwp_eval(config);
-    let dimperc_base = pipeline::train_dimperc(&kb, &config.pipeline);
+    let base = TinyLm::llama_ift(config.pipeline.seed);
+    let dimperc = pipeline::train_dimperc(base.clone(), &kb, &config.pipeline);
     let variants: Vec<(String, TinyLm, EqTokenization)> = vec![
-        ("DimPerc w/o ET".into(), dimperc_base.clone(), EqTokenization::Regular),
-        ("DimPerc w/ ET".into(), dimperc_base, EqTokenization::Digit),
-        ("LLaMa_IFT w/o ET".into(), TinyLm::llama_ift(config.pipeline.seed), EqTokenization::Regular),
-        ("LLaMa_IFT w/ ET".into(), TinyLm::llama_ift(config.pipeline.seed), EqTokenization::Digit),
+        ("DimPerc w/o ET".into(), dimperc.clone(), EqTokenization::Regular),
+        ("DimPerc w/ ET".into(), dimperc, EqTokenization::Digit),
+        ("LLaMa_IFT w/o ET".into(), base.clone(), EqTokenization::Regular),
+        ("LLaMa_IFT w/ ET".into(), base, EqTokenization::Digit),
     ];
+    let training = pipeline::build_mwp_training(&kb, &config.pipeline);
     let training_len = 2 * config.pipeline.mwp_train
         + (2.0 * config.pipeline.mwp_train as f64 * config.pipeline.eta) as usize;
     // Geometric-ish checkpoint schedule: dense early (where the paper's
@@ -491,7 +500,7 @@ pub fn fig7(config: &ExperimentConfig, checkpoints: usize) -> Vec<Curve> {
             let mut points = Vec::new();
             let cfg = PipelineConfig { tokenization, ..config.pipeline };
             let wanted = wanted.clone();
-            pipeline::train_quantitative(&mut model, &kb, &cfg, base_every, |step, snapshot| {
+            pipeline::train_quantitative(&mut model, &training, &cfg, base_every, |step, snapshot| {
                 if !wanted.iter().any(|w| step >= *w && step < w + base_every) {
                     return;
                 }

@@ -5,8 +5,9 @@
 //! 1. **DimKS** ([`dimks`]): DimUnitKB + unit linking;
 //! 2. **Dimension perception** ([`pipeline::train_dimperc`]): continual
 //!    fine-tuning on DimEval produces DimPerc;
-//! 3. **Quantitative reasoning** ([`pipeline::train_quantitative`]):
-//!    quantity-oriented data augmentation and Seq2Seq MWP training.
+//! 3. **Quantitative reasoning**: quantity-oriented data augmentation
+//!    ([`pipeline::build_mwp_training`]) and Seq2Seq MWP training
+//!    ([`pipeline::train_quantitative`]).
 //!
 //! [`experiments`] hosts one runner per table/figure of the paper's
 //! evaluation section; the `dim-bench` binaries print them.

@@ -75,14 +75,17 @@ pub fn build_train_dimeval(kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> DimE
     DimEval::build(kb, &train_dimeval_config(config))
 }
 
-/// Step 2 (Fig. 2b): continual fine-tuning on DimEval → DimPerc.
-pub fn train_dimperc(kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> TinyLm {
-    degrade::complete(try_train_dimperc(kb, config, Policy::CLASSIC))
+/// Step 2 (Fig. 2b): continual fine-tuning of `base` on DimEval → DimPerc.
+/// Callers pass `TinyLm::llama_ift(config.seed)` or a clone of one; a
+/// clone shares its weight tables until training writes them.
+pub fn train_dimperc(base: TinyLm, kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> TinyLm {
+    degrade::complete(try_train_dimperc(base, kb, config, Policy::CLASSIC))
 }
 
 /// Degraded-mode [`train_dimperc`]: benchmark construction may quarantine
 /// whole tasks (see [`DimEval::try_build`]) under the policy.
 pub fn try_train_dimperc(
+    mut base: TinyLm,
     kb: &Arc<DimUnitKb>,
     config: &PipelineConfig,
     policy: Policy,
@@ -90,9 +93,8 @@ pub fn try_train_dimperc(
     let _span = TRAIN_DIMPERC_SPAN.span();
     let (train, quarantine) = DimEval::try_build(kb, &train_dimeval_config(config), policy)?;
     RECORDS_QUARANTINED.add(quarantine.len() as u64);
-    let mut model = TinyLm::llama_ift(config.seed);
-    model.finetune_dimeval(kb, &train, config.epochs, config.seed ^ 0xF1);
-    Ok((model, quarantine))
+    base.finetune_dimeval(kb, &train, config.epochs, config.seed ^ 0xF1);
+    Ok((base, quarantine))
 }
 
 /// The MWP training mixture: both dataset styles, augmented at rate η.
@@ -156,40 +158,19 @@ fn interleave(out: Vec<MwpProblem>) -> Vec<MwpProblem> {
     mixed
 }
 
-/// Step 3 (Fig. 2c): quantitative-reasoning fine-tuning of a model on the
-/// augmented MWP mixture. Checkpoints via the callback when requested.
+/// Step 3 (Fig. 2c): quantitative-reasoning fine-tuning of a model on a
+/// prebuilt MWP mixture (see [`build_mwp_training`]), decoded with
+/// `config.tokenization`. Checkpoints via the callback when requested.
 pub fn train_quantitative(
     model: &mut TinyLm,
-    kb: &DimUnitKb,
+    training: &[MwpProblem],
     config: &PipelineConfig,
     checkpoint_every: usize,
     callback: impl FnMut(usize, &TinyLm),
 ) {
-    degrade::complete(try_train_quantitative(
-        model,
-        kb,
-        config,
-        checkpoint_every,
-        callback,
-        Policy::CLASSIC,
-    ))
-}
-
-/// Degraded-mode [`train_quantitative`]: the MWP mixture is built by
-/// [`try_build_mwp_training`] under the policy; returns what it skipped.
-pub fn try_train_quantitative(
-    model: &mut TinyLm,
-    kb: &DimUnitKb,
-    config: &PipelineConfig,
-    checkpoint_every: usize,
-    callback: impl FnMut(usize, &TinyLm),
-    policy: Policy,
-) -> Result<Vec<QuarantineEntry>, BudgetExceeded> {
     let _span = TRAIN_QUANT_SPAN.span();
-    let (training, quarantine) = try_build_mwp_training(kb, config, policy)?;
     model.tokenization = config.tokenization;
-    model.finetune_mwp(&training, checkpoint_every, callback);
-    Ok(quarantine)
+    model.finetune_mwp(training, checkpoint_every, callback);
 }
 
 /// The full pipeline: steps 1–3 end to end, returning the finished model.
@@ -207,8 +188,11 @@ pub fn try_run_full_pipeline(
     policy: Policy,
 ) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
     let kb = DimUnitKb::shared(); // step 1: the knowledge system
-    let (mut model, mut quarantine) = try_train_dimperc(&kb, config, policy)?; // step 2
-    quarantine.extend(try_train_quantitative(&mut model, &kb, config, 0, |_, _| {}, policy)?); // step 3
+    let base = TinyLm::llama_ift(config.seed);
+    let (mut model, mut quarantine) = try_train_dimperc(base, &kb, config, policy)?; // step 2
+    let (training, mwp_quarantine) = try_build_mwp_training(&kb, config, policy)?; // step 3
+    quarantine.extend(mwp_quarantine);
+    train_quantitative(&mut model, &training, config, 0, |_, _| {});
     if !quarantine.is_empty() {
         DEGRADED_RUNS.inc();
     }
@@ -238,6 +222,43 @@ mod tests {
         let q = Augmenter::new(&kb, 999).to_qmwp(&n);
         let acc = accuracy(&mut model, &q);
         assert!(acc > 0.4, "pipeline Q-MWP accuracy {acc}");
+    }
+
+    #[test]
+    fn dimperc_from_a_shared_base_matches_dimperc_from_a_fresh_one() {
+        let kb = DimUnitKb::shared();
+        let config = PipelineConfig { train_per_task: 20, epochs: 2, ..Default::default() };
+        let base = TinyLm::llama_ift(config.seed);
+        // A second clone stays alive, so the base's weights are shared
+        // three ways when fine-tuning starts writing them.
+        let bystander = base.clone();
+        let shared = train_dimperc(base.clone(), &kb, &config);
+        let fresh = train_dimperc(TinyLm::llama_ift(config.seed), &kb, &config);
+        let untrained = TinyLm::llama_ift(config.seed);
+        let eval_config = DimEvalConfig { per_task: 10, seed: 3, ..Default::default() };
+        let eval = DimEval::build(&kb, &eval_config);
+        let bits = |m: &TinyLm, item| -> Vec<u32> {
+            m.choice.scores(item).into_iter().map(f32::to_bits).collect()
+        };
+        for item in eval.choice.values().flatten() {
+            assert_eq!(bits(&shared, item), bits(&fresh, item), "{}", item.question);
+            for base_side in [&base, &bystander] {
+                assert_eq!(bits(base_side, item), bits(&untrained, item), "{}", item.question);
+            }
+        }
+    }
+
+    #[test]
+    fn the_mwp_mixture_does_not_depend_on_the_tokenization() {
+        // Fig. 7 trains its w/ ET and w/o ET variants on one mixture.
+        let kb = DimUnitKb::shared();
+        let regular = PipelineConfig {
+            mwp_train: 60,
+            tokenization: EqTokenization::Regular,
+            ..Default::default()
+        };
+        let digit = PipelineConfig { tokenization: EqTokenization::Digit, ..regular };
+        assert_eq!(build_mwp_training(&kb, &regular), build_mwp_training(&kb, &digit));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `thread-discipline`  | file | raw `thread::spawn` only inside `crates/par` and `crates/serve` |
 //! | `relaxed-ordering`   | file | every `Ordering::Relaxed` carries a written justification |
 //! | `zero-dep`           | file | every `Cargo.toml` dependency resolves to a vendored in-repo path |
-//! | `hot-alloc`          | file | no `.clone()`/`.to_string()`/`String::from`/`format!` in the annotate/link, serve, verify and choice-featuriser hot paths |
+//! | `hot-alloc`          | file | no `.clone()`/`.to_string()`/`String::from`/`format!` in the annotate/link, serve, verify, choice-featuriser and SGD hot paths |
 //! | `panic-reachability` | deep | nothing a hot-path fn *calls* can panic (call-graph closure, witness chains) |
 //! | `lock-order`         | deep | no lock-order cycles across the workspace; no locks held over blocking calls |
 //! | `atomic-pairing`     | deep | every `Release` store pairs with an `Acquire`-capable load on the same atomic, and vice versa |
@@ -214,6 +214,8 @@ impl RuleId {
                     // its `format!` reference featurisers are test-only.
                     || rel_path == "crates/models/src/tinylm/features.rs"
                     || rel_path == "crates/models/src/tinylm/choice.rs"
+                    // The SGD kernel runs per option per epoch.
+                    || rel_path == "crates/models/src/tinylm/linear.rs"
             }
             // Reachability roots are the no-panic hot paths, minus binary
             // entry points (binaries may die loudly on startup errors —
@@ -431,6 +433,7 @@ mod tests {
         assert!(ha.applies_to("crates/verify/src/scale.rs"), "scale sets run per beam candidate");
         assert!(ha.applies_to("crates/models/src/tinylm/features.rs"), "featurising is per option");
         assert!(ha.applies_to("crates/models/src/tinylm/choice.rs"), "training featurises every item");
+        assert!(ha.applies_to("crates/models/src/tinylm/linear.rs"), "SGD steps per option per epoch");
         assert!(!ha.applies_to("crates/models/src/tinylm/eqgen.rs"), "the MWP decoder is out of scope");
         assert!(!ha.applies_to("crates/serve/src/load.rs"), "the load client may allocate");
         assert!(!ha.applies_to("crates/dimlink/src/reference.rs"), "the oracle may allocate");

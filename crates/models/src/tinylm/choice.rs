@@ -61,12 +61,16 @@ impl ChoiceScorer {
         last_loss
     }
 
+    /// The score of each of an item's options, in option order.
+    pub fn scores(&self, item: &ChoiceItem) -> Vec<f32> {
+        Self::item_features(item).iter().map(|f| self.model.score(f)).collect()
+    }
+
     /// Answers an item; abstains when the top-two margin is below the
     /// threshold (an uncertain fine-tuned model declines, like the paper's
     /// LLMs).
     pub fn answer(&self, item: &ChoiceItem) -> Option<usize> {
-        let feats = Self::item_features(item);
-        let scores: Vec<f32> = feats.iter().map(|f| self.model.score(f)).collect();
+        let scores = self.scores(item);
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         idx.sort_by(|&a, &b| {
             scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal)

@@ -3,15 +3,22 @@
 //! Minimizes the same objective as the paper's Eq. 3 (negative
 //! log-likelihood of the target given the input) in its linear special
 //! case: softmax cross-entropy over candidate scores.
+//!
+//! The weight table is copy-on-write: a clone shares its parent's table
+//! until one of them takes an SGD step, so a stage that clones a trained
+//! model and only trains its MWP decoder never copies the 4 MB table.
 
 use crate::tinylm::features::FEATURE_DIM;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A hashed-feature linear scorer.
 #[derive(Debug, Clone)]
 pub struct LinearModel {
-    weights: Vec<f32>,
+    /// Shared between clones until written: each SGD step calls
+    /// `Arc::make_mut` once, which copies the table only while it is shared.
+    weights: Arc<Vec<f32>>,
     /// SGD learning rate.
     pub lr: f32,
 }
@@ -19,7 +26,7 @@ pub struct LinearModel {
 impl LinearModel {
     /// Zero-initialized model.
     pub fn zeros(lr: f32) -> Self {
-        LinearModel { weights: vec![0.0; FEATURE_DIM], lr }
+        LinearModel { weights: Arc::new(vec![0.0; FEATURE_DIM]), lr }
     }
 
     /// Small random initialization — an instruction-tuned-but-task-naive
@@ -27,7 +34,7 @@ impl LinearModel {
     pub fn random(lr: f32, scale: f32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let weights = (0..FEATURE_DIM).map(|_| rng.gen_range(-scale..scale)).collect();
-        LinearModel { weights, lr }
+        LinearModel { weights: Arc::new(weights), lr }
     }
 
     /// The score of a feature set.
@@ -37,9 +44,8 @@ impl LinearModel {
 
     /// Adds `delta` to every feature weight.
     pub fn update(&mut self, feats: &[u32], delta: f32) {
-        for &f in feats {
-            self.weights[f as usize] += delta;
-        }
+        let weights = Arc::make_mut(&mut self.weights);
+        add(weights, feats, delta);
     }
 
     /// One softmax cross-entropy SGD step over candidate feature sets;
@@ -49,11 +55,12 @@ impl LinearModel {
         let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let exps: Vec<f32> = scores.iter().map(|s| (s - max).exp()).collect();
         let z: f32 = exps.iter().sum();
+        let weights = Arc::make_mut(&mut self.weights);
         let mut loss = 0.0;
         for (i, c) in candidates.iter().enumerate() {
             let p = exps[i] / z;
             let y = f32::from(i == gold);
-            self.update(c, -self.lr * (p - y));
+            add(weights, c, -self.lr * (p - y));
             if i == gold {
                 loss = -p.max(1e-9).ln();
             }
@@ -77,6 +84,13 @@ impl LinearModel {
     /// The sigmoid probability of a feature set.
     pub fn prob(&self, feats: &[u32]) -> f32 {
         1.0 / (1.0 + (-self.score(feats)).exp())
+    }
+}
+
+/// Adds `delta` to the weight of every feature in `feats`.
+fn add(weights: &mut [f32], feats: &[u32], delta: f32) {
+    for &f in feats {
+        weights[f as usize] += delta;
     }
 }
 
@@ -119,6 +133,37 @@ mod tests {
         }
         let last = m.sgd_softmax(&cands, 1);
         assert!(last < first);
+    }
+
+    #[test]
+    fn a_clone_shares_its_weights_until_its_first_update() {
+        let original = LinearModel::random(0.1, 0.01, 5);
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.weights, &clone.weights));
+        assert_eq!(clone.score(&[1, 2, 3]), original.score(&[1, 2, 3]));
+        clone.update(&[1], 0.5);
+        assert!(!Arc::ptr_eq(&original.weights, &clone.weights));
+        // Once unshared, later steps write the clone's own table in place.
+        let before = Arc::as_ptr(&clone.weights);
+        clone.sgd_logistic(&[2], true);
+        clone.sgd_softmax(&[vec![3], vec![4]], 0);
+        assert_eq!(Arc::as_ptr(&clone.weights), before);
+    }
+
+    #[test]
+    fn training_a_clone_leaves_the_original_bit_identical() {
+        let original = LinearModel::random(0.3, 0.02, 9);
+        let probes: Vec<Vec<u32>> =
+            vec![vec![feat("good"), feat("shared")], vec![feat("bad"), feat("shared")], vec![7, 8]];
+        let before: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
+        let mut clone = original.clone();
+        for _ in 0..20 {
+            clone.sgd_softmax(&probes, 0);
+            clone.sgd_logistic(&probes[1], false);
+        }
+        let after: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
+        assert_eq!(before, after);
+        assert!(clone.score(&probes[0]) > original.score(&probes[0]), "the clone did train");
     }
 
     #[test]
