@@ -55,7 +55,9 @@ serve-soak:
 # The benchmark (perfbench/, a package of its own outside the workspace)
 # compiles against the program crates: its tests plus one short untraced
 # suite_quick pass, whose oracle byte-checks the suite output, catch an API
-# break or output drift there. One short serve_miss pass and one short
+# break or output drift there. One short annotate_bulk pass runs its
+# width-1 digest oracle, the only gate on the bulk annotate path, which
+# reads the KB's naming dictionary. One short serve_miss pass and one short
 # serve_hot pass run the serve oracle, which compares the digests of the
 # server's responses with an App::handle replay of the same requests; the
 # serve_hot oracle also requires a cache hit ratio of at least 90%, so
@@ -63,6 +65,7 @@ serve-soak:
 perfbench-smoke:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload suite_quick --seconds 1 --trace 0
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload annotate_bulk --seconds 1 --trace 0
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_miss --seconds 1 --trace 0
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_hot --seconds 1 --trace 0
 

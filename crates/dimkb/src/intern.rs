@@ -1,28 +1,24 @@
-//! Symbol interning and the per-KB link index.
+//! Symbol interning and the KB's naming dictionary.
 //!
-//! The unit-linking hot path (`dimlink`) used to flow `String` clones of
-//! unit names, aliases, and mention candidates through every stage:
-//! candidate generation re-allocated the whole naming dictionary per
-//! linker, every lookup allocated one or two normalized key `String`s, and
-//! the Levenshtein prefilter carried `(String, u64)` pairs per key. This
-//! module replaces all of that with a [`Symbol`]`(u32)` interner built
-//! **once per KB** (beside the inverted search index) and a [`LinkIndex`]
-//! holding struct-of-arrays candidate tables:
+//! The naming dictionary (§III-A) maps a normalized surface form to its
+//! candidate units. It exists once per KB, as the [`LinkIndex`] that
+//! `DimUnitKb` builds from its units at construction (the standard build
+//! and every `subset`); `DimUnitKb::lookup`, `naming_dictionary` and the
+//! linker all read it.
 //!
 //! * [`SymbolTable`] — FNV-1a-indexed open-addressing table mapping interned
 //!   strings to dense `u32` ids. Ids are **deterministic**: they are the
 //!   rank of the key in sorted order, independent of insertion order, hash
-//!   seeds, or thread interleavings (the table is built single-threaded
-//!   behind the KB's `OnceLock`).
+//!   seeds, or thread interleavings.
 //! * [`LinkIndex`] — per-symbol unit lists for the case-exact and
-//!   case-insensitive naming dictionaries, plus length-bucketed
+//!   case-insensitive dictionaries, plus length-bucketed
 //!   `(Symbol, signature)` arrays for the Levenshtein lower-bound prefilter.
 //!
 //! Lookups never allocate: callers pass a reusable `String` scratch buffer
 //! that the normalizers write into.
 
-use crate::kb::{normalize_cased_into, normalize_into, DimUnitKb};
-use crate::unit::UnitId;
+use crate::kb::{normalize, normalize_cased, normalize_cased_into, normalize_into};
+use crate::unit::{Unit, UnitId};
 
 /// FNV-1a over a byte string: the symbol-table index's hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -82,6 +78,11 @@ impl SymbolTable {
         let mut strings: Vec<String> = keys.into_iter().map(Into::into).collect();
         strings.sort_unstable();
         strings.dedup();
+        SymbolTable::from_sorted(strings)
+    }
+
+    /// Builds a table over keys that are already sorted and distinct.
+    fn from_sorted(strings: Vec<String>) -> SymbolTable {
         let cap = (strings.len().max(1) * 2).next_power_of_two();
         let mut table = SymbolTable { strings, slots: vec![EMPTY; cap], mask: cap - 1 };
         for i in 0..table.strings.len() {
@@ -142,50 +143,49 @@ pub struct LenBucket {
     pub sigs: Vec<u64>,
 }
 
-/// The per-KB link index: interned naming dictionaries plus the
-/// length-bucketed prefilter tables. Built once per KB behind a `OnceLock`
-/// (see [`DimUnitKb::link_index`]) — linkers share it instead of
-/// re-deriving per-instance candidate tables.
+/// The KB's naming dictionary: interned case-exact and case-insensitive
+/// dictionaries plus the length-bucketed prefilter tables. Built once with
+/// the KB (see [`crate::DimUnitKb::link_index`]); linkers share it.
 #[derive(Debug, Clone, Default)]
 pub struct LinkIndex {
     /// Interner over case-insensitive normalized surface forms.
     norm: SymbolTable,
     /// Interner over case-exact normalized surface forms.
     cased: SymbolTable,
-    /// Candidate units per `norm` symbol (same contents and order as the
-    /// KB's case-insensitive naming dictionary).
+    /// Candidate units per `norm` symbol, in unit order.
     norm_units: Vec<Vec<UnitId>>,
-    /// Candidate units per `cased` symbol.
+    /// Candidate units per `cased` symbol, in unit order.
     cased_units: Vec<Vec<UnitId>>,
-    /// Precomputed [`DimUnitKb::lookup`] result for each `norm` key string
-    /// (a normalized key can still case-exact-match the cased dictionary,
-    /// and that match must win — same precedence as `lookup`).
+    /// [`LinkIndex::lookup`] of each `norm` key string (a normalized key
+    /// can still case-exact-match the cased dictionary, and that match
+    /// wins).
     fuzzy_units: Vec<Vec<UnitId>>,
     /// Prefilter buckets indexed by key char length.
     buckets: Vec<LenBucket>,
 }
 
 impl LinkIndex {
-    /// Builds the index from a KB's naming dictionaries.
-    pub(crate) fn build(kb: &DimUnitKb) -> LinkIndex {
-        let norm = SymbolTable::build(kb.naming.keys().cloned());
-        let cased = SymbolTable::build(kb.naming_cased.keys().cloned());
-        let norm_units: Vec<Vec<UnitId>> = norm
+    /// Builds the index from a KB's units (ids equal to their positions)
+    /// in one pass: each surface form is normalized once per dictionary,
+    /// and each dictionary is sorted once.
+    pub(crate) fn build(units: &[Unit]) -> LinkIndex {
+        let (mut norm_pairs, mut cased_pairs) = (Vec::new(), Vec::new());
+        for unit in units {
+            for form in unit.surface_forms() {
+                norm_pairs.push((normalize(form), unit.id));
+                // Case-exact keys: symbols distinguish mW from MW and t from T.
+                cased_pairs.push((normalize_cased(form), unit.id));
+            }
+        }
+        let (norm, norm_units) = group(norm_pairs);
+        let (cased, cased_units) = group(cased_pairs);
+        let fuzzy_units = norm
             .strings()
             .iter()
-            .map(|k| kb.naming.get(k).cloned().unwrap_or_default())
-            .collect();
-        let cased_units: Vec<Vec<UnitId>> = cased
-            .strings()
-            .iter()
-            .map(|k| kb.naming_cased.get(k).cloned().unwrap_or_default())
-            .collect();
-        // The fuzzy pass scores *normalized* keys but resolves candidates
-        // through the same case-precedence rule as `DimUnitKb::lookup`.
-        let fuzzy_units: Vec<Vec<UnitId>> = norm
-            .strings()
-            .iter()
-            .map(|k| kb.lookup(k).to_vec())
+            .zip(&norm_units)
+            .map(|(key, ids)| {
+                cased.get(key).map_or(ids, |sym| &cased_units[sym.0 as usize]).clone()
+            })
             .collect();
         let max_len = norm.strings().iter().map(|k| k.chars().count()).max().unwrap_or(0);
         let mut buckets = vec![LenBucket::default(); max_len + 1];
@@ -193,17 +193,16 @@ impl LinkIndex {
         // sorted by key string — the deterministic candidate order the
         // linker's fuzzy scan relies on.
         for (i, key) in norm.strings().iter().enumerate() {
-            let len = key.chars().count();
-            let bucket = &mut buckets[len];
+            let bucket = &mut buckets[key.chars().count()];
             bucket.syms.push(Symbol(i as u32));
             bucket.sigs.push(char_signature(key));
         }
         LinkIndex { norm, cased, norm_units, cased_units, fuzzy_units, buckets }
     }
 
-    /// Naming-dictionary lookup with [`DimUnitKb::lookup`] semantics
-    /// (case-exact match wins, then case-insensitive) but zero allocation:
-    /// `buf` is a reusable normalization buffer.
+    /// Naming-dictionary lookup: a case-exact match wins, then the
+    /// case-insensitive dictionary answers. `buf` is a reusable
+    /// normalization buffer, so the lookup does not allocate.
     pub fn lookup<'a>(&'a self, surface: &str, buf: &mut String) -> &'a [UnitId] {
         if let Some(sym) = self.cased.get(normalize_cased_into(surface, buf)) {
             return &self.cased_units[sym.0 as usize];
@@ -215,7 +214,7 @@ impl LinkIndex {
     }
 
     /// The candidate units a fuzzy match on `sym` (a `norm` symbol from a
-    /// prefilter bucket) resolves to — precomputed `lookup` of the key.
+    /// prefilter bucket) resolves to — the precomputed `lookup` of its key.
     pub fn fuzzy_units(&self, sym: Symbol) -> &[UnitId] {
         &self.fuzzy_units[sym.0 as usize]
     }
@@ -234,11 +233,41 @@ impl LinkIndex {
     pub fn norm_table(&self) -> &SymbolTable {
         &self.norm
     }
+
+    /// The case-insensitive dictionary, in ascending key order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &[UnitId])> {
+        let keys = self.norm.strings().iter().map(String::as_str);
+        keys.zip(self.norm_units.iter().map(Vec::as_slice))
+    }
+}
+
+/// Sorts `(key, unit)` pairs by key, stably so a key's units stay in unit
+/// order, and groups each run of equal keys into one key with its
+/// de-duplicated unit list.
+fn group(mut pairs: Vec<(String, UnitId)>) -> (SymbolTable, Vec<Vec<UnitId>>) {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let (mut keys, mut lists): (Vec<String>, Vec<Vec<UnitId>>) = (Vec::new(), Vec::new());
+    for (key, id) in pairs {
+        match lists.last_mut() {
+            Some(ids) if keys.last() == Some(&key) => {
+                if ids.last() != Some(&id) {
+                    ids.push(id);
+                }
+            }
+            _ => {
+                keys.push(key);
+                lists.push(vec![id]);
+            }
+        }
+    }
+    (SymbolTable::from_sorted(keys), lists)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DimUnitKb;
+    use std::collections::HashMap;
 
     #[test]
     fn ids_are_sorted_rank_and_order_independent() {
@@ -262,20 +291,109 @@ mod tests {
         assert_eq!(t.get("x"), None);
     }
 
-    #[test]
-    fn link_index_lookup_matches_kb_lookup() {
-        let kb = DimUnitKb::shared();
+    /// The naming dictionaries built the naive way: one `HashMap` per
+    /// dictionary, filled one surface form at a time, each key's ids in
+    /// unit order without repeats.
+    struct NaiveNaming {
+        norm: HashMap<String, Vec<UnitId>>,
+        cased: HashMap<String, Vec<UnitId>>,
+    }
+
+    impl NaiveNaming {
+        fn new(kb: &DimUnitKb) -> Self {
+            let mut naive = NaiveNaming { norm: HashMap::new(), cased: HashMap::new() };
+            for unit in kb.units() {
+                for form in unit.surface_forms() {
+                    let cased = normalize_cased(form);
+                    for (map, key) in [(&mut naive.norm, normalize(form)), (&mut naive.cased, cased)] {
+                        let ids = map.entry(key).or_default();
+                        if !ids.contains(&unit.id) {
+                            ids.push(unit.id);
+                        }
+                    }
+                }
+            }
+            naive
+        }
+
+        /// Case-exact match first, then case-insensitive.
+        fn lookup(&self, surface: &str) -> &[UnitId] {
+            self.cased
+                .get(&normalize_cased(surface))
+                .or_else(|| self.norm.get(&normalize(surface)))
+                .map_or(&[], Vec::as_slice)
+        }
+    }
+
+    /// Asserts `kb`'s naming dictionary equals the naive one: `lookup` on
+    /// every surface form and key plus a few probes, `fuzzy_units` on every
+    /// key, and `naming_dictionary` entry for entry in ascending key order.
+    fn assert_matches_naive(kb: &DimUnitKb) -> NaiveNaming {
+        let naive = NaiveNaming::new(kb);
         let idx = kb.link_index();
         let mut buf = String::new();
-        for surface in ["km", "KM", " km ", "mW", "MW", "千克", "平方厘米", "nonsense", "", "°C"] {
-            assert_eq!(idx.lookup(surface, &mut buf), kb.lookup(surface), "surface = {surface:?}");
+        let probes =
+            ["km", "KM", " km ", "mW", "MW", "Mw", "千克", "平方厘米", "nonsense", "", "°C", "pt", "PT"];
+        let forms = kb.units().iter().flat_map(|u| u.surface_forms());
+        let keys = naive.norm.keys().chain(naive.cased.keys()).map(String::as_str);
+        for surface in probes.into_iter().chain(forms).chain(keys) {
+            assert_eq!(kb.lookup(surface), naive.lookup(surface), "surface = {surface:?}");
+            let via_index = idx.lookup(surface, &mut buf);
+            assert_eq!(via_index, naive.lookup(surface), "surface = {surface:?}");
         }
-        // Every dictionary key resolves identically through both paths
-        // (cased precedence included: e.g. "pt" case-exact-matches a
-        // narrower unit set than its case-insensitive entry).
-        for (key, _) in kb.naming_dictionary() {
-            assert_eq!(idx.lookup(key, &mut buf), kb.lookup(key), "key = {key:?}");
-            assert_eq!(idx.fuzzy_units(idx.norm_table().get(key).expect("interned")), kb.lookup(key));
+        for key in naive.norm.keys() {
+            let sym = idx.norm_table().get(key).expect("every key is interned");
+            assert_eq!(idx.fuzzy_units(sym), naive.lookup(key), "key = {key:?}");
+        }
+        let dict: Vec<(&str, &[UnitId])> = kb.naming_dictionary().collect();
+        assert!(dict.windows(2).all(|w| w[0].0 < w[1].0), "keys must strictly ascend");
+        let mut expected: Vec<(&str, &[UnitId])> =
+            naive.norm.iter().map(|(k, v)| (k.as_str(), v.as_slice())).collect();
+        expected.sort_unstable();
+        assert_eq!(dict, expected);
+        naive
+    }
+
+    #[test]
+    fn naming_dictionary_matches_naive_reference() {
+        assert_matches_naive(&DimUnitKb::standard());
+    }
+
+    #[test]
+    fn subset_naming_dictionary_is_its_parents_filtered_and_remapped() {
+        let parent = DimUnitKb::standard();
+        let parent_naive = assert_matches_naive(&parent);
+        let sub = parent.subset(|u| u.id.0 % 3 != 1);
+        assert!(sub.units().len() < parent.units().len());
+        let sub_naive = assert_matches_naive(&sub);
+        let remap = |ids: &[UnitId]| -> Vec<UnitId> {
+            let kept = ids.iter().filter_map(|&id| sub.unit_by_code(&parent.unit(id).code));
+            kept.map(|u| u.id).collect()
+        };
+        // Each dictionary separately is its parent's, filtered and remapped;
+        // a key whose units all left the subset leaves with them.
+        let dicts = [(&parent_naive.norm, &sub_naive.norm), (&parent_naive.cased, &sub_naive.cased)];
+        for (parent_map, sub_map) in dicts {
+            for (key, ids) in parent_map {
+                let got = sub_map.get(key).map_or(&[][..], Vec::as_slice);
+                assert_eq!(got, remap(ids).as_slice(), "key = {key:?}");
+            }
+        }
+        // So `lookup` is the parent's, filtered and remapped — except that a
+        // case-exact key left empty falls back to the case-insensitive one.
+        let parent_ids = |map: &HashMap<String, Vec<UnitId>>, key: String| {
+            remap(map.get(&key).map_or(&[], Vec::as_slice))
+        };
+        for unit in parent.units() {
+            for surface in unit.surface_forms() {
+                let cased = parent_ids(&parent_naive.cased, normalize_cased(surface));
+                let expected = if cased.is_empty() {
+                    parent_ids(&parent_naive.norm, normalize(surface))
+                } else {
+                    cased
+                };
+                assert_eq!(sub.lookup(surface), expected.as_slice(), "surface = {surface:?}");
+            }
         }
     }
 

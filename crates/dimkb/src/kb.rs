@@ -4,6 +4,7 @@ use crate::data;
 use crate::dim::DimVec;
 use crate::error::KbError;
 use crate::freq::{frequencies, PopularitySource, SyntheticPopularity};
+use crate::intern::LinkIndex;
 use crate::kind::{KindId, QuantityKind};
 use crate::prefix::SI_PREFIXES;
 use crate::spec::{KindSpec, UnitSpec};
@@ -35,16 +36,13 @@ pub struct DimUnitKb {
     kinds: Vec<QuantityKind>,
     by_code: HashMap<String, UnitId>,
     kind_by_name: HashMap<String, KindId>,
-    pub(crate) naming: HashMap<String, Vec<UnitId>>,
-    pub(crate) naming_cased: HashMap<String, Vec<UnitId>>,
     by_kind: HashMap<KindId, Vec<UnitId>>,
     by_dim: HashMap<DimVec, Vec<UnitId>>,
     /// Inverted token→unit index for free-text search, built lazily on the
     /// first [`crate::search::search`] call against this KB.
     search_index: OnceLock<crate::search::SearchIndex>,
-    /// Interned link index (symbol tables + fuzzy prefilter buckets), built
-    /// lazily on the first [`DimUnitKb::link_index`] call against this KB.
-    link_index: OnceLock<crate::intern::LinkIndex>,
+    /// The naming dictionary, built with the KB.
+    link_index: LinkIndex,
 }
 
 static STANDARD: OnceLock<Arc<DimUnitKb>> = OnceLock::new();
@@ -82,47 +80,32 @@ impl DimUnitKb {
 
     /// A sub-knowledge-base containing only the units accepted by `keep`
     /// (kinds are retained in full so `KindId`s remain stable). Frequencies
-    /// are preserved from the parent. Used for the WolframAlpha / UoM
-    /// comparison subsets and for the degraded views of simulated models.
+    /// are preserved from the parent. Used for the WolframAlpha engine's KB
+    /// and Table IV's UoM subset (simulated models sample a
+    /// `KnowledgeView` instead).
     pub fn subset(&self, mut keep: impl FnMut(&Unit) -> bool) -> Self {
-        let mut kb = DimUnitKb {
-            units: Vec::new(),
-            kinds: self.kinds.clone(),
-            by_code: HashMap::new(),
-            kind_by_name: self.kind_by_name.clone(),
-            naming: HashMap::new(),
-            naming_cased: HashMap::new(),
-            by_kind: HashMap::new(),
-            by_dim: HashMap::new(),
-            search_index: OnceLock::new(),
-            link_index: OnceLock::new(),
-        };
-        for unit in &self.units {
-            if keep(unit) {
-                let mut u = unit.clone();
-                u.id = UnitId(kb.units.len() as u32);
-                kb.index_unit(&u);
-                kb.units.push(u);
-            }
-        }
-        kb
+        let units = self.units.iter().filter(|u| keep(u)).cloned();
+        Self::from_units(units, self.kinds.clone(), self.kind_by_name.clone())
     }
 
-    fn index_unit(&mut self, unit: &Unit) {
-        self.by_code.insert(unit.code.clone(), unit.id);
-        self.by_kind.entry(unit.kind).or_default().push(unit.id);
-        self.by_dim.entry(unit.dim).or_default().push(unit.id);
-        for form in unit.surface_forms() {
-            let entry = self.naming.entry(normalize(form)).or_default();
-            if !entry.contains(&unit.id) {
-                entry.push(unit.id);
-            }
-            // Case-exact index: symbols distinguish mW from MW and t from T.
-            let entry = self.naming_cased.entry(normalize_cased(form)).or_default();
-            if !entry.contains(&unit.id) {
-                entry.push(unit.id);
-            }
+    /// Numbers the units densely in order and builds every index over them.
+    fn from_units(
+        units: impl Iterator<Item = Unit>,
+        kinds: Vec<QuantityKind>,
+        kind_by_name: HashMap<String, KindId>,
+    ) -> Self {
+        let units: Vec<Unit> =
+            units.enumerate().map(|(i, unit)| Unit { id: UnitId(i as u32), ..unit }).collect();
+        let mut by_code = HashMap::with_capacity(units.len());
+        let (mut by_kind, mut by_dim) = (HashMap::new(), HashMap::new());
+        for unit in &units {
+            by_code.insert(unit.code.clone(), unit.id);
+            by_kind.entry(unit.kind).or_insert_with(Vec::new).push(unit.id);
+            by_dim.entry(unit.dim).or_insert_with(Vec::new).push(unit.id);
         }
+        let link_index = LinkIndex::build(&units);
+        let search_index = OnceLock::new();
+        DimUnitKb { units, kinds, by_code, kind_by_name, by_kind, by_dim, search_index, link_index }
     }
 
     /// The unit with the given id. Panics on a foreign id — ids are only
@@ -161,17 +144,14 @@ impl DimUnitKb {
     /// case-insensitive index. Returns every unit the surface form may
     /// refer to.
     pub fn lookup(&self, surface: &str) -> &[UnitId] {
-        if let Some(ids) = self.naming_cased.get(&normalize_cased(surface)) {
-            return ids;
-        }
-        self.naming.get(&normalize(surface)).map(Vec::as_slice).unwrap_or(&[])
+        self.link_index.lookup(surface, &mut String::new())
     }
 
-    /// Iterates over the whole naming dictionary (normalized surface form →
-    /// candidate units). This is the retrieval source for candidate
-    /// generation in unit linking.
+    /// Iterates over the case-insensitive naming dictionary (normalized
+    /// surface form → candidate units) in ascending key order. This is the
+    /// retrieval source for candidate generation in unit linking.
     pub fn naming_dictionary(&self) -> impl Iterator<Item = (&str, &[UnitId])> {
-        self.naming.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        self.link_index.entries()
     }
 
     /// Units measuring the given kind.
@@ -221,11 +201,6 @@ impl DimUnitKb {
             .map(|u| u.conversion.factor)
     }
 
-    /// All distinct dimension vectors present in the KB.
-    pub fn dimensions(&self) -> impl Iterator<Item = DimVec> + '_ {
-        self.by_dim.keys().copied()
-    }
-
     /// Whether two units share a dimension (the dimension law).
     pub fn comparable(&self, a: UnitId, b: UnitId) -> bool {
         self.unit(a).dim == self.unit(b).dim
@@ -264,12 +239,11 @@ impl DimUnitKb {
         self.search_index.get_or_init(|| crate::search::SearchIndex::build(self))
     }
 
-    /// The interned link index for this KB (symbol tables over both naming
-    /// dictionaries plus the length-bucketed fuzzy prefilter), built on
-    /// first use and shared by every linker over this KB. Like
-    /// `search_index`, clones carry the already-built index.
-    pub fn link_index(&self) -> &crate::intern::LinkIndex {
-        self.link_index.get_or_init(|| crate::intern::LinkIndex::build(self))
+    /// The interned naming dictionary (symbol tables over both
+    /// dictionaries plus the length-bucketed fuzzy prefilter), built with
+    /// the KB and shared by every linker over it.
+    pub fn link_index(&self) -> &LinkIndex {
+        &self.link_index
     }
 }
 
@@ -633,31 +607,13 @@ impl Builder {
         }
     }
 
-    fn finish(mut self, popularity: &dyn PopularitySource) -> DimUnitKb {
+    fn finish(self, popularity: &dyn PopularitySource) -> DimUnitKb {
         let items: Vec<(&str, f64)> =
             self.pending.iter().map(|(u, pop, _)| (u.code.as_str(), *pop)).collect();
         let freqs = frequencies(popularity, &items);
-        for ((unit, _, _), freq) in self.pending.iter_mut().zip(freqs) {
-            unit.frequency = freq;
-        }
-        let mut kb = DimUnitKb {
-            units: Vec::with_capacity(self.pending.len()),
-            kinds: self.kinds,
-            by_code: HashMap::new(),
-            kind_by_name: self.kind_by_name,
-            naming: HashMap::new(),
-            naming_cased: HashMap::new(),
-            by_kind: HashMap::new(),
-            by_dim: HashMap::new(),
-            search_index: OnceLock::new(),
-            link_index: OnceLock::new(),
-        };
-        for (mut unit, _, _) in self.pending {
-            unit.id = UnitId(kb.units.len() as u32);
-            kb.index_unit(&unit);
-            kb.units.push(unit);
-        }
-        kb
+        let units = self.pending.into_iter().zip(freqs);
+        let units = units.map(|((unit, _, _), frequency)| Unit { frequency, ..unit });
+        DimUnitKb::from_units(units, self.kinds, self.kind_by_name)
     }
 }
 

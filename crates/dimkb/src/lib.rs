@@ -8,9 +8,10 @@
 //! identifier, bilingual labels, symbol, aliases, description, keywords,
 //! frequency, quantity kind, dimension vector and SI conversion value. On
 //! top of the stored records it maintains the *naming dictionary* used by
-//! unit linking, kind and dimension indexes, a conversion engine (including
-//! affine temperature scales), and a unit-expression algebra for compound
-//! expressions such as `J/(kg·K)`.
+//! unit linking (one interned [`LinkIndex`], built with the KB), kind and
+//! dimension indexes, a conversion engine (including affine temperature
+//! scales), and a unit-expression algebra for compound expressions such as
+//! `J/(kg·K)`.
 //!
 //! ```
 //! use dimkb::DimUnitKb;

@@ -89,9 +89,6 @@ pub struct UnitLinker {
 impl UnitLinker {
     /// Builds a linker over a KB.
     pub fn new(kb: Arc<DimUnitKb>, embeddings: Option<EmbeddingModel>, config: LinkerConfig) -> Self {
-        // Force the shared index now so the first link query (possibly on a
-        // worker thread mid-batch) doesn't pay the build.
-        let _ = kb.link_index();
         UnitLinker { kb, embeddings, config }
     }
 

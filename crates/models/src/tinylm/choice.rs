@@ -47,6 +47,7 @@ impl ChoiceScorer {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut order: Vec<usize> = (0..feats.len()).collect();
         let mut last_loss = 0.0;
+        let mut exps = Vec::new();
         for _ in 0..epochs {
             // Fisher-Yates shuffle.
             for i in (1..order.len()).rev() {
@@ -54,7 +55,7 @@ impl ChoiceScorer {
             }
             let mut total = 0.0;
             for &i in &order {
-                total += self.model.sgd_softmax(&feats[i], answers[i]);
+                total += self.model.sgd_softmax(&feats[i], answers[i], &mut exps);
             }
             last_loss = if feats.is_empty() { 0.0 } else { total / feats.len() as f32 };
         }

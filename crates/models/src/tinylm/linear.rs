@@ -49,11 +49,20 @@ impl LinearModel {
     }
 
     /// One softmax cross-entropy SGD step over candidate feature sets;
-    /// returns the loss. `gold` indexes the correct candidate.
-    pub fn sgd_softmax(&mut self, candidates: &[Vec<u32>], gold: usize) -> f32 {
-        let scores: Vec<f32> = candidates.iter().map(|c| self.score(c)).collect();
-        let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = scores.iter().map(|s| (s - max).exp()).collect();
+    /// returns the loss. `gold` indexes the correct candidate. `exps` is
+    /// scratch the caller reuses across steps; its contents are overwritten.
+    pub fn sgd_softmax(
+        &mut self,
+        candidates: &[Vec<u32>],
+        gold: usize,
+        exps: &mut Vec<f32>,
+    ) -> f32 {
+        exps.clear();
+        exps.extend(candidates.iter().map(|c| self.score(c)));
+        let max = exps.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        for e in exps.iter_mut() {
+            *e = (*e - max).exp();
+        }
         let z: f32 = exps.iter().sum();
         let weights = Arc::make_mut(&mut self.weights);
         let mut loss = 0.0;
@@ -105,7 +114,7 @@ mod tests {
         let good = vec![feat("good"), feat("shared")];
         let bad = vec![feat("bad"), feat("shared")];
         for _ in 0..50 {
-            m.sgd_softmax(&[good.clone(), bad.clone()], 0);
+            m.sgd_softmax(&[good.clone(), bad.clone()], 0, &mut Vec::new());
         }
         assert!(m.score(&good) > m.score(&bad));
     }
@@ -127,11 +136,11 @@ mod tests {
     fn loss_decreases_with_training() {
         let mut m = LinearModel::zeros(0.2);
         let cands = vec![vec![feat("a")], vec![feat("b")], vec![feat("c")]];
-        let first = m.sgd_softmax(&cands, 1);
+        let first = m.sgd_softmax(&cands, 1, &mut Vec::new());
         for _ in 0..30 {
-            m.sgd_softmax(&cands, 1);
+            m.sgd_softmax(&cands, 1, &mut Vec::new());
         }
-        let last = m.sgd_softmax(&cands, 1);
+        let last = m.sgd_softmax(&cands, 1, &mut Vec::new());
         assert!(last < first);
     }
 
@@ -146,7 +155,7 @@ mod tests {
         // Once unshared, later steps write the clone's own table in place.
         let before = Arc::as_ptr(&clone.weights);
         clone.sgd_logistic(&[2], true);
-        clone.sgd_softmax(&[vec![3], vec![4]], 0);
+        clone.sgd_softmax(&[vec![3], vec![4]], 0, &mut Vec::new());
         assert_eq!(Arc::as_ptr(&clone.weights), before);
     }
 
@@ -158,12 +167,57 @@ mod tests {
         let before: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
         let mut clone = original.clone();
         for _ in 0..20 {
-            clone.sgd_softmax(&probes, 0);
+            clone.sgd_softmax(&probes, 0, &mut Vec::new());
             clone.sgd_logistic(&probes[1], false);
         }
         let after: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
         assert_eq!(before, after);
         assert!(clone.score(&probes[0]) > original.score(&probes[0]), "the clone did train");
+    }
+
+    /// The softmax step as it was before it took a scratch buffer: two
+    /// fresh `Vec`s per step.
+    fn sgd_softmax_two_vecs(m: &mut LinearModel, candidates: &[Vec<u32>], gold: usize) -> f32 {
+        let scores: Vec<f32> = candidates.iter().map(|c| m.score(c)).collect();
+        let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let exps: Vec<f32> = scores.iter().map(|s| (s - max).exp()).collect();
+        let z: f32 = exps.iter().sum();
+        let weights = Arc::make_mut(&mut m.weights);
+        let mut loss = 0.0;
+        for (i, c) in candidates.iter().enumerate() {
+            let p = exps[i] / z;
+            let y = f32::from(i == gold);
+            add(weights, c, -m.lr * (p - y));
+            if i == gold {
+                loss = -p.max(1e-9).ln();
+            }
+        }
+        loss
+    }
+
+    #[test]
+    fn scratch_softmax_step_is_bit_identical_to_two_vec_step() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut fast = LinearModel::random(0.15, 0.02, 3);
+        let mut slow = fast.clone();
+        let mut scratch = Vec::new();
+        let mut touched = Vec::new();
+        for _ in 0..500 {
+            // Few distinct features, so candidates and steps collide.
+            let candidates: Vec<Vec<u32>> = (0..rng.gen_range(1..=9))
+                .map(|_| (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..64u32)).collect())
+                .collect();
+            let gold = rng.gen_range(0..candidates.len());
+            let a = fast.sgd_softmax(&candidates, gold, &mut scratch);
+            let b = sgd_softmax_two_vecs(&mut slow, &candidates, gold);
+            assert_eq!(a.to_bits(), b.to_bits());
+            touched.extend(candidates.into_iter().flatten());
+        }
+        assert!(!touched.is_empty());
+        for f in touched {
+            let (a, b) = (fast.weights[f as usize], slow.weights[f as usize]);
+            assert_eq!(a.to_bits(), b.to_bits(), "feature {f}");
+        }
     }
 
     #[test]
