@@ -1,23 +1,22 @@
 //! `dimlint` — the workspace invariant linter (see DESIGN.md §11, §16).
 //!
 //! ```text
-//! dimlint [--root DIR] [--deep] [--rule NAME[,NAME...]]... [--threads N]
-//!         [--json FILE] [--list-rules]
+//! dimlint [--root DIR] [--deep] [--rule NAME[,NAME...]]... [--json FILE]
+//!         [--list-rules]
 //! ```
 //!
 //! Human diagnostics (`file:line: [rule] message`) go to stdout; `--json`
 //! additionally writes the machine-readable v2 report. `--deep` adds the
 //! workspace-level analyses (panic-reachability, lock-order,
 //! atomic-pairing); naming a deep rule with `--rule` also enables it.
-//! `--threads` parallelizes the file pass — output is byte-identical at
-//! any width. Exit codes: 0 clean (warnings allowed), 1 error-severity
+//! Exit codes: 0 clean (warnings allowed), 1 error-severity
 //! violations found, 2 usage or I/O error.
 
 use dim_lint::{run, LintOptions, RuleId};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dimlint [--root DIR] [--deep] [--rule NAME[,NAME...]]... \
-                     [--threads N] [--json FILE] [--list-rules]";
+                     [--json FILE] [--list-rules]";
 
 fn main() -> ExitCode {
     let mut opts = LintOptions::new(".");
@@ -34,10 +33,6 @@ fn main() -> ExitCode {
                 Some(Some(rs)) => opts.rules.extend(rs),
                 Some(None) => return usage("unknown rule (try --list-rules)"),
                 None => return usage("--rule needs a rule name or comma-separated list"),
-            },
-            "--threads" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => opts.threads = n,
-                _ => return usage("--threads needs a positive integer"),
             },
             "--json" => match args.next() {
                 Some(v) => json_path = Some(v),

@@ -1,7 +1,6 @@
 //! `dim-lint`: the workspace lint engine enforcing the repository's
 //! determinism, no-panic, concurrency, and zero-dep invariants. It depends
-//! only on in-repo crates: the `dim-par` fan-out for the parallel file pass
-//! and `dim-json`'s string escaper for the JSON report.
+//! on one in-repo crate: `dim-json`'s string escaper for the JSON report.
 //!
 //! The reproduction's core claim — DimEval/DimPerc outputs are
 //! byte-identical across runs and thread widths — has been broken twice by
@@ -241,15 +240,12 @@ pub struct LintOptions {
     pub rules: Vec<RuleId>,
     /// Run the workspace-level analyses too.
     pub deep: bool,
-    /// Worker threads for the file pass (0 or 1 = sequential). Output is
-    /// byte-identical at any width: diagnostics are fully sorted.
-    pub threads: usize,
 }
 
 impl LintOptions {
-    /// Default options rooted at `root`: shallow rules, sequential.
+    /// Default options rooted at `root`: shallow rules.
     pub fn new(root: impl Into<std::path::PathBuf>) -> LintOptions {
-        LintOptions { root: root.into(), rules: Vec::new(), deep: false, threads: 1 }
+        LintOptions { root: root.into(), rules: Vec::new(), deep: false }
     }
 }
 
@@ -270,22 +266,13 @@ pub fn run(opts: &LintOptions) -> Result<LintReport, String> {
     };
     let run_rust = rules.iter().any(|r| *r != RuleId::ZeroDep);
     if run_rust {
-        // The file pass — read, lex, item-parse, per-file rules — is
-        // embarrassingly parallel; each file is one coarse item. The final
-        // sort makes output independent of completion order.
-        let par = dim_par::Parallelism::new(opts.threads.max(1));
-        type FileResult = Result<(graph::ParsedFile, Vec<Diagnostic>), String>;
-        let results: Vec<FileResult> = dim_par::par_map_coarse(par, &files.rust, |_, rel| {
+        // The file pass: read, lex, item-parse, per-file rules.
+        let mut parsed_files = Vec::with_capacity(files.rust.len());
+        for rel in &files.rust {
             let text = read(&opts.root, rel)?;
             let parsed = graph::ParsedFile::parse(rel, &text);
-            let diags = check_parsed(&parsed.source, &rules, false);
-            Ok((parsed, diags))
-        });
-        let mut parsed_files = Vec::with_capacity(results.len());
-        for r in results {
-            let (parsed, diags) = r?;
             report.files_scanned += 1;
-            report.diagnostics.extend(diags);
+            report.diagnostics.extend(check_parsed(&parsed.source, &rules, false));
             parsed_files.push(parsed);
         }
         if !deep_rules.is_empty() {

@@ -1,6 +1,6 @@
 //! Diagnostics and their two renderings: human `file:line` lines and the
-//! `lint_report.json` v2 schema (hand-rolled JSON — this crate depends
-//! only on the vendored `dim-par` fan-out, nothing serialized).
+//! `lint_report.json` v2 schema (hand-rolled JSON; `dim-json` escapes its
+//! strings).
 //!
 //! Schema v2 (see DESIGN.md §16): every violation carries a `severity`;
 //! panic-reachability findings carry a `witness` call chain; lock-order
@@ -91,8 +91,7 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Canonical ordering so output is byte-stable run-to-run (and across
-    /// thread widths: the parallel file pass feeds this sort).
+    /// Canonical ordering so output is byte-stable run-to-run.
     pub fn sort(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))

@@ -30,19 +30,3 @@ fn the_workspace_is_lint_clean() {
         report.render_human()
     );
 }
-
-/// The parallel file pass must not change a single output byte: width 1
-/// and width 4 renderings are compared bit-for-bit, human and JSON.
-#[test]
-fn output_is_byte_identical_across_thread_widths() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut w1 = LintOptions::new(root);
-    w1.deep = true;
-    w1.threads = 1;
-    let mut w4 = w1.clone();
-    w4.threads = 4;
-    let r1 = run(&w1).expect("width-1 run");
-    let r4 = run(&w4).expect("width-4 run");
-    assert_eq!(r1.render_human(), r4.render_human(), "human output differs across widths");
-    assert_eq!(r1.render_json(), r4.render_json(), "json output differs across widths");
-}

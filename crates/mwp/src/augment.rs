@@ -17,7 +17,7 @@
 
 use crate::equation::{Node, Op};
 use crate::problem::MwpProblem;
-use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy, QuarantineEntry};
+use dimkb::degrade::{self, BudgetExceeded, Policy, QuarantineEntry};
 use dimkb::{DimUnitKb, Unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +29,6 @@ static AUGMENT_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("mwp.augment")
 static AUGMENT_ATTEMPTS: dim_obs::Counter = dim_obs::Counter::new("mwp.augment_attempts");
 static AUGMENTED: dim_obs::Counter = dim_obs::Counter::new("mwp.augmented");
 
-/// Chaos/quarantine site for Q-MWP conversion (indexed by problem).
-const SITE_QMWP: &str = "mwp.qmwp";
 /// Chaos/quarantine site for dataset augmentation (indexed by attempt).
 const SITE_AUGMENT: &str = "mwp.augment";
 
@@ -277,26 +275,11 @@ impl<'a> Augmenter<'a> {
         problems: &[MwpProblem],
         par: dim_par::Parallelism,
     ) -> Vec<MwpProblem> {
-        degrade::complete(self.try_to_qmwp_with(problems, par, Policy::CLASSIC))
-    }
-
-    /// Degraded-mode [`Self::to_qmwp_with`]: per-problem panic isolation and
-    /// fault injection; a faulted problem is quarantined (its slot is
-    /// `None`) under the policy's budget. With no faults, slot `i` equals
-    /// the classic output's element `i` exactly.
-    pub fn try_to_qmwp_with(
-        &mut self,
-        problems: &[MwpProblem],
-        par: dim_par::Parallelism,
-        policy: Policy,
-    ) -> Result<Degraded<MwpProblem>, BudgetExceeded> {
         let _span = QMWP_SPAN.span();
         let (kb, seed) = (self.kb, self.seed);
-        let slots = dim_par::try_par_map_indexed(par, problems, |i, p| {
-            degrade::inject(policy.plan, SITE_QMWP, i)?;
-            Ok(Augmenter::new(kb, dim_par::seed_for(seed ^ 0x51, i as u64)).qmwp_one(p))
-        });
-        degrade::collect_isolated(SITE_QMWP, slots, policy.budget)
+        dim_par::par_map_indexed(par, problems, |i, p| {
+            Augmenter::new(kb, dim_par::seed_for(seed ^ 0x51, i as u64)).qmwp_one(p)
+        })
     }
 
     /// Training-set augmentation at rate η: appends ~η·N augmented variants

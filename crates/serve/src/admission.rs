@@ -17,8 +17,8 @@
 //!
 //! The server counts both sheds (`srv.admission.gate_shed`,
 //! `srv.admission.queue_full`) and sets the `srv.conn.open` gauge from
-//! [`ConnGate::open`]; the loadgen's seeded backoff client honors the
-//! `Retry-After`.
+//! [`ConnGate::open`]; the soak's seeded backoff client
+//! ([`load`](crate::load)) honors the `Retry-After`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

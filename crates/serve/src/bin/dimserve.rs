@@ -11,7 +11,9 @@
 //! Serves `POST /link|/annotate|/convert|/solve|/verify` and
 //! `GET /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
 //! closing the pipe — `std` has no portable signal handling), then drains
-//! gracefully and writes the final obs report.
+//! gracefully and writes the final obs report. A flag given without a
+//! value, or with one that does not parse, prints the usage and exits
+//! with status 2.
 //!
 //! The server counts its own `srv.*` metrics whatever the process does;
 //! this binary also turns the process-wide `dim-obs` registry on, so
@@ -20,58 +22,67 @@
 
 use dim_serve::{AppConfig, ServerConfig};
 use std::io::Read;
+use std::str::FromStr;
 use std::time::Duration;
 
-fn flag(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
+const USAGE: &str = "usage: dimserve [--port N] [--workers N] [--queue N] [--max-conns N] \
+                     [--deadline-ms N] [--max-deadline-ms N] [--header-budget-ms N] \
+                     [--chaos-seed S] [--chaos-rate R] [--conn-chaos-rate R] [--obs-out PATH]";
+
+/// The value that follows `name` in `args`, parsed, or `default` when the
+/// flag is absent. A flag with no value, or with one that does not parse
+/// as `T`, is an error: falling back to the default would run a server
+/// the operator did not ask for (`--port 80800` binding 8080).
+fn parse_flag<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let Some(at) = args.iter().position(|a| a == name) else { return Ok(default) };
+    match args.get(at + 1) {
+        Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse `{v}`")),
+        None => Err(format!("{name} needs a value")),
     }
-    None
 }
 
-fn parse_flag<T: std::str::FromStr>(name: &str, default: T) -> T {
-    flag(name).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn main() {
-    dim_obs::enable();
-    let port: u16 = parse_flag("--port", 8080);
-    let workers: usize = parse_flag("--workers", 2);
-    let queue: usize = parse_flag("--queue", 64);
-    let max_conns: usize = parse_flag("--max-conns", 256);
-    let deadline_ms: u64 = parse_flag("--deadline-ms", 5000);
-    let max_deadline_ms: u64 = parse_flag("--max-deadline-ms", 30_000);
-    let header_budget_ms: u64 = parse_flag("--header-budget-ms", 2000);
-    let chaos_seed: u64 = parse_flag("--chaos-seed", 7);
-    let chaos_rate: f64 = parse_flag("--chaos-rate", 0.0);
-    let conn_chaos_rate: f64 = parse_flag("--conn-chaos-rate", 0.0);
-    let obs_out = flag("--obs-out").unwrap_or_else(|| "obs_report.json".to_string());
-
-    if chaos_rate > 0.0 {
-        eprintln!("chaos: seed={chaos_seed} rate={chaos_rate}");
-    }
-    if conn_chaos_rate > 0.0 {
-        eprintln!("conn-chaos: seed={chaos_seed} rate={conn_chaos_rate}");
-    }
-
+/// The server configuration and obs report path that `args` ask for.
+fn parse_args(args: &[String]) -> Result<(ServerConfig, String), String> {
+    let chaos_seed: u64 = parse_flag(args, "--chaos-seed", 7)?;
     let config = ServerConfig {
-        addr: format!("127.0.0.1:{port}"),
-        workers,
-        queue_capacity: queue,
-        max_connections: max_conns,
-        default_deadline: Duration::from_millis(deadline_ms),
-        max_deadline: Duration::from_millis(max_deadline_ms),
-        header_read_budget: Duration::from_millis(header_budget_ms),
+        addr: format!("127.0.0.1:{}", parse_flag::<u16>(args, "--port", 8080)?),
+        workers: parse_flag(args, "--workers", 2)?,
+        queue_capacity: parse_flag(args, "--queue", 64)?,
+        max_connections: parse_flag(args, "--max-conns", 256)?,
+        default_deadline: Duration::from_millis(parse_flag(args, "--deadline-ms", 5000)?),
+        max_deadline: Duration::from_millis(parse_flag(args, "--max-deadline-ms", 30_000)?),
+        header_read_budget: Duration::from_millis(parse_flag(args, "--header-budget-ms", 2000)?),
         idle_timeout: Duration::from_secs(60),
-        conn_faults: dim_chaos::ConnPlan::new(chaos_seed, conn_chaos_rate),
+        conn_faults: dim_chaos::ConnPlan::new(
+            chaos_seed,
+            parse_flag(args, "--conn-chaos-rate", 0.0)?,
+        ),
         app: AppConfig {
-            faults: dim_chaos::FaultPlan::new(chaos_seed, chaos_rate),
+            faults: dim_chaos::FaultPlan::new(chaos_seed, parse_flag(args, "--chaos-rate", 0.0)?),
             ..AppConfig::default()
         },
     };
+    let obs_out = parse_flag(args, "--obs-out", "obs_report.json".to_string())?;
+    Ok((config, obs_out))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let (config, obs_out) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("dimserve: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    dim_obs::enable();
+    if config.app.faults.rate > 0.0 {
+        eprintln!("chaos: seed={} rate={}", config.app.faults.seed, config.app.faults.rate);
+    }
+    if config.conn_faults.rate > 0.0 {
+        eprintln!("conn-chaos: seed={} rate={}", config.conn_faults.seed, config.conn_faults.rate);
+    }
+
     let server = match dim_serve::start(config) {
         Ok(s) => s,
         Err(e) => {
@@ -99,4 +110,53 @@ fn main() {
         report.degraded,
         report.open_connections
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("dimserve").chain(list.iter().copied()).map(String::from).collect()
+    }
+
+    #[test]
+    fn absent_flags_take_their_defaults() {
+        let (config, obs_out) = parse_args(&args(&[])).unwrap();
+        assert_eq!(config.addr, "127.0.0.1:8080");
+        assert_eq!((config.workers, config.queue_capacity, config.max_connections), (2, 64, 256));
+        assert_eq!(config.default_deadline, Duration::from_millis(5000));
+        assert!(!config.app.faults.is_active() && !config.conn_faults.is_active());
+        assert_eq!(obs_out, "obs_report.json");
+    }
+
+    #[test]
+    fn well_formed_values_are_used() {
+        let (config, obs_out) = parse_args(&args(&[
+            "--port", "9001", "--workers", "3", "--deadline-ms", "250",
+            "--chaos-seed", "5", "--chaos-rate", "0.25", "--obs-out", "o.json",
+        ]))
+        .unwrap();
+        assert_eq!(config.addr, "127.0.0.1:9001");
+        assert_eq!(config.workers, 3);
+        assert_eq!(config.default_deadline, Duration::from_millis(250));
+        assert_eq!((config.app.faults.seed, config.app.faults.rate), (5, 0.25));
+        assert_eq!(config.conn_faults.seed, 5);
+        assert_eq!(obs_out, "o.json");
+    }
+
+    #[test]
+    fn malformed_or_missing_values_are_errors() {
+        for bad in [
+            &["--port", "80800"][..],
+            &["--workers", "two"],
+            &["--deadline-ms", "-1"],
+            &["--chaos-rate", "often"],
+            &["--queue"],
+            &["--port", "--workers", "2"],
+        ] {
+            let err = parse_args(&args(bad)).err();
+            assert!(err.as_deref().is_some_and(|e| e.starts_with(bad[0])), "{bad:?}: {err:?}");
+        }
+    }
 }

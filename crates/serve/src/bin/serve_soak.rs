@@ -6,9 +6,11 @@
 //! fire, asserting the overload-resilience contract:
 //!
 //! 1. **clean** — retries drive every logical request to a final `2xx`;
-//!    zero give-ups; zero caught panics; zero leaked connection permits.
-//! 2. **clean again** — the deterministic block (final outcomes, response
-//!    checksum, cache counts) is byte-identical to run 1.
+//!    zero give-ups; zero caught panics; zero leaked connection permits;
+//!    and the deterministic block (final outcomes, response checksum,
+//!    cache counts) equals [`PINNED`], so a change to any served byte
+//!    fails the gate.
+//! 2. **clean again** — the deterministic block is byte-identical to run 1.
 //! 3. **conn-chaos rate 0** — a server configured with a zero-rate
 //!    connection fault plan behaves as one with none: byte-identical to
 //!    run 1.
@@ -20,30 +22,25 @@
 //!
 //! Exit status 0 only if every assertion holds; any violation prints the
 //! offending run and exits 1.
+//!
+//! After an intended change to the served bytes or the cache policy, run
+//! `make serve-soak`, check that the clean runs still agree with each
+//! other, and copy the block it prints for `clean-1` into [`PINNED`].
 
 use dim_chaos::ConnPlan;
-use dim_serve::load::{run, LoadConfig, LoadReport};
+use dim_serve::load::{run, LoadReport};
 use dim_serve::{cache, AppConfig, ServerConfig};
 use std::time::Duration;
+
+/// The clean run's deterministic block: 3600 logical requests, all `2xx`,
+/// the XOR of their body hashes, and the cache counts they produce.
+const PINNED: &str = "{\"requests\": 3600, \"responses\": {\"2xx\": 3600, \"4xx\": 0, \"5xx\": 0}, \"response_checksum\": \"0x495c9608e87c655c\", \"cache\": {\"hits\": 3192, \"misses\": 333, \"evictions\": 0}}";
 
 struct SoakOutcome {
     report: LoadReport,
     deterministic: String,
     panics_caught: u64,
     open_connections: usize,
-}
-
-fn soak_config() -> LoadConfig {
-    LoadConfig {
-        clients: 12,
-        requests_per_client: 300,
-        seed: 11,
-        warmup: 8,
-        backoff_base_ms: 1,
-        backoff_cap_ms: 16,
-        retry_after_cap_ms: 10,
-        max_attempts: 500,
-    }
 }
 
 fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
@@ -67,7 +64,7 @@ fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
     });
     let addr = server.addr();
     let cache_before = cache::counters();
-    let report = run(addr, &soak_config());
+    let report = run(addr);
     let cache_after = cache::counters();
     let drain = server.shutdown();
     let cache_delta = (
@@ -78,7 +75,7 @@ fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
     let deterministic = report.deterministic_json(cache_delta);
     eprintln!(
         "serve_soak[{label}]: {} logical, {} attempts, {} sheds, {} transport errors, \
-         {} server sheds ({} deadline), {} conn faults, {} gave up, {:.2}s",
+         {} server sheds ({} deadline), {} conn faults, {} gave up",
         report.logical_requests,
         report.attempts,
         report.sheds,
@@ -86,8 +83,7 @@ fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
         drain.rejected,
         drain.deadline_shed,
         drain.conn_faults,
-        report.gave_up,
-        report.elapsed.as_secs_f64()
+        report.gave_up
     );
     SoakOutcome {
         report,
@@ -129,6 +125,13 @@ fn main() {
 
     let clean1 = one_run("clean-1", ConnPlan::OFF);
     assert_healthy("clean-1", &clean1, &mut failures);
+    if clean1.deterministic != PINNED {
+        eprintln!(
+            "serve_soak FAIL: the clean deterministic block is not the pinned one\n--- pinned\n{PINNED}\n--- clean-1\n{}",
+            clean1.deterministic
+        );
+        failures += 1;
+    }
 
     let clean2 = one_run("clean-2", ConnPlan::OFF);
     assert_healthy("clean-2", &clean2, &mut failures);
@@ -167,5 +170,5 @@ fn main() {
         eprintln!("serve_soak: {failures} failure(s)");
         std::process::exit(1);
     }
-    eprintln!("serve_soak: OK (deterministic block stable, chaos survived, zero panics/leaks)");
+    eprintln!("serve_soak: OK (deterministic block pinned and stable, chaos survived, zero panics/leaks)");
 }

@@ -128,7 +128,7 @@ impl ShardedLru {
 
 /// Process-wide cache counts `(hits, misses, evictions)`: every
 /// [`ShardedLru`] in the process counts into them, always (meaningful when
-/// one cache exists, i.e. one server; loadgen, the soak harness and the
+/// one cache exists, i.e. one server; the soak harness, perfbench and the
 /// metrics snapshot read these).
 pub fn counters() -> (u64, u64, u64) {
     let read = |count: &AtomicU64| count.load(Ordering::Relaxed); // lint:allow(relaxed_ordering, monotonic stat read; no data guarded by it)

@@ -26,7 +26,8 @@
 //!   a bounded connection gate ahead of the bounded queue ([`admission`]),
 //!   and connection-level chaos faults prove the server sheds load as
 //!   deterministic `503 + Retry-After` instead of hanging or panicking; the
-//!   seeded retry client in [`load`] soaks it past 100k requests.
+//!   seeded retry client in [`load`] soaks it with 3600 requests whose
+//!   final response bytes the `serve_soak` gate pins.
 //! - **Per-server metrics.** Every `srv.*` metric is a field of one
 //!   [`metrics::ServerMetrics`] value the [`App`] owns, always on, so two
 //!   servers in one process never count each other's traffic; `GET

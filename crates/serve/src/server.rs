@@ -51,7 +51,7 @@ pub const SITE_CONN: &str = "srv.conn";
 pub const DEADLINE_SHED_BODY: &str = "{\"error\":\"deadline exceeded\",\"shed\":true}";
 
 /// `Retry-After` seconds on every overload shed (the smallest expressible
-/// backoff; the loadgen client treats it as a floor, not a sleep mandate).
+/// backoff; the soak client treats it as a floor, not a sleep mandate).
 const RETRY_AFTER_SECS: u16 = 1;
 
 /// Socket read timeout of a served connection: how often an idle worker
