@@ -43,16 +43,17 @@ serve-smoke:
 	cargo test --release --test serve -q
 
 # Overload/chaos soak gate: four short deterministic soaks of an
-# overloaded in-process server (clients beyond the admission limit, tight
-# deadlines). Asserts the clean run's deterministic block (outcome counts,
-# response checksum, cache counts) equals the block pinned as PINNED in
-# crates/serve/src/bin/serve_soak.rs, that it is byte-identical across
-# identical runs and under a rate-0 connection-fault plan, and that a
-# positive-rate plan (stall / partial-write / abrupt-close) is survived
-# with zero panics, zero leaked connection permits, and unchanged final
-# response bytes (see EXPERIMENTS.md "Overload soak methodology"). After
-# an intended change to served bytes or cache policy, copy the clean-1
-# block the failing run prints into PINNED and review the diff.
+# overloaded in-process server (more clients than the queue bound plus the
+# workers admit, tight deadlines). Asserts the clean run's deterministic
+# block (outcome counts, response checksum, cache counts) equals the block
+# pinned as PINNED in crates/serve/src/bin/serve_soak.rs, that it is
+# byte-identical across identical runs and under a rate-0 connection-fault
+# plan, and that a positive-rate plan (stall / partial-write /
+# abrupt-close) is survived with zero panics, zero connections left open,
+# and unchanged final response bytes (see EXPERIMENTS.md "Overload soak
+# methodology"). After an intended change to served bytes or cache policy,
+# copy the clean-1 block the failing run prints into PINNED and review the
+# diff.
 serve-soak:
 	cargo run --release -p dim-serve --bin serve_soak
 

@@ -31,14 +31,13 @@ fn main() {
     // pipeline run under a deterministic fault plan. With rate 0 (the
     // default) nothing is printed and the injector stays disabled, so
     // stdout is byte-identical to a run without the flags.
-    let chaos_rate = dim_bench::chaos_rate_flag();
-    if chaos_rate > 0.0 {
-        let chaos_seed = dim_bench::chaos_seed_flag();
+    let cli = dim_bench::cli();
+    if cli.chaos_rate > 0.0 {
         println!("\n================= chaos =================\n");
-        print!("{}", render::chaos_report(&cfg, chaos_seed, chaos_rate));
+        print!("{}", render::chaos_report(&cfg, cli.chaos_seed, cli.chaos_rate));
     }
     if dim_obs::enabled() {
-        let path = dim_bench::obs_out_flag().unwrap_or_else(|| "obs_report.json".to_string());
+        let path = cli.obs_out.unwrap_or_else(|| "obs_report.json".to_string());
         std::fs::write(&path, dim_obs::snapshot().to_json()).expect("write obs report");
         eprintln!("obs: report written to {path}");
     }

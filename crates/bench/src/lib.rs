@@ -8,32 +8,66 @@ pub fn pct(v: f64) -> String {
     format!("{:.2}", v * 100.0)
 }
 
-/// Parses a `--quick` flag from the CLI arguments.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// The harness flags every table/figure binary shares.
+#[derive(Debug, PartialEq)]
+pub struct Cli {
+    /// `--quick`: shrink datasets and training for a fast smoke run.
+    pub quick: bool,
+    /// `--obs`: collect metrics and print their table to stderr.
+    pub obs: bool,
+    /// `--obs-out PATH`: where `all_experiments` writes its metrics report.
+    pub obs_out: Option<String>,
+    /// `--threads N`: the fan-out width (0 clamps to 1).
+    pub threads: Option<usize>,
+    /// `--chaos-seed N`: the fault-plan seed (default 7).
+    pub chaos_seed: u64,
+    /// `--chaos-rate R`: fault probability per record (default 0, chaos
+    /// off, so `--chaos-rate 0` is byte-identical to no flag).
+    pub chaos_rate: f64,
 }
 
-/// Parses the `--obs` flag from the CLI arguments.
-pub fn obs_flag() -> bool {
-    std::env::args().any(|a| a == "--obs")
-}
+const USAGE: &str =
+    "[--quick] [--obs] [--obs-out PATH] [--threads N] [--chaos-seed N] [--chaos-rate R]";
 
-/// Parses a `--obs-out PATH` flag (where `all_experiments` writes the
-/// machine-readable metrics report; default `obs_report.json`).
-pub fn obs_out_flag() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--obs-out" {
-            return args.next();
-        }
+/// The value that follows `name` in `args`, parsed; `None` when the flag
+/// is absent. A flag with no value, or with one that does not parse as
+/// `T`, is an error: falling back to the default would run an experiment
+/// nobody asked for (`--threads two` running at the default width).
+fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == name) else { return Ok(None) };
+    match args.get(at + 1) {
+        Some(v) => v.parse().map(Some).map_err(|_| format!("{name}: cannot parse `{v}`")),
+        None => Err(format!("{name} needs a value")),
     }
-    None
 }
 
-/// Enables metrics collection when `--obs` was passed. Call at the top of
-/// a harness `main`.
+/// Parses the harness flags from `args` (the program name first).
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    Ok(Cli {
+        quick: args.iter().any(|a| a == "--quick"),
+        obs: args.iter().any(|a| a == "--obs"),
+        obs_out: flag_value(args, "--obs-out")?,
+        threads: flag_value(args, "--threads")?,
+        chaos_seed: flag_value(args, "--chaos-seed")?.unwrap_or(7),
+        chaos_rate: flag_value(args, "--chaos-rate")?.unwrap_or(0.0),
+    })
+}
+
+/// The harness flags of this process. A malformed flag prints the usage
+/// and exits with status 2.
+pub fn cli() -> Cli {
+    let args: Vec<String> = std::env::args().collect();
+    parse_cli(&args).unwrap_or_else(|e| {
+        let bin = args.first().map_or("dim-bench", String::as_str);
+        eprintln!("{bin}: {e}\nusage: {bin} {USAGE}");
+        std::process::exit(2);
+    })
+}
+
+/// Checks the CLI flags and enables metrics collection when `--obs` was
+/// passed. Call at the top of a harness `main`.
 pub fn obs_init() {
-    if obs_flag() {
+    if cli().obs {
         dim_obs::enable();
     }
 }
@@ -47,52 +81,18 @@ pub fn obs_finish() {
     }
 }
 
-/// Parses a `--threads N` flag from the CLI arguments.
-pub fn threads_flag() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args.next().and_then(|n| n.parse().ok());
-        }
-    }
-    None
-}
-
-/// Parses a `--chaos-seed N` flag (fault-plan seed; default 7).
-pub fn chaos_seed_flag() -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--chaos-seed" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or(7);
-        }
-    }
-    7
-}
-
-/// Parses a `--chaos-rate R` flag (fault probability per record; default
-/// 0.0, i.e. chaos off). Rate 0 leaves the injector disabled entirely, so
-/// `--chaos-rate 0` output is byte-identical to a run with no flag.
-pub fn chaos_rate_flag() -> f64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--chaos-rate" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or(0.0);
-        }
-    }
-    0.0
-}
-
 /// Returns the experiment configuration selected by the CLI. `--quick`
 /// shrinks datasets and training for fast smoke runs and pins the
 /// sequential reference paths; `--threads N` overrides the fan-out width
 /// in either mode (results are identical at every width).
 pub fn config_from_args() -> dim_core::experiments::ExperimentConfig {
-    let mut config = if quick_flag() {
+    let cli = cli();
+    let mut config = if cli.quick {
         dim_core::experiments::quick_config()
     } else {
         dim_core::experiments::ExperimentConfig::default()
     };
-    if let Some(threads) = threads_flag() {
+    if let Some(threads) = cli.threads {
         config.pipeline.parallelism = dim_par::Parallelism::new(threads);
     }
     config
@@ -177,3 +177,43 @@ pub const PAPER_TABLE7_KEY_ROWS: [PaperTable7Row; 3] = [
         ],
     ),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("table4").chain(list.iter().copied()).map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_parse_and_absent_ones_take_their_defaults() {
+        let defaults = parse_cli(&args(&[])).unwrap();
+        assert_eq!((defaults.quick, defaults.obs, &defaults.obs_out), (false, false, &None));
+        assert_eq!((defaults.threads, defaults.chaos_seed, defaults.chaos_rate), (None, 7, 0.0));
+        assert_eq!(parse_cli(&args(&["--chaos-rate", "0"])).unwrap(), defaults);
+        let cli = parse_cli(&args(&[
+            "--quick", "--threads", "4", "--obs", "--obs-out", "o.json",
+            "--chaos-seed", "5", "--chaos-rate", "0.25",
+        ]))
+        .unwrap();
+        assert!(cli.quick && cli.obs);
+        assert_eq!((cli.obs_out.as_deref(), cli.threads), (Some("o.json"), Some(4)));
+        assert_eq!((cli.chaos_seed, cli.chaos_rate), (5, 0.25));
+    }
+
+    #[test]
+    fn malformed_or_missing_values_are_errors() {
+        for bad in [
+            &["--threads", "two"][..],
+            &["--threads", "-1"],
+            &["--threads"],
+            &["--chaos-seed", "seven"],
+            &["--chaos-rate", "often"],
+            &["--obs-out"],
+        ] {
+            let err = parse_cli(&args(bad)).err();
+            assert!(err.as_deref().is_some_and(|e| e.starts_with(bad[0])), "{bad:?}: {err:?}");
+        }
+    }
+}

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --bin dimserve -- [--port N] [--workers N]
-//!     [--queue N] [--max-conns N] [--deadline-ms N]
-//!     [--max-deadline-ms N] [--header-budget-ms N]
+//!     [--queue N] [--deadline-ms N] [--header-budget-ms N]
 //!     [--chaos-seed S] [--chaos-rate R] [--conn-chaos-rate R]
 //!     [--obs-out PATH]
 //! ```
@@ -11,9 +10,10 @@
 //! Serves `POST /link|/annotate|/convert|/solve|/verify` and
 //! `GET /healthz|/metrics` until stdin reaches EOF (`Ctrl-D`, or the parent
 //! closing the pipe — `std` has no portable signal handling), then drains
-//! gracefully and writes the final obs report. A flag given without a
-//! value, or with one that does not parse, prints the usage and exits
-//! with status 2.
+//! gracefully and writes the final obs report. An argument that is not one
+//! of these flags, a flag given without a value, or one with a value that
+//! does not parse prints the usage and exits with status 2. `--queue` plus
+//! `--workers` caps the open connections.
 //!
 //! The server counts its own `srv.*` metrics whatever the process does;
 //! this binary also turns the process-wide `dim-obs` registry on, so
@@ -25,19 +25,19 @@ use std::io::Read;
 use std::str::FromStr;
 use std::time::Duration;
 
-const USAGE: &str = "usage: dimserve [--port N] [--workers N] [--queue N] [--max-conns N] \
-                     [--deadline-ms N] [--max-deadline-ms N] [--header-budget-ms N] \
-                     [--chaos-seed S] [--chaos-rate R] [--conn-chaos-rate R] [--obs-out PATH]";
+const USAGE: &str = "usage: dimserve [--port N] [--workers N] [--queue N] [--deadline-ms N] \
+                     [--header-budget-ms N] [--chaos-seed S] [--chaos-rate R] \
+                     [--conn-chaos-rate R] [--obs-out PATH]";
 
-/// The value that follows `name` in `args`, parsed, or `default` when the
-/// flag is absent. A flag with no value, or with one that does not parse
-/// as `T`, is an error: falling back to the default would run a server
-/// the operator did not ask for (`--port 80800` binding 8080).
+/// The value that follows `name` in `args`, parsed, or `default` when
+/// there is none. A value that does not parse as `T` is an error: falling
+/// back to the default would run a server the operator did not ask for
+/// (`--port 80800` binding 8080). [`parse_args`] rejects a flag with no
+/// value.
 fn parse_flag<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    let Some(at) = args.iter().position(|a| a == name) else { return Ok(default) };
-    match args.get(at + 1) {
+    match args.iter().position(|a| a == name).and_then(|at| args.get(at + 1)) {
         Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse `{v}`")),
-        None => Err(format!("{name} needs a value")),
+        None => Ok(default),
     }
 }
 
@@ -48,9 +48,7 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, String), String> {
         addr: format!("127.0.0.1:{}", parse_flag::<u16>(args, "--port", 8080)?),
         workers: parse_flag(args, "--workers", 2)?,
         queue_capacity: parse_flag(args, "--queue", 64)?,
-        max_connections: parse_flag(args, "--max-conns", 256)?,
         default_deadline: Duration::from_millis(parse_flag(args, "--deadline-ms", 5000)?),
-        max_deadline: Duration::from_millis(parse_flag(args, "--max-deadline-ms", 30_000)?),
         header_read_budget: Duration::from_millis(parse_flag(args, "--header-budget-ms", 2000)?),
         idle_timeout: Duration::from_secs(60),
         conn_faults: dim_chaos::ConnPlan::new(
@@ -63,6 +61,18 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, String), String> {
         },
     };
     let obs_out = parse_flag(args, "--obs-out", "obs_report.json".to_string())?;
+    // Every argument must be a flag the usage names, then its value: a
+    // misspelt flag would otherwise run the default server (`--prot 9000`
+    // on 8080).
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        if !flag.starts_with("--") || !USAGE.split(['[', ' ']).any(|w| w == flag) {
+            return Err(format!("{flag}: unknown flag"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{flag} needs a value"));
+        }
+    }
     Ok((config, obs_out))
 }
 
@@ -124,7 +134,7 @@ mod tests {
     fn absent_flags_take_their_defaults() {
         let (config, obs_out) = parse_args(&args(&[])).unwrap();
         assert_eq!(config.addr, "127.0.0.1:8080");
-        assert_eq!((config.workers, config.queue_capacity, config.max_connections), (2, 64, 256));
+        assert_eq!((config.workers, config.queue_capacity), (2, 64));
         assert_eq!(config.default_deadline, Duration::from_millis(5000));
         assert!(!config.app.faults.is_active() && !config.conn_faults.is_active());
         assert_eq!(obs_out, "obs_report.json");
@@ -154,6 +164,9 @@ mod tests {
             &["--chaos-rate", "often"],
             &["--queue"],
             &["--port", "--workers", "2"],
+            &["--prot", "9000"],
+            &["--max-conns", "6"],
+            &["--max-deadline-ms", "30000"],
         ] {
             let err = parse_args(&args(bad)).err();
             assert!(err.as_deref().is_some_and(|e| e.starts_with(bad[0])), "{bad:?}: {err:?}");

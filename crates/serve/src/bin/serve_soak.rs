@@ -1,12 +1,13 @@
 //! `serve_soak` — the deterministic overload/chaos soak gate behind
 //! `make serve-soak` (wired into `make verify`).
 //!
-//! Four runs against fresh in-process servers, each overload-inducing
-//! (clients > admission limit, tight deadlines) so the shed paths actually
-//! fire, asserting the overload-resilience contract:
+//! Four runs against fresh in-process servers, each overloaded (12
+//! clients against a queue of 4 and 2 workers, so at most 6 open
+//! connections) so the queue-full shed fires, asserting the
+//! overload-resilience contract:
 //!
 //! 1. **clean** — retries drive every logical request to a final `2xx`;
-//!    zero give-ups; zero caught panics; zero leaked connection permits;
+//!    zero give-ups; zero caught panics; `srv.conn.open` back to zero;
 //!    and the deterministic block (final outcomes, response checksum,
 //!    cache counts) equals [`PINNED`], so a change to any served byte
 //!    fails the gate.
@@ -48,7 +49,6 @@ fn one_run(label: &str, conn_faults: ConnPlan) -> SoakOutcome {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue_capacity: 4,
-        max_connections: 6,
         default_deadline: Duration::from_millis(100),
         idle_timeout: Duration::from_secs(60),
         conn_faults,
@@ -113,7 +113,7 @@ fn assert_healthy(label: &str, outcome: &SoakOutcome, failures: &mut u32) {
     }
     if outcome.open_connections != 0 {
         eprintln!(
-            "serve_soak[{label}] FAIL: {} leaked connection permits",
+            "serve_soak[{label}] FAIL: {} connections still open after the drain",
             outcome.open_connections
         );
         *failures += 1;

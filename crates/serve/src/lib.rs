@@ -23,11 +23,11 @@
 //!   fault-injection machinery; a faulted request degrades to a structured
 //!   `503` and a quarantine entry — the process never dies ([`app`]).
 //! - **Overload resilience.** Per-request deadline budgets ([`deadline`]),
-//!   a bounded connection gate ahead of the bounded queue ([`admission`]),
-//!   and connection-level chaos faults prove the server sheds load as
-//!   deterministic `503 + Retry-After` instead of hanging or panicking; the
-//!   seeded retry client in [`load`] soaks it with 3600 requests whose
-//!   final response bytes the `serve_soak` gate pins.
+//!   the queue bound as the one admission limit, and connection-level
+//!   chaos faults prove the server sheds load as deterministic
+//!   `503 + Retry-After` instead of hanging or panicking; the seeded retry
+//!   client in [`load`] soaks it with 3600 requests whose final response
+//!   bytes the `serve_soak` gate pins.
 //! - **Per-server metrics.** Every `srv.*` metric is a field of one
 //!   [`metrics::ServerMetrics`] value the [`App`] owns, always on, so two
 //!   servers in one process never count each other's traffic; `GET
@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod app;
 pub mod cache;
 pub mod deadline;
@@ -51,7 +50,6 @@ pub mod queue;
 pub mod server;
 pub mod smoke;
 
-pub use admission::{ConnGate, ConnPermit};
 pub use app::{App, AppConfig};
 pub use cache::ShardedLru;
 pub use deadline::Deadline;

@@ -1,8 +1,9 @@
 //! Per-server metrics: one value the [`App`](crate::App) owns.
 //!
 //! Every `srv.*` metric of a server lives in its [`ServerMetrics`]: the
-//! acceptor counts sheds and samples the gate and queue, workers count the
-//! connections they take off the queue, deadline sheds, header timeouts,
+//! acceptor counts sheds, samples the queue and opens a [`LiveGuard`] per
+//! accepted connection, workers count the connections they take off the
+//! queue, deadline sheds, header timeouts,
 //! failed writes, caught panics and connection faults, and `App::handle` counts
 //! requests by status class and times them into the `srv.request`
 //! histogram. The counts are always on — one relaxed `fetch_add` per event,
@@ -16,7 +17,8 @@
 //! tools; the snapshot reports them as `srv.cache.{hits,misses,evictions}`.
 
 use dim_obs::{Histogram, Snapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A monotonic count of one kind of event.
 #[derive(Default)]
@@ -35,7 +37,7 @@ impl Count {
     }
 }
 
-/// A last-value-wins level (queue depth, open connections).
+/// A last-value-wins level (queue depth).
 #[derive(Default)]
 pub struct Level(AtomicU64);
 
@@ -49,6 +51,34 @@ impl Level {
     /// The last level set.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, last-value-wins cell; only the value matters)
+    }
+}
+
+/// An exact count of live things, each held as a [`LiveGuard`].
+#[derive(Default)]
+pub struct Live(Arc<AtomicUsize>);
+
+impl Live {
+    /// Counts one more live thing until the returned guard drops.
+    #[inline]
+    pub fn guard(&self) -> LiveGuard {
+        self.0.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; thread joins order the drain report's read)
+        LiveGuard(Arc::clone(&self.0))
+    }
+
+    /// Guards alive now.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, pure counter; thread joins order the drain report's read)
+    }
+}
+
+/// One thing counted by a [`Live`]; dropping it counts it gone, whatever
+/// the exit path (normal return, early return or panic unwind).
+pub struct LiveGuard(Arc<AtomicUsize>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; thread joins order the drain report's read)
     }
 }
 
@@ -70,13 +100,9 @@ pub struct ServerMetrics {
     /// `srv.connections` and `srv.queue.pushed`: queued connections a worker
     /// has taken up.
     pub connections: Count,
-    /// `srv.rejected`: connections refused at admission (gate or full
-    /// queue).
+    /// `srv.rejected`: connections refused at admission.
     pub rejected: Count,
-    /// `srv.admission.gate_shed`: connections refused at the connection
-    /// gate.
-    pub gate_shed: Count,
-    /// `srv.admission.queue_full`: admitted connections refused because
+    /// `srv.admission.queue_full`: accepted connections refused because
     /// the queue was full.
     pub queue_full: Count,
     /// `srv.deadline.shed`: requests shed because their deadline expired
@@ -96,9 +122,10 @@ pub struct ServerMetrics {
     pub conn_fault_partial_write: Count,
     /// `srv.conn_fault.abrupt_close`.
     pub conn_fault_abrupt_close: Count,
-    /// `srv.conn.open`: connections holding an admission permit, set when
-    /// the acceptor admits or releases one and when a worker finishes one.
-    pub conn_open: Level,
+    /// `srv.conn.open`: accepted connections not yet closed, queued, in
+    /// service or being refused. Each one's [`LiveGuard`] rides in its
+    /// connection task.
+    pub conn_open: Live,
     /// `srv.queue.depth`: the queue depth the acceptor saw just before its
     /// last push.
     pub queue_depth: Level,
@@ -115,7 +142,6 @@ impl Default for ServerMetrics {
             request: Histogram::new("srv.request"),
             connections: Count::default(),
             rejected: Count::default(),
-            gate_shed: Count::default(),
             queue_full: Count::default(),
             deadline_shed: Count::default(),
             deadline_shed_queue: Count::default(),
@@ -125,7 +151,7 @@ impl Default for ServerMetrics {
             conn_fault_stall: Count::default(),
             conn_fault_partial_write: Count::default(),
             conn_fault_abrupt_close: Count::default(),
-            conn_open: Level::default(),
+            conn_open: Live::default(),
             queue_depth: Level::default(),
         }
     }
@@ -139,7 +165,6 @@ impl ServerMetrics {
     pub fn snapshot(&self, cache_entries: usize) -> Snapshot {
         let (hits, misses, evictions) = crate::cache::counters();
         let counters = [
-            ("srv.admission.gate_shed", self.gate_shed.get()),
             ("srv.admission.queue_full", self.queue_full.get()),
             ("srv.cache.evictions", evictions),
             ("srv.cache.hits", hits),
@@ -164,7 +189,7 @@ impl ServerMetrics {
         ];
         let gauges = [
             ("srv.cache.entries", cache_entries as u64),
-            ("srv.conn.open", self.conn_open.get()),
+            ("srv.conn.open", self.conn_open.get() as u64),
             ("srv.queue.depth", self.queue_depth.get()),
         ];
         let mut snap = dim_obs::snapshot();

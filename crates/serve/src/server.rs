@@ -1,24 +1,28 @@
-//! The server runtime: TCP acceptor, admission control, bounded connection
-//! queue, fixed worker pool, per-request deadlines, panic isolation, and
-//! graceful drain.
+//! The server runtime: TCP acceptor, bounded connection queue (the one
+//! admission bound), fixed worker pool, per-request deadlines, panic
+//! isolation, and graceful drain.
 //!
 //! Threading shape (fixed at startup, no growth under load):
 //!
 //! ```text
-//! acceptor ──▶ ConnGate ──▶ Bounded<ConnTask> ──▶ worker 0..N ──▶ App::handle
-//!                 │         (capacity Q)  │            │
-//!                 │                       │            ├── deadline expired ⇒ 503 shed
-//!                 │                       │            └── catch_unwind ⇒ degraded 503
-//!                 │                       └ queue full ⇒ 503 + Retry-After
-//!                 └ gate full ⇒ 503 + Retry-After
+//! acceptor ──▶ Bounded<ConnTask> ──▶ worker 0..N ──▶ App::handle
+//!                (capacity Q)  │            │
+//!                              │            ├── deadline expired ⇒ 503 shed
+//!                              │            └── catch_unwind ⇒ degraded 503
+//!                              └ queue full ⇒ 503 + Retry-After
 //! ```
 //!
+//! The queue bound is the one admission limit. A worker owns a connection
+//! until it closes, so open connections never exceed Q + N, plus the one
+//! in the acceptor's hand.
+//!
 //! Overload never blocks and never hangs: every shed is a fixed-byte `503`
-//! carrying `Retry-After`, every shed path is counted, and connection slots
-//! are RAII permits that release on any exit (including panic unwind and
-//! chaos-injected aborts). Requests carry a [`Deadline`] from the accept
-//! instant — one that expires while queued is shed at dispatch instead of
-//! burning a worker on an answer the client has given up on.
+//! carrying `Retry-After`, and every shed path is counted. Each connection
+//! task carries a [`LiveGuard`](crate::metrics::LiveGuard) in the
+//! `srv.conn.open` count, which drops on any exit (including panic unwind
+//! and chaos-injected aborts). Requests carry a [`Deadline`] from the
+//! accept instant — one that expires while queued is shed at dispatch
+//! instead of burning a worker on an answer the client has given up on.
 //!
 //! Every shed, fault and hand-off is counted in the app's
 //! [`ServerMetrics`](crate::metrics::ServerMetrics), so each server reports
@@ -28,11 +32,10 @@
 //! close the queue (workers finish the backlog), join everything, then emit
 //! the final [`DrainReport`] with the metrics snapshot.
 
-use crate::admission::{ConnGate, ConnPermit};
 use crate::app::{App, AppConfig};
 use crate::deadline::{parse_header_budget, Deadline, HeaderBudget};
 use crate::http::{self, Parsed, Response};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{LiveGuard, ServerMetrics};
 use crate::queue::{Bounded, PushError};
 use dim_chaos::{ConnFault, ConnPlan};
 use std::io::{ErrorKind, Read, Write};
@@ -54,6 +57,10 @@ pub const DEADLINE_SHED_BODY: &str = "{\"error\":\"deadline exceeded\",\"shed\":
 /// backoff; the soak client treats it as a floor, not a sleep mandate).
 const RETRY_AFTER_SECS: u16 = 1;
 
+/// Ceiling for client-requested budgets: `X-Deadline-Ms` is clamped into
+/// `[1ms, MAX_DEADLINE]`.
+pub const MAX_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Socket read timeout of a served connection: how often an idle worker
 /// checks for shutdown and for the idle timeout.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -65,16 +72,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Connection queue capacity (the backpressure bound).
+    /// Connection queue capacity: the one admission bound. With `workers`
+    /// it caps open connections at `queue_capacity + workers`.
     pub queue_capacity: usize,
-    /// Hard cap on simultaneously open (admitted) connections.
-    pub max_connections: usize,
     /// Default per-request deadline budget when the client sends no
     /// `X-Deadline-Ms`.
     pub default_deadline: Duration,
-    /// Ceiling for client-requested budgets (`X-Deadline-Ms` is clamped
-    /// into `[1ms, max_deadline]`).
-    pub max_deadline: Duration,
     /// Total wall-clock budget for reading one request head + body; a peer
     /// trickling bytes slower than this is answered `408` and closed
     /// (slow-loris hardening — per-byte progress resets the idle clock but
@@ -96,9 +99,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 32,
-            max_connections: 256,
             default_deadline: Duration::from_secs(5),
-            max_deadline: Duration::from_secs(30),
             header_read_budget: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(10),
             conn_faults: ConnPlan::OFF,
@@ -107,12 +108,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted connection traveling from the acceptor to a worker. The
-/// permit rides along so the gate slot releases exactly when the connection
-/// is done, whatever "done" turns out to mean.
+/// One accepted connection traveling from the acceptor to a worker. Its
+/// guard rides along so `srv.conn.open` counts it until the task drops,
+/// whatever "done" turns out to mean.
 struct ConnTask {
     stream: TcpStream,
-    permit: ConnPermit,
+    open: LiveGuard,
     accepted: Instant,
     seq: u64,
 }
@@ -125,7 +126,7 @@ pub struct DrainReport {
     /// Queued connections a worker took up (after the drain, every queued
     /// one).
     pub connections: u64,
-    /// Connections refused at admission (gate or full queue).
+    /// Connections refused at admission (full queue).
     pub rejected: u64,
     /// Requests shed because their deadline expired before dispatch.
     pub deadline_shed: u64,
@@ -133,8 +134,8 @@ pub struct DrainReport {
     pub conn_faults: u64,
     /// Request panics this server's workers caught (injected or not).
     pub panics_caught: u64,
-    /// Connections still holding a gate permit after the drain — always
-    /// zero unless a permit leaked.
+    /// `srv.conn.open` after the drain: connections still counted open,
+    /// always zero unless a connection task leaked.
     pub open_connections: usize,
     /// Quarantined (chaos-degraded) requests.
     pub degraded: usize,
@@ -149,7 +150,6 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     app: Arc<App>,
     queue: Arc<Bounded<ConnTask>>,
-    gate: Arc<ConnGate>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -161,7 +161,6 @@ pub struct ServerHandle {
 struct ConnParams {
     idle_timeout: Duration,
     default_deadline: Duration,
-    max_deadline: Duration,
     header_read_budget: Duration,
     conn_faults: ConnPlan,
 }
@@ -172,23 +171,18 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let local_addr = listener.local_addr()?;
     let app = Arc::new(App::new(config.app.clone()));
     let queue = Arc::new(Bounded::new(config.queue_capacity));
-    let gate = ConnGate::new(config.max_connections);
     let stop = Arc::new(AtomicBool::new(false));
 
     let acceptor = {
         let app = app.clone();
         let queue = queue.clone();
-        let gate = gate.clone();
         let stop = stop.clone();
-        std::thread::spawn(move || {
-            accept_loop(&listener, app.metrics(), &queue, &gate, &stop)
-        })
+        std::thread::spawn(move || accept_loop(&listener, app.metrics(), &queue, &stop))
     };
 
     let params = ConnParams {
         idle_timeout: config.idle_timeout,
         default_deadline: config.default_deadline,
-        max_deadline: config.max_deadline,
         header_read_budget: config.header_read_budget,
         conn_faults: config.conn_faults,
     };
@@ -196,7 +190,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|_| {
             let app = app.clone();
             let queue = queue.clone();
-            let gate = gate.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let m = app.metrics();
@@ -205,7 +198,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                     // `/metrics` answer always counts its own connection.
                     m.connections.inc();
                     serve_connection(&app, task, &stop, params);
-                    m.conn_open.set(gate.open());
                 }
             })
         })
@@ -215,7 +207,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         local_addr,
         app,
         queue,
-        gate,
         stop,
         acceptor: Some(acceptor),
         workers,
@@ -231,11 +222,6 @@ impl ServerHandle {
     /// The application (test/report hook).
     pub fn app(&self) -> &Arc<App> {
         &self.app
-    }
-
-    /// Connections currently holding a gate permit (test/report hook).
-    pub fn open_connections(&self) -> usize {
-        self.gate.open()
     }
 
     /// Graceful shutdown: stop accepting, drain queued connections and
@@ -262,20 +248,18 @@ impl ServerHandle {
                 + m.conn_fault_partial_write.get()
                 + m.conn_fault_abrupt_close.get(),
             panics_caught: m.panics_caught.get(),
-            open_connections: self.gate.open(),
+            open_connections: m.conn_open.get(),
             degraded: self.app.quarantine_entries().len(),
             obs_json: self.app.metrics_snapshot().to_json(),
         }
     }
 }
 
-/// Accepts until the stop flag is raised, shedding at the connection gate
-/// and at a full queue.
+/// Accepts until the stop flag is raised, shedding at a full queue.
 fn accept_loop(
     listener: &TcpListener,
     m: &ServerMetrics,
     queue: &Bounded<ConnTask>,
-    gate: &Arc<ConnGate>,
     stop: &AtomicBool,
 ) {
     let mut seq = 0u64;
@@ -294,15 +278,8 @@ fn accept_loop(
             reject(m, stream, "shutting down", None);
             break;
         }
-        let Some(permit) = gate.try_admit() else {
-            m.rejected.inc();
-            m.gate_shed.inc();
-            reject(m, stream, "too many connections", Some(RETRY_AFTER_SECS));
-            continue;
-        };
-        m.conn_open.set(gate.open());
         m.queue_depth.set(queue.len());
-        let task = ConnTask { stream, permit, accepted: Instant::now(), seq };
+        let task = ConnTask { stream, open: m.conn_open.guard(), accepted: Instant::now(), seq };
         seq += 1;
         // The queue closes only after this loop has returned, so a refusal
         // here is a full queue.
@@ -310,8 +287,6 @@ fn accept_loop(
             m.rejected.inc();
             m.queue_full.inc();
             reject(m, task.stream, "queue full", Some(RETRY_AFTER_SECS));
-            drop(task.permit);
-            m.conn_open.set(gate.open());
         }
     }
 }
@@ -349,8 +324,8 @@ fn deadline_shed_response() -> Response {
 /// Serves one connection's keep-alive request loop until the peer closes,
 /// an error forces a close, a budget runs out, or shutdown.
 fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnParams) {
-    let ConnTask { mut stream, permit, accepted, seq } = task;
-    let _permit = permit; // held for the connection's whole lifetime
+    // `_open` is held for the connection's whole lifetime.
+    let ConnTask { mut stream, open: _open, accepted, seq } = task;
     let m = app.metrics();
     let mut out = ResponseWriter::new(m);
     if let Some(fault) = params.conn_faults.decide(SITE_CONN, seq) {
@@ -399,7 +374,7 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
                 head_started = if buf.is_empty() { None } else { Some(Instant::now()) };
                 let budget = match parse_header_budget(
                     request.header("x-deadline-ms"),
-                    params.max_deadline,
+                    MAX_DEADLINE,
                 ) {
                     HeaderBudget::Default => params.default_deadline,
                     HeaderBudget::Requested(d) => d,
@@ -711,7 +686,7 @@ mod tests {
         let report = server.shutdown();
         assert!(report.requests >= 1);
         assert_eq!(report.rejected, 0);
-        assert_eq!(report.open_connections, 0, "no leaked gate permits");
+        assert_eq!(report.open_connections, 0, "no leaked connection");
     }
 
     #[test]
@@ -748,33 +723,6 @@ mod tests {
         assert!(report.obs_json.contains("\"counters\""));
         // The listener is gone (or refuses) after shutdown.
         assert!(client::request(addr, "GET", "/healthz", "").is_err());
-    }
-
-    #[test]
-    fn connection_gate_sheds_excess_connections_with_retry_after() {
-        let server = start(ServerConfig {
-            workers: 1,
-            queue_capacity: 16,
-            max_connections: 1,
-            ..ServerConfig::default()
-        })
-        .expect("bind ephemeral");
-        let addr = server.addr();
-        // Occupy the single slot with a live keep-alive connection.
-        let mut held = client::Conn::connect(addr).expect("connect");
-        let ok = held.request("GET", "/healthz", "").expect("healthz");
-        assert_eq!(ok.status, 200);
-        // The next connection must be shed at the gate, deterministically.
-        let shed = client::request(addr, "GET", "/healthz", "").expect("shed response");
-        assert_eq!(shed.status, 503);
-        assert_eq!(shed.body, "{\"error\":\"too many connections\"}");
-        assert_eq!(shed.retry_after, Some(1));
-        assert!(shed.close);
-        // Releasing the slot restores admission.
-        drop(held);
-        let report = server.shutdown();
-        assert!(report.rejected >= 1);
-        assert_eq!(report.open_connections, 0);
     }
 
     #[test]

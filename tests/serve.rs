@@ -235,11 +235,16 @@ fn queue_full_is_deterministic_503_and_backlog_still_drains() {
 }
 
 /// A full queue refuses only while it is full: once the worker pops one
-/// queued connection, the very next connection is admitted.
+/// queued connection, the very next connection is admitted. The queue is
+/// the one admission bound, so `srv.conn.open` counts exactly the
+/// connection in service plus the queued ones, and never more than
+/// queue + workers + the one in the acceptor's hand.
 #[test]
 fn full_queue_admits_again_as_soon_as_one_slot_frees() {
     let server = test_server(1, 4);
     let addr = server.addr();
+    let app = server.app().clone();
+    let open = || app.metrics().conn_open.get();
 
     // conn0 parks the only worker; conn1..conn4 fill the queue.
     let mut conn0 = client::Conn::connect(addr).expect("conn0");
@@ -252,6 +257,19 @@ fn full_queue_admits_again_as_soon_as_one_slot_frees() {
     let conn5 = client::request(addr, "GET", "/healthz", "").expect("conn5 read");
     assert_eq!((conn5.status, conn5.body.as_str()), (503, "{\"error\":\"queue full\"}"));
     assert_eq!(conn5.retry_after, Some(1));
+
+    // conn0 in service and conn1..conn4 queued: the count settles at 5
+    // once the acceptor has let go of the refused conn5.
+    let settle_by = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let now_open = open();
+        assert!(now_open <= 4 + 1 + 1, "{now_open} open connections exceed queue + workers + 1");
+        if now_open == 5 {
+            break;
+        }
+        assert!(std::time::Instant::now() < settle_by, "srv.conn.open stuck at {now_open}, want 5");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // Freeing the worker lets it pop conn1; an answer on conn1 proves it.
     drop(conn0);
@@ -271,6 +289,7 @@ fn full_queue_admits_again_as_soon_as_one_slot_frees() {
     drop(conn6);
     let report = server.shutdown();
     assert_eq!(report.rejected, 1, "only conn5 was refused");
+    assert_eq!((report.open_connections, open()), (0, 0), "every connection is counted closed");
 }
 
 // ===================== overload hardening =====================
@@ -322,7 +341,7 @@ fn slow_loris_trickle_is_408_and_closed_after_total_budget() {
     let ok = client::request(addr, "GET", "/healthz", "").expect("healthz after loris");
     assert_eq!(ok.status, 200);
     let report = server.shutdown();
-    assert_eq!(report.open_connections, 0, "no leaked gate permits");
+    assert_eq!(report.open_connections, 0, "no leaked connection");
 }
 
 /// A peer that half-closes (shutdown of its write side) after a complete
@@ -353,7 +372,7 @@ fn half_close_after_request_still_receives_the_response() {
 }
 
 /// Abrupt disconnects — full requests, partial heads, zero bytes — never
-/// panic a worker and never leak a connection permit.
+/// panic a worker and never leave a connection counted open.
 #[test]
 fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
     let server = test_server(1, 8);
@@ -382,7 +401,7 @@ fn abrupt_disconnects_never_panic_workers_or_leak_permits() {
     let ok = client::request(addr, "GET", "/healthz", "").expect("healthz after disconnects");
     assert_eq!(ok.status, 200);
     let report = server.shutdown();
-    assert_eq!(report.open_connections, 0, "a dead peer leaked a gate permit");
+    assert_eq!(report.open_connections, 0, "a dead peer stayed counted open");
     assert_eq!(report.panics_caught, 0, "a disconnect panicked a worker");
 }
 
@@ -623,7 +642,7 @@ fn conn_chaos_rate_zero_is_byte_identical_to_no_plan() {
 
 /// With every connection abrupt-closed at adoption, clients see clean
 /// transport errors (never garbage bytes), and the server neither panics
-/// nor leaks permits.
+/// nor leaves connections counted open.
 #[test]
 fn conn_chaos_abrupt_close_surfaces_as_transport_error() {
     let abrupt = ConnPlan {
@@ -652,12 +671,12 @@ fn conn_chaos_abrupt_close_surfaces_as_transport_error() {
     }
     let report = server.shutdown();
     assert_eq!(report.conn_faults, 3, "exactly the three faulted connections");
-    assert_eq!(report.open_connections, 0, "faulted connections released their permits");
+    assert_eq!(report.open_connections, 0, "faulted connections are counted closed");
 }
 
 /// With every connection partial-written, a `/solve` request receives
 /// exactly the first half of its response's full rendering, then EOF; the
-/// fault is counted once and the connection's permit is released.
+/// fault is counted once and the connection is counted closed.
 #[test]
 fn conn_chaos_partial_write_sends_the_first_half_then_eof() {
     let partial = ConnPlan {
@@ -676,15 +695,14 @@ fn conn_chaos_partial_write_sends_the_first_half_then_eof() {
     assert_eq!(String::from_utf8_lossy(&got), full[..full.len() / 2]);
     let report = server.shutdown();
     assert_eq!(report.conn_faults, 1, "exactly the one faulted connection");
-    assert_eq!(report.open_connections, 0, "the faulted connection released its permit");
+    assert_eq!(report.open_connections, 0, "the faulted connection is counted closed");
 }
 
 // ===================== per-server metrics =====================
 
 /// Every `srv.*` name `/metrics` reports, by section, sorted. Renaming a
 /// metric is a deliberate act: it changes this list.
-const SRV_COUNTERS: [&str; 22] = [
-    "srv.admission.gate_shed",
+const SRV_COUNTERS: [&str; 21] = [
     "srv.admission.queue_full",
     "srv.cache.evictions",
     "srv.cache.hits",
@@ -742,7 +760,7 @@ fn names(entries: &[(String, u64)]) -> Vec<&str> {
 }
 
 /// `/metrics` on a fresh server after the smoke script names exactly the
-/// pinned `srv.*` metrics: 23 counters, 3 gauges and one histogram.
+/// pinned `srv.*` metrics: 21 counters, 3 gauges and one histogram.
 #[test]
 fn srv_metric_names_are_pinned() {
     let server = test_server(2, 8);
