@@ -29,32 +29,43 @@ pub struct Cli {
 const USAGE: &str =
     "[--quick] [--obs] [--obs-out PATH] [--threads N] [--chaos-seed N] [--chaos-rate R]";
 
-/// The value that follows `name` in `args`, parsed; `None` when the flag
-/// is absent. A flag with no value, or with one that does not parse as
-/// `T`, is an error: falling back to the default would run an experiment
-/// nobody asked for (`--threads two` running at the default width).
-fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(at) = args.iter().position(|a| a == name) else { return Ok(None) };
-    match args.get(at + 1) {
-        Some(v) => v.parse().map(Some).map_err(|_| format!("{name}: cannot parse `{v}`")),
-        None => Err(format!("{name} needs a value")),
-    }
+/// Parses a flag's value. A value that does not parse as `T` is an error:
+/// falling back to the default would run an experiment nobody asked for
+/// (`--threads two` running at the default width).
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: cannot parse `{value}`"))
 }
 
-/// Parses the harness flags from `args` (the program name first).
+/// Parses the harness flags from `args` (the program name first). Every
+/// argument must be a flag named in [`USAGE`] or that flag's value: a
+/// misspelt flag (`--thread 4`) is an error, not a silent default run.
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    Ok(Cli {
-        quick: args.iter().any(|a| a == "--quick"),
-        obs: args.iter().any(|a| a == "--obs"),
-        obs_out: flag_value(args, "--obs-out")?,
-        threads: flag_value(args, "--threads")?,
-        chaos_seed: flag_value(args, "--chaos-seed")?.unwrap_or(7),
-        chaos_rate: flag_value(args, "--chaos-rate")?.unwrap_or(0.0),
-    })
+    let mut cli = Cli {
+        quick: false,
+        obs: false,
+        obs_out: None,
+        threads: None,
+        chaos_seed: 7,
+        chaos_rate: 0.0,
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--quick" => cli.quick = true,
+            "--obs" => cli.obs = true,
+            "--obs-out" => cli.obs_out = Some(value()?.clone()),
+            "--threads" => cli.threads = Some(parse_value(flag, value()?)?),
+            "--chaos-seed" => cli.chaos_seed = parse_value(flag, value()?)?,
+            "--chaos-rate" => cli.chaos_rate = parse_value(flag, value()?)?,
+            _ => return Err(format!("unknown argument `{flag}`")),
+        }
+    }
+    Ok(cli)
 }
 
-/// The harness flags of this process. A malformed flag prints the usage
-/// and exits with status 2.
+/// The harness flags of this process. An unknown or malformed flag prints
+/// the usage and exits with status 2.
 pub fn cli() -> Cli {
     let args: Vec<String> = std::env::args().collect();
     parse_cli(&args).unwrap_or_else(|e| {
@@ -214,6 +225,19 @@ mod tests {
         ] {
             let err = parse_cli(&args(bad)).err();
             assert!(err.as_deref().is_some_and(|e| e.starts_with(bad[0])), "{bad:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        for (bad, unknown) in [
+            (&["--quick", "--thread", "4"][..], "--thread"),
+            (&["--quik"], "--quik"),
+            (&["--quick", "4"], "4"),
+            (&["--threads", "4", "--obs", "extra"], "extra"),
+        ] {
+            let err = parse_cli(&args(bad)).err();
+            assert_eq!(err, Some(format!("unknown argument `{unknown}`")), "{bad:?}");
         }
     }
 }

@@ -569,7 +569,7 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
 
     // The full degraded pipeline: DimEval construction, MWP generation and
     // augmentation all skip-and-record faulted work under the budget.
-    match dim_core::try_run_full_pipeline(&cfg.pipeline, policy) {
+    match dim_core::run_full_pipeline(&cfg.pipeline, policy) {
         Ok((model, skipped)) => {
             let _ = writeln!(
                 out,

@@ -42,7 +42,7 @@ pub trait Kind: Copy + PartialEq + 'static {
 /// code as genuine bad records would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Panic inside the work item (caught by the panic-isolated `par_map`).
+    /// Panic inside the work item (caught by `dimkb::degrade::isolate`).
     Panic,
     /// A unit expression that fails `dimkb::expr` parsing.
     MalformedExpr,
@@ -238,7 +238,7 @@ pub const INJECTED_PANIC_PREFIX: &str = "chaos: injected panic";
 /// Installs a panic hook that suppresses the default stderr report for
 /// panics whose payload starts with [`INJECTED_PANIC_PREFIX`], delegating
 /// everything else to the previous hook. Injected panics are *expected* and
-/// caught by the panic-isolated `par_map`; without this, a chaos sweep fills
+/// caught by `dimkb::degrade::isolate`; without this, a chaos sweep fills
 /// stderr with noise from worker threads. Idempotent per process.
 pub fn silence_injected_panic_reports() {
     use std::sync::Once;

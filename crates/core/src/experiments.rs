@@ -12,6 +12,7 @@ use dim_mwp::{
     MwpSolver, Source,
 };
 use dimeval::{evaluate, Category, DimEval, DimEvalConfig, DimEvalSolver, TaskKind};
+use dimkb::degrade::{self, Policy};
 use dimkb::stats::{statistics, top_kinds, top_units};
 use dimkb::{DimUnitKb, UnitId};
 use std::collections::HashSet;
@@ -234,16 +235,12 @@ impl MwpDatasets {
 pub fn build_mwp_eval(config: &ExperimentConfig) -> MwpDatasets {
     let kb = DimUnitKb::shared();
     let par = config.pipeline.parallelism;
-    let n_math23k = dim_mwp::generate_with(
-        Source::Math23k,
-        &GenConfig { count: config.mwp_eval, seed: config.seed ^ 0xE23 },
-        par,
-    );
-    let n_ape210k = dim_mwp::generate_with(
-        Source::Ape210k,
-        &GenConfig { count: config.mwp_eval, seed: config.seed ^ 0xEA2 },
-        par,
-    );
+    let generate = |source, seed| {
+        let config = GenConfig { count: config.mwp_eval, seed };
+        degrade::complete(dim_mwp::generate_with(source, &config, par, Policy::CLASSIC))
+    };
+    let n_math23k = generate(Source::Math23k, config.seed ^ 0xE23);
+    let n_ape210k = generate(Source::Ape210k, config.seed ^ 0xEA2);
     let q_math23k =
         Augmenter::new(&kb, config.seed ^ 0x923u64).to_qmwp_with(&n_math23k, par);
     let q_ape210k =
@@ -291,19 +288,21 @@ fn report_to_row(
     }
 }
 
+/// DimPerc: `base` fine-tuned on the training DimEval, with no faults.
+fn train_dimperc(base: TinyLm, kb: &Arc<DimUnitKb>, config: &ExperimentConfig) -> TinyLm {
+    degrade::complete(pipeline::train_dimperc(base, kb, &config.pipeline, Policy::CLASSIC))
+}
+
 /// Builds the evaluation benchmark.
 pub fn build_eval_dimeval(config: &ExperimentConfig) -> DimEval {
-    let kb = DimUnitKb::shared();
-    DimEval::build(
-        &kb,
-        &DimEvalConfig {
-            per_task: config.eval_per_task,
-            extraction_items: config.eval_per_task,
-            seed: config.seed,
-            parallelism: config.pipeline.parallelism,
-            ..Default::default()
-        },
-    )
+    let eval_config = DimEvalConfig {
+        per_task: config.eval_per_task,
+        extraction_items: config.eval_per_task,
+        seed: config.seed,
+        parallelism: config.pipeline.parallelism,
+        ..Default::default()
+    };
+    degrade::complete(DimEval::build(&DimUnitKb::shared(), &eval_config, Policy::CLASSIC))
 }
 
 /// Runs Table VII: tool-augmented GPTs, zero-shot baselines, and DimPerc.
@@ -339,7 +338,7 @@ pub fn table7(config: &ExperimentConfig) -> Vec<Table7Row> {
     }
     // DimPerc (ours).
     let base = TinyLm::llama_ift(config.pipeline.seed);
-    let mut dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
+    let mut dimperc = train_dimperc(base, &kb, config);
     let report = evaluate(&mut dimperc, &eval);
     rows.push(report_to_row("DimPerc (Ours)".into(), "7B".into(), true, &report));
     rows
@@ -362,7 +361,7 @@ pub fn table8(config: &ExperimentConfig) -> Vec<Table8Row> {
     let kb = DimUnitKb::shared();
     let eval = build_eval_dimeval(config);
     let mut base = TinyLm::llama_ift(config.pipeline.seed);
-    let mut dimperc = pipeline::train_dimperc(base.clone(), &kb, &config.pipeline);
+    let mut dimperc = train_dimperc(base.clone(), &kb, config);
     [&mut base as &mut dyn DimEvalSolver, &mut dimperc as &mut dyn DimEvalSolver]
         .into_iter()
         .map(|m| {
@@ -423,7 +422,7 @@ pub fn table9(config: &ExperimentConfig) -> Vec<Table9Row> {
     }
     // DimPerc: full pipeline (DimEval fine-tuning + augmented MWP training).
     let base = TinyLm::llama_ift(config.pipeline.seed);
-    let mut dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
+    let mut dimperc = train_dimperc(base, &kb, config);
     let training = pipeline::build_mwp_training(&kb, &config.pipeline);
     pipeline::train_quantitative(&mut dimperc, &training, &config.pipeline, 0, |_, _| {});
     rows.push(mwp_row(&mut dimperc, &sets));
@@ -438,7 +437,7 @@ pub fn fig6(config: &ExperimentConfig, etas: &[f64]) -> Vec<(f64, f64)> {
     let kb = DimUnitKb::shared();
     let sets = build_mwp_eval(config);
     let base = TinyLm::llama_ift(config.pipeline.seed);
-    let dimperc = pipeline::train_dimperc(base, &kb, &config.pipeline);
+    let dimperc = train_dimperc(base, &kb, config);
     etas.iter()
         .map(|&eta| {
             let mut model = dimperc.clone();
@@ -470,7 +469,7 @@ pub fn fig7(config: &ExperimentConfig, checkpoints: usize) -> Vec<Curve> {
     let kb = DimUnitKb::shared();
     let sets = build_mwp_eval(config);
     let base = TinyLm::llama_ift(config.pipeline.seed);
-    let dimperc = pipeline::train_dimperc(base.clone(), &kb, &config.pipeline);
+    let dimperc = train_dimperc(base.clone(), &kb, config);
     let variants: Vec<(String, TinyLm, EqTokenization)> = vec![
         ("DimPerc w/o ET".into(), dimperc.clone(), EqTokenization::Regular),
         ("DimPerc w/ ET".into(), dimperc, EqTokenization::Digit),

@@ -19,6 +19,4 @@ pub mod experiments;
 pub mod pipeline;
 
 pub use dimks::DimKs;
-pub use pipeline::{
-    run_full_pipeline, train_dimperc, train_quantitative, try_run_full_pipeline, PipelineConfig,
-};
+pub use pipeline::{run_full_pipeline, train_dimperc, train_quantitative, PipelineConfig};

@@ -72,26 +72,22 @@ fn train_dimeval_config(config: &PipelineConfig) -> DimEvalConfig {
 /// Builds the DimEval *training* benchmark (distinct seeds from the
 /// evaluation benchmark).
 pub fn build_train_dimeval(kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> DimEval {
-    DimEval::build(kb, &train_dimeval_config(config))
+    degrade::complete(DimEval::build(kb, &train_dimeval_config(config), Policy::CLASSIC))
 }
 
 /// Step 2 (Fig. 2b): continual fine-tuning of `base` on DimEval → DimPerc.
 /// Callers pass `TinyLm::llama_ift(config.seed)` or a clone of one; a
-/// clone shares its weight tables until training writes them.
-pub fn train_dimperc(base: TinyLm, kb: &Arc<DimUnitKb>, config: &PipelineConfig) -> TinyLm {
-    degrade::complete(try_train_dimperc(base, kb, config, Policy::CLASSIC))
-}
-
-/// Degraded-mode [`train_dimperc`]: benchmark construction may quarantine
-/// whole tasks (see [`DimEval::try_build`]) under the policy.
-pub fn try_train_dimperc(
+/// clone shares its weight tables until training writes them. Benchmark
+/// construction may quarantine whole tasks (see [`DimEval::build`]) under
+/// the policy.
+pub fn train_dimperc(
     mut base: TinyLm,
     kb: &Arc<DimUnitKb>,
     config: &PipelineConfig,
     policy: Policy,
 ) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
     let _span = TRAIN_DIMPERC_SPAN.span();
-    let (train, quarantine) = DimEval::try_build(kb, &train_dimeval_config(config), policy)?;
+    let (train, quarantine) = DimEval::build(kb, &train_dimeval_config(config), policy)?;
     RECORDS_QUARANTINED.add(quarantine.len() as u64);
     base.finetune_dimeval(kb, &train, config.epochs, config.seed ^ 0xF1);
     Ok((base, quarantine))
@@ -99,27 +95,27 @@ pub fn try_train_dimperc(
 
 /// The MWP training mixture: both dataset styles, augmented at rate η.
 pub fn build_mwp_training(kb: &DimUnitKb, config: &PipelineConfig) -> Vec<MwpProblem> {
-    degrade::complete(try_build_mwp_training(kb, config, Policy::CLASSIC))
+    degrade::complete(mwp_training(kb, config, Policy::CLASSIC))
 }
 
-/// Degraded-mode [`build_mwp_training`]: generation runs through
-/// [`dim_mwp::try_generate_with`] per source and augmentation through
-/// [`Augmenter::try_augment_dataset_with`], each quarantining faulted
-/// records under the policy. Surviving problems go through the same
-/// deterministic interleave, so with no faults the mixture is identical.
-pub fn try_build_mwp_training(
+/// [`build_mwp_training`] under `policy`: generation runs through
+/// [`dim_mwp::generate_with`] per source and augmentation through
+/// [`Augmenter::augment_dataset_with`], each quarantining faulted records.
+/// Surviving problems go through the same deterministic interleave, so
+/// with no faults the mixture is identical.
+fn mwp_training(
     kb: &DimUnitKb,
     config: &PipelineConfig,
     policy: Policy,
 ) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
     let _span = BUILD_MWP_SPAN.span();
-    let d1 = dim_mwp::try_generate_with(
+    let d1 = dim_mwp::generate_with(
         Source::Math23k,
         &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x23 },
         config.parallelism,
         policy,
     )?;
-    let d2 = dim_mwp::try_generate_with(
+    let d2 = dim_mwp::generate_with(
         Source::Ape210k,
         &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x210 },
         config.parallelism,
@@ -131,7 +127,7 @@ pub fn try_build_mwp_training(
     quarantine.extend(ape_quarantine);
     let mut aug = Augmenter::new(kb, config.seed ^ 0xA6);
     let (out, aug_quarantine) =
-        aug.try_augment_dataset_with(&problems, config.eta, config.parallelism, policy)?;
+        aug.augment_dataset_with(&problems, config.eta, config.parallelism, policy)?;
     quarantine.extend(aug_quarantine);
     let mixed = interleave(out);
     MWP_TRAINING_ITEMS.add(mixed.len() as u64);
@@ -173,24 +169,19 @@ pub fn train_quantitative(
     model.finetune_mwp(training, checkpoint_every, callback);
 }
 
-/// The full pipeline: steps 1–3 end to end, returning the finished model.
-pub fn run_full_pipeline(config: &PipelineConfig) -> TinyLm {
-    degrade::complete(try_run_full_pipeline(config, Policy::CLASSIC))
-}
-
-/// Degraded-mode [`run_full_pipeline`]: every batch stage skips-and-records
-/// faulted work under the policy instead of panicking; a blown budget is a
-/// typed [`BudgetExceeded`] abort. With no faults the returned model is
-/// identical to the classic pipeline's and the quarantine is empty; with
-/// faults, [`degrade::manifest`] renders it.
-pub fn try_run_full_pipeline(
+/// The full pipeline: steps 1–3 end to end, returning the finished model
+/// and the records quarantined on the way. Every batch stage
+/// skips-and-records faulted work under the policy instead of panicking; a
+/// blown budget is a typed [`BudgetExceeded`] abort. With no faults the
+/// quarantine is empty; with faults, [`degrade::manifest`] renders it.
+pub fn run_full_pipeline(
     config: &PipelineConfig,
     policy: Policy,
 ) -> Result<(TinyLm, Vec<QuarantineEntry>), BudgetExceeded> {
     let kb = DimUnitKb::shared(); // step 1: the knowledge system
     let base = TinyLm::llama_ift(config.seed);
-    let (mut model, mut quarantine) = try_train_dimperc(base, &kb, config, policy)?; // step 2
-    let (training, mwp_quarantine) = try_build_mwp_training(&kb, config, policy)?; // step 3
+    let (mut model, mut quarantine) = train_dimperc(base, &kb, config, policy)?; // step 2
+    let (training, mwp_quarantine) = mwp_training(&kb, config, policy)?; // step 3
     quarantine.extend(mwp_quarantine);
     train_quantitative(&mut model, &training, config, 0, |_, _| {});
     if !quarantine.is_empty() {
@@ -215,7 +206,7 @@ mod tests {
             ..Default::default()
         };
         let kb = DimUnitKb::shared();
-        let mut model = run_full_pipeline(&config);
+        let mut model = degrade::complete(run_full_pipeline(&config, Policy::CLASSIC));
         assert_eq!(model.display_name, "DimPerc");
         // Held-out Q-MWP evaluation.
         let n = dim_mwp::generate(Source::Math23k, &GenConfig { count: 120, seed: 999 });
@@ -232,11 +223,12 @@ mod tests {
         // A second clone stays alive, so the base's weights are shared
         // three ways when fine-tuning starts writing them.
         let bystander = base.clone();
-        let shared = train_dimperc(base.clone(), &kb, &config);
-        let fresh = train_dimperc(TinyLm::llama_ift(config.seed), &kb, &config);
+        let dimperc = |base| degrade::complete(train_dimperc(base, &kb, &config, Policy::CLASSIC));
+        let shared = dimperc(base.clone());
+        let fresh = dimperc(TinyLm::llama_ift(config.seed));
         let untrained = TinyLm::llama_ift(config.seed);
         let eval_config = DimEvalConfig { per_task: 10, seed: 3, ..Default::default() };
-        let eval = DimEval::build(&kb, &eval_config);
+        let eval = degrade::complete(DimEval::build(&kb, &eval_config, Policy::CLASSIC));
         let bits = |m: &TinyLm, item| -> Vec<u32> {
             m.choice.scores(item).into_iter().map(f32::to_bits).collect()
         };

@@ -67,22 +67,19 @@ pub struct DimEval {
 }
 
 impl DimEval {
-    /// Builds the benchmark from scratch against a knowledge base.
+    /// Builds the benchmark from scratch against a knowledge base, under
+    /// `policy`.
     ///
     /// Construction fans out across `config.parallelism`; each choice task
     /// derives its own RNG stream from `(seed, task index)`, so the result
     /// is byte-identical for every thread count.
-    pub fn build(kb: &Arc<DimUnitKb>, config: &DimEvalConfig) -> Self {
-        degrade::complete(Self::try_build(kb, config, Policy::CLASSIC))
-    }
-
-    /// Degraded-mode [`Self::build`]: each choice task runs in panic
-    /// isolation with fault injection at site `"dimeval.task"`. A
-    /// quarantined task yields an *empty* item list — a degraded but usable
-    /// benchmark — plus a manifest entry; the failure fraction over the six
-    /// tasks is checked against the policy's budget. With no faults the
-    /// benchmark is identical to the classic build.
-    pub fn try_build(
+    ///
+    /// Each choice task runs in panic isolation with fault injection at
+    /// site `"dimeval.task"`. A quarantined task yields an *empty* item
+    /// list — a degraded but usable benchmark — plus a manifest entry; the
+    /// failure fraction over the six tasks is checked against the policy's
+    /// budget.
+    pub fn build(
         kb: &Arc<DimUnitKb>,
         config: &DimEvalConfig,
         policy: Policy,
@@ -119,15 +116,14 @@ impl DimEval {
             &annotator,
             Algo2Config { parallelism: config.parallelism, ..Default::default() },
         );
-        let slots = dim_par::try_par_map_coarse(
-            config.parallelism,
-            &TaskKind::CHOICE,
-            |task_index, &task| {
-                degrade::inject(policy.plan, SITE_TASK, task_index)?;
-                Ok(Self::build_task_items(kb, config, &kg, &out2, task_index, task))
-            },
-        );
-        let d = degrade::collect_isolated(SITE_TASK, slots, policy.budget)?;
+        let slots =
+            dim_par::par_map_coarse(config.parallelism, &TaskKind::CHOICE, |task_index, &task| {
+                degrade::isolate(|| {
+                    degrade::inject(policy.plan, SITE_TASK, task_index)?;
+                    Ok(Self::build_task_items(kb, config, &kg, &out2, task_index, task))
+                })
+            });
+        let d = degrade::collect_degraded(SITE_TASK, slots, policy.budget)?;
         let choice: HashMap<TaskKind, Vec<ChoiceItem>> = TaskKind::CHOICE
             .into_iter()
             .zip(d.items.into_iter().map(Option::unwrap_or_default))
@@ -259,9 +255,12 @@ mod tests {
     use super::*;
     use crate::task::ExtractedQuantity;
 
+    fn build(config: &DimEvalConfig) -> DimEval {
+        degrade::complete(DimEval::build(&DimUnitKb::shared(), config, Policy::CLASSIC))
+    }
+
     fn eval() -> DimEval {
-        let kb = DimUnitKb::shared();
-        DimEval::build(&kb, &DimEvalConfig { per_task: 12, extraction_items: 12, ..Default::default() })
+        build(&DimEvalConfig { per_task: 12, extraction_items: 12, ..Default::default() })
     }
 
     /// A perfect oracle (answers from item metadata).
@@ -354,23 +353,18 @@ mod tests {
 
     #[test]
     fn build_is_deterministic() {
-        let kb = DimUnitKb::shared();
         let cfg = DimEvalConfig { per_task: 6, extraction_items: 6, ..Default::default() };
-        let a = DimEval::build(&kb, &cfg);
-        let b = DimEval::build(&kb, &cfg);
+        let a = build(&cfg);
+        let b = build(&cfg);
         assert_eq!(a.choice[&TaskKind::UnitConversion], b.choice[&TaskKind::UnitConversion]);
         assert_eq!(a.extraction.len(), b.extraction.len());
     }
 
     #[test]
     fn build_is_thread_count_invariant() {
-        let kb = DimUnitKb::shared();
         let base = DimEvalConfig { per_task: 6, extraction_items: 6, ..Default::default() };
-        let seq = DimEval::build(&kb, &base);
-        let par = DimEval::build(
-            &kb,
-            &DimEvalConfig { parallelism: dim_par::Parallelism::new(4), ..base },
-        );
+        let seq = build(&base);
+        let par = build(&DimEvalConfig { parallelism: dim_par::Parallelism::new(4), ..base });
         assert_eq!(seq, par, "parallel build must be identical");
     }
 }

@@ -1,32 +1,43 @@
 //! Degraded-mode execution vocabulary: the [`RecordError`] taxonomy, the
-//! [`ErrorBudget`] contract, the [`Policy`] a batch runs under, and the
-//! quarantine bookkeeping shared by every `try_*` batch entry point in the
-//! workspace.
+//! [`ErrorBudget`] contract, the [`Policy`] a batch runs under, panic
+//! isolation ([`isolate`]), and the quarantine bookkeeping shared by every
+//! degraded batch operation in the workspace.
 //!
 //! # The degradation contract
 //!
-//! A `try_*` batch entry point processes every input record independently.
-//! A record that fails — a KB error, a parse failure, an oversized input, a
-//! caught panic, or an injected fault from the policy's
-//! [`dim_chaos::FaultPlan`] — is **skipped and recorded** as a
-//! [`QuarantineEntry`]; every other record's output is byte-identical to a
-//! fault-free run. After the batch, the failure fraction is checked against
-//! the policy's [`ErrorBudget`]: exceeding it returns a typed
-//! [`BudgetExceeded`] abort, never a panic.
+//! A degraded batch operation takes a [`Policy`] as its last argument and
+//! processes every input record independently. A record that fails — a KB
+//! error, a parse failure, an oversized input, a caught panic, or an
+//! injected fault from the policy's [`dim_chaos::FaultPlan`] — is
+//! **skipped and recorded** as a [`QuarantineEntry`]; every other record's
+//! output is byte-identical to a fault-free run. After the batch, the
+//! failure fraction is checked against the policy's [`ErrorBudget`]:
+//! exceeding it returns a typed [`BudgetExceeded`] abort, never a panic.
 //!
 //! # One implementation per operation
 //!
-//! The `try_*` form is the only implementation of each batch operation.
-//! The classic entry point is [`complete`] over it under
-//! [`Policy::CLASSIC`]: no faults, a budget that never aborts, and any
-//! skipped record — only a panicking item can be skipped with no faults —
-//! re-raised as a panic. The plan is a value passed down the call, so a
-//! chaos run in one thread cannot reach a classic call in another.
+//! Each batch operation has one function. A caller that cannot degrade
+//! passes [`Policy::CLASSIC`] — no faults, a budget that never aborts — and
+//! settles the result with [`complete`], which re-raises any skipped record
+//! (with no faults only a panicking item can be skipped) as a panic. The
+//! plan is a value passed down the call, so a chaos run in one thread
+//! cannot reach a classic call in another.
+//!
+//! # Panic isolation
+//!
+//! Each site runs its per-record work inside [`isolate`] under the plain
+//! `dim_par` fan-out: a panicking record becomes
+//! [`RecordError::Panicked`] in its own slot, so the quarantined indices
+//! are the same at every thread width, and `dim_par` never sees the panic.
 
 use crate::error::KbError;
 use dim_chaos::{FaultKind, FaultPlan};
-use dim_par::ItemPanic;
+use std::any::Any;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
+
+// Observability (no-ops unless `dim_obs::enable()` was called).
+static PANICS_CAUGHT: dim_obs::Counter = dim_obs::Counter::new("degrade.panics_caught");
 
 /// Per-record size cap enforced by the degraded-mode entry points. Real
 /// corpus sentences and MWP statements are a few hundred bytes; anything
@@ -40,8 +51,6 @@ pub enum RecordError {
     Kb(KbError),
     /// A unit expression could not be parsed.
     ExprParse(String),
-    /// Unit linking failed for a mention.
-    Link(String),
     /// The record contained a decoy token (`LPUI-1T`, `v2.5`, …) whose
     /// embedded number must not be treated as a quantity.
     Decoy(String),
@@ -54,7 +63,7 @@ pub enum RecordError {
         /// The cap that was exceeded.
         cap: usize,
     },
-    /// The record's work item panicked (caught by `dim_par`'s isolation).
+    /// The record's work item panicked (caught by [`isolate`]).
     Panicked(String),
 }
 
@@ -64,7 +73,6 @@ impl RecordError {
         match self {
             RecordError::Kb(_) => "kb",
             RecordError::ExprParse(_) => "expr-parse",
-            RecordError::Link(_) => "link",
             RecordError::Decoy(_) => "decoy",
             RecordError::Gen(_) => "gen",
             RecordError::Oversized { .. } => "oversized",
@@ -78,7 +86,6 @@ impl fmt::Display for RecordError {
         match self {
             RecordError::Kb(e) => write!(f, "kb: {e}"),
             RecordError::ExprParse(s) => write!(f, "expr-parse: {s}"),
-            RecordError::Link(s) => write!(f, "link: {s}"),
             RecordError::Decoy(s) => write!(f, "decoy: skipped record with decoy token {s:?}"),
             RecordError::Gen(s) => write!(f, "gen: {s}"),
             RecordError::Oversized { bytes, cap } => {
@@ -126,8 +133,8 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// The classic entry points' policy: no faults, and a budget that
-    /// never aborts, so [`complete`] sees every skipped record.
+    /// The policy of a caller that cannot degrade: no faults, and a
+    /// budget that never aborts, so [`complete`] sees every skipped record.
     pub const CLASSIC: Policy =
         Policy { plan: FaultPlan::OFF, budget: ErrorBudget { max_error_rate: 1.0 } };
 }
@@ -239,19 +246,28 @@ pub fn collect_degraded<U>(
     Ok(Degraded { items, quarantine })
 }
 
-/// Folds one panic-isolated slot (see `dim_par::try_par_map_indexed`)
-/// into a record outcome: a caught panic becomes [`RecordError::Panicked`].
-pub fn isolated<U>(slot: Result<Result<U, RecordError>, ItemPanic>) -> Result<U, RecordError> {
-    slot.unwrap_or_else(|p| Err(RecordError::Panicked(p.message)))
+/// Runs one record's work in panic isolation: a panic becomes
+/// [`RecordError::Panicked`] carrying the payload's message (a `&str` or
+/// `String` payload; `"opaque panic payload"` otherwise), counted by the
+/// `degrade.panics_caught` obs counter.
+///
+/// `AssertUnwindSafe` is sound because a panicking record's output is
+/// dropped: state reached through `work` must tolerate unwinding, as
+/// per-worker scratch does (it is working memory cleared before each use).
+pub fn isolate<U>(work: impl FnOnce() -> Result<U, RecordError>) -> Result<U, RecordError> {
+    std::panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        PANICS_CAUGHT.inc();
+        Err(RecordError::Panicked(payload_message(payload.as_ref())))
+    })
 }
 
-/// [`collect_degraded`] over panic-isolated slots.
-pub fn collect_isolated<U>(
-    site: &str,
-    slots: Vec<Result<Result<U, RecordError>, ItemPanic>>,
-    budget: ErrorBudget,
-) -> Result<Degraded<U>, BudgetExceeded> {
-    collect_degraded(site, slots.into_iter().map(isolated), budget)
+/// The text of a panic payload.
+fn payload_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
 /// A degraded run's result that [`complete`] can settle: an output plus
@@ -286,18 +302,18 @@ impl Outcome for Vec<QuarantineEntry> {
     }
 }
 
-/// Classic semantics over a `try_*` run under [`Policy::CLASSIC`]: the
+/// Classic semantics over a degraded run under [`Policy::CLASSIC`]: the
 /// output, or a panic re-raising the first skipped record — the lowest
 /// index of the earliest batch, so the failure is the same at every
 /// thread width.
 pub fn complete<O: Outcome>(outcome: Result<O, BudgetExceeded>) -> O::Output {
     let (output, quarantine) = match outcome {
         Ok(o) => o.split(),
-        // lint:allow(no_panic, classic semantics: the classic entry points re-raise what their try_* form recorded)
+        // lint:allow(no_panic, classic semantics: a classic caller re-raises what the degraded run recorded)
         Err(e) => panic!("{e}"),
     };
     if let Some(first) = quarantine.first() {
-        // lint:allow(no_panic, classic semantics: the classic entry points re-raise what their try_* form recorded)
+        // lint:allow(no_panic, classic semantics: a classic caller re-raises what the degraded run recorded)
         panic!("{first}");
     }
     output
@@ -327,11 +343,11 @@ pub fn guard_len(bytes: usize) -> Result<(), RecordError> {
     Ok(())
 }
 
-/// The per-record chaos hook every `try_*` site calls once with its
+/// The per-record chaos hook every degraded site calls once with its
 /// policy's plan. With an inactive plan it returns at once. When a fault
 /// fires it is realized *honestly*:
 ///
-/// * `Panic` — panics (caught by `dim_par`'s per-item isolation);
+/// * `Panic` — panics (caught by the site's [`isolate`]);
 /// * `MalformedExpr` — runs the real `dimkb::expr` parser on
 ///   [`dim_chaos::MALFORMED_EXPR`], returning the genuine parse error;
 /// * `CorruptKb` — evaluates the nonexistent [`dim_chaos::CORRUPT_UNIT`]
@@ -344,7 +360,7 @@ pub fn inject(plan: FaultPlan, site: &str, index: usize) -> Result<(), RecordErr
     match kind {
         FaultKind::Panic => {
             dim_chaos::silence_injected_panic_reports();
-            // lint:allow(no_panic, deliberate chaos fault realization; every caller sits behind dim-par per-item isolation or the serve worker catch_unwind)
+            // lint:allow(no_panic, deliberate chaos fault realization; every caller sits behind degrade::isolate or the serve worker catch_unwind)
             panic!("{} at {site}[{index}]", dim_chaos::INJECTED_PANIC_PREFIX)
         }
         FaultKind::MalformedExpr => {
@@ -451,15 +467,37 @@ mod tests {
         let clean: Vec<Result<u32, RecordError>> = vec![Ok(1), Ok(2)];
         let d = collect_degraded("s", clean, Policy::CLASSIC.budget);
         assert_eq!(complete(d), vec![1, 2]);
-        let slots: Vec<Result<Result<u32, RecordError>, ItemPanic>> = vec![
-            Ok(Ok(1)),
-            Err(ItemPanic { index: 1, message: "boom".into() }),
-            Ok(Err(RecordError::Gen("later".into()))),
-        ];
-        let d = collect_isolated("s", slots, Policy::CLASSIC.budget);
+        let slots = vec![Ok(1), isolate(|| panic!("boom")), Err(RecordError::Gen("later".into()))];
+        let d = collect_degraded("s", slots, Policy::CLASSIC.budget);
         let payload = std::panic::catch_unwind(|| complete(d)).expect_err("a skip re-raises");
         let message = payload.downcast_ref::<String>().expect("formatted payload");
         assert_eq!(message, "s[1]: panicked: boom");
+    }
+
+    #[test]
+    fn isolate_renders_every_payload_kind_as_a_panicked_record() {
+        let panicked = |work: fn() -> Result<u32, RecordError>| {
+            isolate(work).expect_err("the work panics").to_string()
+        };
+        assert_eq!(panicked(|| panic!("static text")), "panicked: static text");
+        assert_eq!(panicked(|| panic!("formatted {}", 7)), "panicked: formatted 7");
+        assert_eq!(panicked(|| std::panic::panic_any(7u32)), "panicked: opaque panic payload");
+        assert_eq!(isolate(|| Ok(3)), Ok(3));
+        let gen_error = isolate::<u32>(|| Err(RecordError::Gen("no".into())));
+        assert_eq!(gen_error.unwrap_err().kind(), "gen");
+    }
+
+    #[test]
+    fn isolate_counts_each_caught_panic() {
+        dim_obs::enable();
+        let caught = || dim_obs::snapshot().counter("degrade.panics_caught").unwrap_or(0);
+        let before = caught();
+        for _ in 0..3 {
+            assert!(isolate::<u32>(|| panic!("boom")).is_err());
+        }
+        assert_eq!(isolate(|| Ok(1)), Ok(1));
+        let after = caught();
+        assert!(after >= before + 3, "before = {before}, after = {after}");
     }
 
     #[test]

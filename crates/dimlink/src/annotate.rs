@@ -48,21 +48,8 @@ pub struct QuantityMention {
 impl QuantityMention {
     /// The best-linked unit.
     pub fn best_unit(&self) -> dimkb::UnitId {
-        // lint:allow(no_panic, links is documented never-empty for annotator output; try_best_unit is the fallible variant)
+        // lint:allow(no_panic, links is documented never-empty for annotator output)
         self.links[0].unit
-    }
-
-    /// Error-shaped [`Self::best_unit`]: the annotator never emits a mention
-    /// with empty links, but hand-built or deserialized mentions may violate
-    /// that — degraded-mode consumers use this instead of indexing.
-    pub fn try_best_unit(&self) -> Result<dimkb::UnitId, RecordError> {
-        self.links
-            .first()
-            .map(|l| l.unit)
-            .ok_or_else(|| {
-                // lint:allow(hot_alloc, error construction on the empty-links path, not the per-sentence loop)
-                RecordError::Link("mention has no candidate links".to_string())
-            })
     }
 }
 
@@ -185,17 +172,17 @@ impl Annotator {
     /// (see [`decoy_token_at`]) are quarantined instead of linked, and the
     /// failure fraction is checked against the policy's budget. With no
     /// faults every un-quarantined slot equals the classic `annotate`
-    /// output for that text. Unlike the other `try_*` forms this is not
-    /// the implementation of its classic sibling: [`Self::annotate_batch`]
-    /// must keep the decoys the paper's baseline annotator over-links.
+    /// output for that text. This is a different operation from
+    /// [`Self::annotate_batch`], which must keep the decoys the paper's
+    /// baseline annotator over-links.
     pub fn try_annotate_batch<S: AsRef<str> + Sync>(
         &self,
         texts: &[S],
         par: dim_par::Parallelism,
         policy: Policy,
     ) -> Result<Degraded<Vec<QuantityMention>>, BudgetExceeded> {
-        let slots =
-            dim_par::try_par_map_scratch(par, texts, ScratchSpace::new, |i, text, scratch| {
+        let slots = dim_par::par_map_scratch(par, texts, ScratchSpace::new, |i, text, scratch| {
+            degrade::isolate(|| {
                 let text = text.as_ref();
                 degrade::inject(policy.plan, SITE_ANNOTATE, i)?;
                 degrade::guard_len(text.len())?;
@@ -204,8 +191,9 @@ impl Annotator {
                     return Err(RecordError::Decoy(token));
                 }
                 Ok(mentions)
-            });
-        degrade::collect_isolated(SITE_ANNOTATE, slots, policy.budget)
+            })
+        });
+        degrade::collect_degraded(SITE_ANNOTATE, slots, policy.budget)
     }
 
     /// Attempts to read a unit mention right after a number.

@@ -1,8 +1,8 @@
-//! Regression fixture: the pre-fix shape of the chaos switch. `install`
+//! Regression fixture: an old shape of the chaos switch. `install`
 //! publishes the plan fields with a release store of `ENABLED`, but the
 //! hot-path check loaded it `Relaxed` — a reader observing `true` was not
-//! guaranteed to see the plan fields the release store ordered. PR 5 found
-//! this by hand; atomic-pairing must fail this file mechanically.
+//! guaranteed to see the plan fields the release store ordered. The bug was
+//! found by hand; relaxed-ordering must fail this file mechanically.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

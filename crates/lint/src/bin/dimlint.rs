@@ -7,8 +7,8 @@
 //!
 //! Human diagnostics (`file:line: [rule] message`) go to stdout; `--json`
 //! additionally writes the machine-readable v2 report. `--deep` adds the
-//! workspace-level analyses (panic-reachability, lock-order,
-//! atomic-pairing); naming a deep rule with `--rule` also enables it.
+//! workspace-level analyses (panic-reachability, lock-order); naming a
+//! deep rule with `--rule` also enables it.
 //! Exit codes: 0 clean (warnings allowed), 1 error-severity
 //! violations found, 2 usage or I/O error.
 

@@ -2,7 +2,6 @@
 //! symbol table and call graph ([`crate::graph`]) rather than one file's
 //! token stream. Dispatched by [`analyze`]; see DESIGN.md §16.
 
-pub mod atomic_pair;
 pub mod lock_order;
 pub mod panic_reach;
 
@@ -25,9 +24,6 @@ pub fn analyze(files: &[ParsedFile], rules: &[RuleId], out: &mut Vec<Diagnostic>
     }
     if deep.contains(&RuleId::LockOrder) {
         lock_order::check(files, &graph, out);
-    }
-    if deep.contains(&RuleId::AtomicPairing) {
-        atomic_pair::check(files, out);
     }
 }
 

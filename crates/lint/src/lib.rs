@@ -19,7 +19,6 @@
 //! | `hot-alloc`          | file | no `.clone()`/`.to_string()`/`String::from`/`format!` in the annotate/link, serve, verify, choice-featuriser and SGD hot paths |
 //! | `panic-reachability` | deep | nothing a hot-path fn *calls* can panic (call-graph closure, witness chains) |
 //! | `lock-order`         | deep | no lock-order cycles across the workspace; no locks held over blocking calls |
-//! | `atomic-pairing`     | deep | every `Release` store pairs with an `Acquire`-capable load on the same atomic, and vice versa |
 //!
 //! The `file` rules run per file over the token stream; the `deep` rules
 //! ([`deep`], enabled by `--deep` or by naming them with `--rule`) build a
@@ -70,13 +69,11 @@ pub enum RuleId {
     PanicReachability,
     /// No lock-order cycles; no locks held across blocking calls.
     LockOrder,
-    /// `Release` stores and `Acquire` loads pair up per atomic path.
-    AtomicPairing,
 }
 
 impl RuleId {
     /// Every rule, in catalog order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::NoPanicHotpath,
         RuleId::Determinism,
         RuleId::ThreadDiscipline,
@@ -85,7 +82,6 @@ impl RuleId {
         RuleId::HotAlloc,
         RuleId::PanicReachability,
         RuleId::LockOrder,
-        RuleId::AtomicPairing,
     ];
 
     /// The per-file rules — what a default (non-`--deep`) run executes.
@@ -99,15 +95,11 @@ impl RuleId {
     ];
 
     /// The workspace-level rules `--deep` adds.
-    pub const DEEP: [RuleId; 3] =
-        [RuleId::PanicReachability, RuleId::LockOrder, RuleId::AtomicPairing];
+    pub const DEEP: [RuleId; 2] = [RuleId::PanicReachability, RuleId::LockOrder];
 
     /// Does this rule need the workspace call graph?
     pub fn is_deep(self) -> bool {
-        matches!(
-            self,
-            RuleId::PanicReachability | RuleId::LockOrder | RuleId::AtomicPairing
-        )
+        matches!(self, RuleId::PanicReachability | RuleId::LockOrder)
     }
 
     /// CLI/report name.
@@ -121,7 +113,6 @@ impl RuleId {
             RuleId::HotAlloc => "hot-alloc",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::LockOrder => "lock-order",
-            RuleId::AtomicPairing => "atomic-pairing",
         }
     }
 
@@ -137,7 +128,6 @@ impl RuleId {
             RuleId::HotAlloc => Some("hot_alloc"),
             RuleId::PanicReachability => Some("panic_reachable"),
             RuleId::LockOrder => Some("lock_order"),
-            RuleId::AtomicPairing => Some("atomic_pairing"),
         }
     }
 
@@ -147,7 +137,7 @@ impl RuleId {
         RuleId::ALL.into_iter().find(|r| source::normalize_key(r.name()) == n)
     }
 
-    /// Parses a comma-separated rule list (`lock-order,atomic-pairing`).
+    /// Parses a comma-separated rule list (`lock-order,panic-reachability`).
     /// A single name still parses — the list form is a superset. `None` if
     /// any element is unknown or the list is empty.
     pub fn parse_list(names: &str) -> Option<Vec<RuleId>> {
@@ -221,9 +211,9 @@ impl RuleId {
             RuleId::PanicReachability => {
                 RuleId::NoPanicHotpath.applies_to(rel_path) && !rel_path.contains("/bin/")
             }
-            // The lock and atomic analyses scope themselves by *content*
-            // (where locks/atomics live), not by path.
-            RuleId::LockOrder | RuleId::AtomicPairing => rel_path.ends_with(".rs"),
+            // The lock analysis scopes itself by *content* (where locks
+            // live), not by path.
+            RuleId::LockOrder => rel_path.ends_with(".rs"),
         }
     }
 }
@@ -328,10 +318,7 @@ fn check_parsed(file: &SourceFile, rules: &[RuleId], ignore_scope: bool) -> Vec<
             RuleId::RelaxedOrdering => rules::relaxed_ordering(file, &mut out),
             // zero-dep runs on manifests; the deep rules run on the whole
             // workspace after the file pass.
-            RuleId::ZeroDep
-            | RuleId::PanicReachability
-            | RuleId::LockOrder
-            | RuleId::AtomicPairing => {}
+            RuleId::ZeroDep | RuleId::PanicReachability | RuleId::LockOrder => {}
             RuleId::HotAlloc => rules::hot_alloc(file, &mut out),
         }
     }
@@ -358,8 +345,8 @@ mod tests {
     #[test]
     fn rule_lists_parse_comma_separated() {
         assert_eq!(
-            RuleId::parse_list("lock-order,atomic-pairing"),
-            Some(vec![RuleId::LockOrder, RuleId::AtomicPairing])
+            RuleId::parse_list("lock-order,panic-reachability"),
+            Some(vec![RuleId::LockOrder, RuleId::PanicReachability])
         );
         assert_eq!(
             RuleId::parse_list(" determinism , zero_dep "),
@@ -431,6 +418,5 @@ mod tests {
         assert!(!pr.applies_to("crates/serve/src/bin/dimserve.rs"), "binaries may die on startup");
         assert!(!pr.applies_to("crates/dimkb/src/kb.rs"));
         assert!(RuleId::LockOrder.applies_to("crates/obs/src/lib.rs"));
-        assert!(RuleId::AtomicPairing.applies_to("crates/chaos/src/lib.rs"));
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture-driven tests for the three workspace-level analyses, plus
+//! Fixture-driven tests for the two workspace-level analyses, plus
 //! property tests that the item parser / call-graph layer underneath them
 //! is total on arbitrary input. Each fixture under `fixtures/deep/`
 //! concentrates one rule's violation classes next to the decoys that must
@@ -83,53 +83,18 @@ fn lock_order_fixture_reports_the_seeded_cycle_with_its_path() {
 }
 
 #[test]
-fn atomic_pairing_fixture_finds_every_pairing_class() {
-    let src = fixture("atomic_pair.rs");
-    let d = check_deep_sources(&[("crates/fixt/src/atomics.rs", &src)], &[RuleId::AtomicPairing]);
-    // FLAG yields two findings (unobserved Release store + the Relaxed
-    // load that cannot see it); LONE and ORPHAN one each. STAT, COUNT and
-    // GOOD stay silent.
-    assert_eq!(d.len(), 4, "{d:?}");
-    assert!(d.iter().all(|x| x.rule == "atomic-pairing" && x.severity == Severity::Error));
-    let on = |needle: &str| d.iter().filter(|x| x.message.contains(needle)).count();
-    assert_eq!(on("fixt::FLAG"), 2, "{d:?}");
-    assert_eq!(on("fixt::LONE"), 1, "{d:?}");
-    assert_eq!(on("fixt::ORPHAN"), 1, "{d:?}");
-    assert_eq!(on("fixt::STAT") + on("fixt::COUNT") + on("fixt::GOOD"), 0, "{d:?}");
-}
-
-/// The bug class that motivated the rule: PR 5's chaos switch published
-/// its plan with a release store of `ENABLED` that the hot path read
-/// `Relaxed`. The pre-fix shape must keep failing atomic-pairing.
-#[test]
-fn chaos_enabled_regression_fails_atomic_pairing() {
-    let src = fixture("chaos_enabled.rs");
-    let d = check_deep_sources(&[("crates/chaos/src/fixture.rs", &src)], &[RuleId::AtomicPairing]);
-    assert!(!errors(&d).is_empty(), "the pre-fix chaos shape must fail: {d:?}");
-    let relaxed = d
-        .iter()
-        .find(|x| x.message.contains("`Relaxed` load on `chaos::ENABLED`"))
-        .unwrap_or_else(|| panic!("the Relaxed load is the finding: {d:?}"));
-    assert!(relaxed.message.contains("cannot synchronize"), "{}", relaxed.message);
-    // The fields published *under* the release store are not the bug.
-    assert!(d.iter().all(|x| !x.message.contains("SEED")), "{d:?}");
-}
-
-#[test]
 fn deep_rules_compose_over_one_source_set() {
     let hot = fixture("panic_hot.rs");
     let helper = fixture("panic_helper.rs");
     let locks = fixture("lock_cycle.rs");
-    let atomics = fixture("atomic_pair.rs");
     let sources: Vec<(&str, &str)> = vec![
         ("crates/serve/src/fixture_hot.rs", &hot),
         ("crates/serve/src/helper.rs", &helper),
         ("crates/fixt/src/locks.rs", &locks),
-        ("crates/fixt/src/atomics.rs", &atomics),
     ];
     let d = check_deep_sources(&sources, &RuleId::DEEP);
     // Same totals as the per-rule runs: the analyses don't interfere.
-    assert_eq!(errors(&d).len(), 3 + 1 + 4, "{d:?}");
+    assert_eq!(errors(&d).len(), 3 + 1, "{d:?}");
     assert_eq!(warns(&d).len(), 1, "{d:?}");
 }
 

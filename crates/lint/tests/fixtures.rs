@@ -50,6 +50,16 @@ fn relaxed_ordering_fixture_requires_justification() {
     assert_eq!(d.len(), 1, "only the unjustified load: {d:?}");
 }
 
+/// The bug class an old chaos switch had: a release store of `ENABLED`
+/// that the hot path read `Relaxed`. Both unjustified `Relaxed` sites of
+/// that shape must keep failing.
+#[test]
+fn chaos_enabled_regression_fails_relaxed_ordering() {
+    let d = check("chaos_enabled.rs", RuleId::RelaxedOrdering);
+    let lines: Vec<u32> = d.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [13, 18], "the SEED store and the ENABLED load: {d:?}");
+}
+
 #[test]
 fn zero_dep_fixture_flags_registry_git_and_version_deps() {
     let d = manifest::check_manifest("fixtures/zero_dep.toml", &fixture("zero_dep.toml"), None);

@@ -389,13 +389,11 @@ mod tests {
     use crate::profile::{BERTGEN, CHATGLM2_6B, GPT35_TURBO, GPT4};
     use dim_mwp::{accuracy, generate, Augmenter, GenConfig, Source};
     use dimeval::{evaluate, DimEval, DimEvalConfig, TaskKind};
+    use dimkb::degrade::{self, Policy};
 
     fn bench() -> DimEval {
-        let kb = DimUnitKb::shared();
-        DimEval::build(
-            &kb,
-            &DimEvalConfig { per_task: 30, extraction_items: 30, ..Default::default() },
-        )
+        let config = DimEvalConfig { per_task: 30, extraction_items: 30, ..Default::default() };
+        degrade::complete(DimEval::build(&DimUnitKb::shared(), &config, Policy::CLASSIC))
     }
 
     #[test]

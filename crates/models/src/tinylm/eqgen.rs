@@ -432,6 +432,7 @@ fn strip_q_wrappers(node: &Node, conversions: &[(usize, f64)]) -> Node {
 mod tests {
     use super::*;
     use dim_mwp::{generate, prediction_correct, Augmenter, GenConfig, Source};
+    use dimkb::degrade::{self, Policy};
     use dimkb::DimUnitKb;
     use rand::SeedableRng;
 
@@ -479,7 +480,12 @@ mod tests {
         }
         // Model B: trained on N-MWP plus augmented variants (η = 1).
         let mut b = EquationGenerator::new();
-        let aug_train = Augmenter::new(&kb, 8).augment_dataset(&n_train, 1.0);
+        let aug_train = degrade::complete(Augmenter::new(&kb, 8).augment_dataset_with(
+            &n_train,
+            1.0,
+            dim_par::Parallelism::SEQUENTIAL,
+            Policy::CLASSIC,
+        ));
         for p in &aug_train {
             b.train_one(p);
         }

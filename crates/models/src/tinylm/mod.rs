@@ -341,19 +341,17 @@ impl MwpSolver for TinyLm {
 mod tests {
     use super::*;
     use dimeval::{evaluate, Category, DimEvalConfig};
+    use dimkb::degrade::{self, Policy};
     use dimkb::DimUnitKb;
 
     fn bench(seed: u64, per_task: usize) -> DimEval {
-        let kb = DimUnitKb::shared();
-        DimEval::build(
-            &kb,
-            &DimEvalConfig {
-                per_task,
-                extraction_items: per_task.min(120),
-                seed,
-                ..Default::default()
-            },
-        )
+        let config = DimEvalConfig {
+            per_task,
+            extraction_items: per_task.min(120),
+            seed,
+            ..Default::default()
+        };
+        degrade::complete(DimEval::build(&DimUnitKb::shared(), &config, Policy::CLASSIC))
     }
 
     #[test]

@@ -249,13 +249,11 @@ mod tests {
     use crate::profile::{GPT35_TURBO, GPT4};
     use dimeval::{evaluate, DimEval, DimEvalConfig, TaskKind};
     use dim_mwp::{accuracy, generate, Augmenter, GenConfig, Source};
+    use dimkb::degrade::{self, Policy};
 
     fn bench() -> DimEval {
-        let kb = DimUnitKb::shared();
-        DimEval::build(
-            &kb,
-            &DimEvalConfig { per_task: 30, extraction_items: 20, ..Default::default() },
-        )
+        let config = DimEvalConfig { per_task: 30, extraction_items: 20, ..Default::default() };
+        degrade::complete(DimEval::build(&DimUnitKb::shared(), &config, Policy::CLASSIC))
     }
 
     #[test]

@@ -282,33 +282,21 @@ impl<'a> Augmenter<'a> {
         })
     }
 
-    /// Training-set augmentation at rate η: appends ~η·N augmented variants
-    /// (random method per pick) to the originals (§VI-G, Fig. 6).
-    pub fn augment_dataset(&mut self, problems: &[MwpProblem], eta: f64) -> Vec<MwpProblem> {
-        self.augment_dataset_with(problems, eta, dim_par::Parallelism::SEQUENTIAL)
-    }
-
-    /// Like [`Self::augment_dataset`] with a parallel fan-out. Augmentation
-    /// attempts are numbered; attempt `k` derives its own RNG stream from
-    /// `(seed, k)` and picks its own problem and method, and the first
-    /// `extra` successes in attempt order are kept — waves of attempts run
-    /// in parallel but the kept set is thread-count invariant.
+    /// Training-set augmentation at rate η under `policy`: appends ~η·N
+    /// augmented variants (random method per pick) to the originals
+    /// (§VI-G, Fig. 6), fanned out across `par`. Augmentation attempts are
+    /// numbered; attempt `k` derives its own RNG stream from `(seed, k)`
+    /// and picks its own problem and method, and the first `extra`
+    /// successes in attempt order are kept — waves of attempts run in
+    /// parallel but the kept set is thread-count invariant.
+    ///
+    /// Each attempt runs in panic isolation; faulted attempts are recorded
+    /// (by attempt number) and skipped, and later attempts backfill toward
+    /// the η target — so unlike the positional batches, the *set* of
+    /// appended variants can differ from a fault-free run when faults fire
+    /// (with no faults it is identical). The budget is checked over
+    /// attempts at the end.
     pub fn augment_dataset_with(
-        &mut self,
-        problems: &[MwpProblem],
-        eta: f64,
-        par: dim_par::Parallelism,
-    ) -> Vec<MwpProblem> {
-        degrade::complete(self.try_augment_dataset_with(problems, eta, par, Policy::CLASSIC))
-    }
-
-    /// Degraded-mode [`Self::augment_dataset_with`]: each attempt runs in
-    /// panic isolation, faulted attempts are recorded (by attempt number)
-    /// and skipped, and later attempts backfill toward the η target — so
-    /// unlike the positional `try_*` batches, the *set* of appended variants
-    /// can differ from a fault-free run when faults fire (with no faults it
-    /// is identical). The budget is checked over attempts at the end.
-    pub fn try_augment_dataset_with(
         &mut self,
         problems: &[MwpProblem],
         eta: f64,
@@ -331,12 +319,14 @@ impl<'a> Augmenter<'a> {
             // floor to amortize fan-out) rarely needs a second round.
             let wave = (extra - produced).max(32).min(guard_limit - attempt);
             let ks: Vec<u64> = (attempt..attempt + wave).map(|k| k as u64).collect();
-            let results = dim_par::try_par_map_indexed(par, &ks, |_, &k| {
-                degrade::inject(policy.plan, SITE_AUGMENT, k as usize)?;
-                Ok(attempt_one(kb, seed, problems, k))
+            let results = dim_par::par_map_indexed(par, &ks, |_, &k| {
+                degrade::isolate(|| {
+                    degrade::inject(policy.plan, SITE_AUGMENT, k as usize)?;
+                    Ok(attempt_one(kb, seed, problems, k))
+                })
             });
             for (j, slot) in results.into_iter().enumerate() {
-                match degrade::isolated(slot) {
+                match slot {
                     Ok(Some(aug)) => {
                         if produced < extra {
                             out.push(aug);
@@ -403,6 +393,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
     use crate::problem::Source;
+    use dim_par::Parallelism;
     use dimkb::DimUnitKb;
 
     fn problems() -> Vec<MwpProblem> {
@@ -524,9 +515,13 @@ mod tests {
         let kb = DimUnitKb::shared();
         let ps = problems();
         let mut aug = Augmenter::new(&kb, 6);
-        let half = aug.augment_dataset(&ps, 0.5);
+        let mut augment = |eta| {
+            let par = Parallelism::SEQUENTIAL;
+            degrade::complete(aug.augment_dataset_with(&ps, eta, par, Policy::CLASSIC))
+        };
+        let half = augment(0.5);
         assert_eq!(half.len(), ps.len() + ps.len() / 2);
-        let zero = aug.augment_dataset(&ps, 0.0);
+        let zero = augment(0.0);
         assert_eq!(zero.len(), ps.len());
     }
 
@@ -535,11 +530,15 @@ mod tests {
         let kb = DimUnitKb::shared();
         let ps = problems();
         let seq_qmwp = Augmenter::new(&kb, 5).to_qmwp(&ps);
-        let seq_data = Augmenter::new(&kb, 6).augment_dataset(&ps, 0.5);
+        let augment = |par| {
+            let d = Augmenter::new(&kb, 6).augment_dataset_with(&ps, 0.5, par, Policy::CLASSIC);
+            degrade::complete(d)
+        };
+        let seq_data = augment(Parallelism::SEQUENTIAL);
         for threads in [2, 4] {
-            let par = dim_par::Parallelism::new(threads);
+            let par = Parallelism::new(threads);
             assert_eq!(Augmenter::new(&kb, 5).to_qmwp_with(&ps, par), seq_qmwp);
-            assert_eq!(Augmenter::new(&kb, 6).augment_dataset_with(&ps, 0.5, par), seq_data);
+            assert_eq!(augment(par), seq_data);
         }
     }
 

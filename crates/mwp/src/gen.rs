@@ -722,22 +722,8 @@ const APE210K_TEMPLATES: &[(Template, u32)] = &[
 
 /// Generates an N-MWP dataset in the given style.
 pub fn generate(source: Source, config: &GenConfig) -> Vec<MwpProblem> {
-    generate_with(source, config, dim_par::Parallelism::SEQUENTIAL)
-}
-
-/// Like [`generate`], fanning problem construction out across `par`.
-///
-/// Each problem draws from its own RNG stream derived from
-/// `(config.seed, id)`, so the dataset is byte-identical for every thread
-/// count: `dim_par`'s morsel scheduler decides only which worker builds
-/// problem `id` (clamping the width to the host's usable cores), while the
-/// index-ordered merge fixes the output position.
-pub fn generate_with(
-    source: Source,
-    config: &GenConfig,
-    par: dim_par::Parallelism,
-) -> Vec<MwpProblem> {
-    degrade::complete(try_generate_with(source, config, par, Policy::CLASSIC))
+    let par = dim_par::Parallelism::SEQUENTIAL;
+    degrade::complete(generate_with(source, config, par, Policy::CLASSIC))
 }
 
 /// The chaos/quarantine site for a generation source. The source is part of
@@ -750,11 +736,19 @@ fn gen_site(source: Source) -> &'static str {
     }
 }
 
-/// Degraded-mode [`generate_with`]: each problem is generated in panic
-/// isolation; a faulted record is quarantined instead of aborting the batch,
-/// subject to the policy's budget. With no faults, slot `i` equals the
-/// classic output's element `i` exactly.
-pub fn try_generate_with(
+/// Like [`generate`], fanning problem construction out across `par` under
+/// `policy`.
+///
+/// Each problem draws from its own RNG stream derived from
+/// `(config.seed, id)`, so the dataset is byte-identical for every thread
+/// count: `dim_par`'s morsel scheduler decides only which worker builds
+/// problem `id` (clamping the width to the host's usable cores), while the
+/// index-ordered merge fixes the output position.
+///
+/// Each problem is generated in panic isolation; a faulted record is
+/// quarantined instead of aborting the batch, subject to the policy's
+/// budget. With no faults, slot `i` holds problem `i`.
+pub fn generate_with(
     source: Source,
     config: &GenConfig,
     par: dim_par::Parallelism,
@@ -769,27 +763,29 @@ pub fn try_generate_with(
     let total_weight: u32 = templates.iter().map(|(_, w)| w).sum();
     let ids: Vec<u64> = (0..config.count as u64).collect();
     let site = gen_site(source);
-    let slots = dim_par::try_par_map_indexed(par, &ids, |i, &id| {
-        degrade::inject(policy.plan, site, i)?;
-        // Problem `id` draws from its own `(seed, id)` RNG stream.
-        let mut rng = StdRng::seed_from_u64(dim_par::seed_for(config.seed, id));
-        let mut pick = rng.gen_range(0..total_weight);
-        let template = templates
-            .iter()
-            .find(|(_, w)| {
-                if pick < *w {
-                    true
-                } else {
-                    pick -= w;
-                    false
-                }
-            })
-            .map(|(t, _)| t)
-            // lint:allow(no_panic, pick is drawn from 0..total_weight so the weighted scan always lands on a template)
-            .expect("weights cover range");
-        Ok(template(&mut rng, id, source))
+    let slots = dim_par::par_map_indexed(par, &ids, |i, &id| {
+        degrade::isolate(|| {
+            degrade::inject(policy.plan, site, i)?;
+            // Problem `id` draws from its own `(seed, id)` RNG stream.
+            let mut rng = StdRng::seed_from_u64(dim_par::seed_for(config.seed, id));
+            let mut pick = rng.gen_range(0..total_weight);
+            let template = templates
+                .iter()
+                .find(|(_, w)| {
+                    if pick < *w {
+                        true
+                    } else {
+                        pick -= w;
+                        false
+                    }
+                })
+                .map(|(t, _)| t)
+                // lint:allow(no_panic, pick is drawn from 0..total_weight so the weighted scan always lands on a template)
+                .expect("weights cover range");
+            Ok(template(&mut rng, id, source))
+        })
     });
-    degrade::collect_isolated(site, slots, policy.budget)
+    degrade::collect_degraded(site, slots, policy.budget)
 }
 
 #[cfg(test)]
@@ -851,7 +847,8 @@ mod tests {
         for source in [Source::Math23k, Source::Ape210k] {
             let seq = generate(source, &cfg);
             for threads in [2, 4] {
-                let par = generate_with(source, &cfg, dim_par::Parallelism::new(threads));
+                let par = dim_par::Parallelism::new(threads);
+                let par = degrade::complete(generate_with(source, &cfg, par, Policy::CLASSIC));
                 assert_eq!(par, seq, "{source:?} threads = {threads}");
             }
         }

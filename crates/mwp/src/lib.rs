@@ -17,7 +17,7 @@ pub mod tokenize;
 
 pub use augment::{AugmentMethod, Augmenter};
 pub use equation::{calculate, fmt_number, parse, Node, Op, ParseError};
-pub use gen::{generate, generate_with, try_generate_with, GenConfig};
+pub use gen::{generate, generate_with, GenConfig};
 pub use problem::{MwpProblem, ProblemQuantity, Seg, Source};
 pub use solve::{accuracy, prediction_correct, CandidateSolver, MwpSolver, Prediction};
 pub use stats::{dataset_stats, DatasetStats, OP_BUCKET_LABELS};

@@ -45,17 +45,14 @@
 //! byte-identical for every thread count, which the workspace's
 //! determinism tests enforce at `threads = 1` vs `threads = 4`.
 //!
-//! # Panic isolation
+//! # Panics
 //!
-//! Every item runs inside `catch_unwind`. The classic entry points
-//! ([`par_map`], [`par_map_indexed`], [`par_map_coarse`]) re-raise the panic
-//! of the **lowest** faulting index with its original payload, so a failure
-//! is deterministic across thread widths. The `try_*` entry points
-//! ([`try_par_map_indexed`], [`try_par_map_coarse`]) instead quarantine the
-//! faulting item — its slot becomes `Err(`[`ItemPanic`]`)` while every other
-//! item's output is untouched — which is what the degraded-mode pipeline
-//! builds on. Caught panics are counted by the `par.panics_caught` obs
-//! counter.
+//! Every item runs inside `catch_unwind`, so one panicking item cannot tear
+//! down its siblings mid-morsel. When the map completes, the panic of the
+//! **lowest** faulting index is re-raised with its original payload, so a
+//! failure is deterministic across thread widths. Callers that must survive
+//! a panicking item (the degraded-mode batches) isolate it themselves with
+//! `dimkb::degrade::isolate`; this crate has one panic rule.
 //!
 //! # Sizing
 //!
@@ -88,7 +85,6 @@ static PAR_CHUNK_ITEMS: dim_obs::Histogram =
     dim_obs::Histogram::with_unit("par.chunk_items", "items");
 static PAR_IMBALANCE_PCT: dim_obs::Histogram =
     dim_obs::Histogram::with_unit("par.imbalance_pct", "pct");
-static PAR_PANICS_CAUGHT: dim_obs::Counter = dim_obs::Counter::new("par.panics_caught");
 
 /// How many worker threads fan-out operations may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,40 +145,9 @@ const MIN_CHUNK: usize = 8;
 /// can record the chunking configuration they measured.
 pub const MORSEL_SIZE: usize = MIN_CHUNK;
 
-/// A panic caught from a single work item by the panic-isolated fan-out.
-///
-/// `index` is the item's input position — deterministic across thread widths
-/// because chunking only changes *where* an item runs, never which index it
-/// has. The payload is rendered to a string eagerly (panic payloads are
-/// `Box<dyn Any>`, neither `Clone` nor `Display`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ItemPanic {
-    /// Input index of the item whose closure panicked.
-    pub index: usize,
-    /// The panic message, when the payload was a `&str` or `String`
-    /// (`"opaque panic payload"` otherwise).
-    pub message: String,
-}
-
-impl std::fmt::Display for ItemPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "item {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for ItemPanic {}
-
-/// A caught panic still carrying its original payload (so the classic
-/// `par_map` path can re-raise it unmodified via `resume_unwind`).
-type Caught = (usize, Box<dyn Any + Send>);
-
-fn payload_message(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string()) // lint:allow(hot_alloc, panic-payload extraction runs once per caught panic)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string()) // lint:allow(hot_alloc, panic-payload extraction runs once per caught panic)
-}
+/// A caught item panic's original payload, re-raised unmodified by
+/// `resume_unwind`.
+type Caught = Box<dyn Any + Send>;
 
 /// Maps `f` over `items`, preserving input order in the output.
 ///
@@ -222,66 +187,22 @@ where
     unwrap_or_propagate(par_map_slots(par, items, 1, f))
 }
 
-/// Panic-isolated fan-out: like [`par_map_indexed`], but a panicking item is
-/// *quarantined* — its slot becomes `Err(ItemPanic)` — instead of unwinding
-/// the scope and killing the sibling items. Output stays position-for-
-/// position: slot `i` is item `i`'s result, so the set of quarantined
-/// indices is deterministic across thread widths.
-pub fn try_par_map_indexed<T, U, F>(
-    par: Parallelism,
-    items: &[T],
-    f: F,
-) -> Vec<Result<U, ItemPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    to_item_panics(par_map_slots(par, items, MIN_CHUNK, f))
-}
-
-/// Coarse-grained variant of [`try_par_map_indexed`] (no minimum chunk size).
-pub fn try_par_map_coarse<T, U, F>(
-    par: Parallelism,
-    items: &[T],
-    f: F,
-) -> Vec<Result<U, ItemPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    to_item_panics(par_map_slots(par, items, 1, f))
-}
-
-fn to_item_panics<U>(slots: Vec<Result<U, Caught>>) -> Vec<Result<U, ItemPanic>> {
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.map_err(|(index, payload)| ItemPanic {
-                index,
-                message: payload_message(payload.as_ref()),
-            })
-        })
-        .collect()
-}
-
-/// Classic (non-`try`) semantics on top of the isolated slots: if any item
-/// panicked, re-raise the panic of the **lowest** faulting index with its
-/// original payload — deterministic regardless of which worker hit it first.
+/// If any item panicked, re-raises the panic of the **lowest** faulting
+/// index with its original payload — deterministic regardless of which
+/// worker hit it first.
 fn unwrap_or_propagate<U>(slots: Vec<Result<U, Caught>>) -> Vec<U> {
     let mut out = Vec::with_capacity(slots.len());
     for slot in slots {
         match slot {
             Ok(u) => out.push(u),
             // Slots are in input order, so the first Err has the lowest index.
-            Err((_, payload)) => std::panic::resume_unwind(payload),
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
     out
 }
 
-/// Scratch-less adapter over the morsel core (the classic entry points).
+/// Scratch-less adapter over the morsel core.
 fn par_map_slots<T, U, F>(
     par: Parallelism,
     items: &[T],
@@ -321,39 +242,16 @@ where
     unwrap_or_propagate(morsel_map_slots(par, items, MIN_CHUNK, make_scratch, f))
 }
 
-/// Panic-isolated variant of [`par_map_scratch`]: a panicking item is
-/// quarantined as `Err(ItemPanic)` while its worker's scratch and every
-/// other item survive. A worker whose scratch was mid-update when an item
-/// panicked continues with whatever state the unwind left behind — safe for
-/// pure-cache scratch (cleared before each use), which is the contract.
-pub fn try_par_map_scratch<T, U, S, M, F>(
-    par: Parallelism,
-    items: &[T],
-    make_scratch: M,
-    f: F,
-) -> Vec<Result<U, ItemPanic>>
-where
-    T: Sync,
-    U: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> U + Sync,
-{
-    to_item_panics(morsel_map_slots(par, items, MIN_CHUNK, make_scratch, f))
-}
-
 /// Shared morsel-scheduled fan-out core. Workers pull `min_chunk`-sized
 /// index ranges ("morsels") from a shared atomic cursor until the input is
 /// drained, each carrying a private scratch value; completed runs are merged
 /// back **by index**, so output order is independent of the pull race.
 ///
 /// Every item runs inside `catch_unwind`, so one poisoned item can neither
-/// tear down its worker's siblings nor poison the scope join; callers choose
-/// between re-raising (classic) and quarantining (`try_*`).
-/// `AssertUnwindSafe` is sound here because a caught panic either aborts the
-/// whole call (classic path) or quarantines exactly the state the faulting
-/// item would have produced; state reached through `f` must tolerate
-/// unwinding (per-worker scratch is working memory cleared before each
-/// use).
+/// tear down its worker's siblings nor poison the scope join.
+/// `AssertUnwindSafe` is sound here because a caught panic is re-raised
+/// once the map completes, so no caller observes state the unwind left
+/// behind.
 fn morsel_map_slots<T, U, S, M, F>(
     par: Parallelism,
     items: &[T],
@@ -369,13 +267,7 @@ where
 {
     let n = items.len();
     let run_one = |i: usize, item: &T, scratch: &mut S| -> Result<U, Caught> {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item, scratch))) {
-            Ok(u) => Ok(u),
-            Err(payload) => {
-                PAR_PANICS_CAUGHT.inc();
-                Err((i, payload))
-            }
-        }
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item, scratch)))
     };
     let workers = par.effective_workers(n, min_chunk);
     if workers <= 1 {
@@ -471,13 +363,7 @@ where
     }
 
     out.into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| {
-                // lint:allow(hot_alloc, error construction when a worker dies, not the steady-state path)
-                Err((i, Box::new("worker failed to fill slot".to_string()) as Box<dyn Any + Send>))
-            })
-        })
+        .map(|slot| slot.unwrap_or_else(|| Err(Box::new("worker failed to fill slot") as Caught)))
         .collect()
 }
 
@@ -558,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn classic_path_propagates_lowest_index_panic() {
+    fn lowest_index_panic_propagates() {
         // Items 30 and 70 both panic; regardless of which worker finishes
         // first, the re-raised payload must be item 30's.
         let items: Vec<u32> = (0..100).collect();
@@ -575,80 +461,6 @@ mod tests {
             let msg = payload.downcast_ref::<String>().expect("formatted payload");
             assert_eq!(msg, "boom at 30", "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn try_variant_quarantines_instead_of_unwinding() {
-        let items: Vec<u32> = (0..100).collect();
-        let expected_bad = [13usize, 57, 58, 91];
-        let mut reference: Option<Vec<Result<u32, ItemPanic>>> = None;
-        for threads in [1, 2, 4, 7] {
-            let out = try_par_map_indexed(Parallelism::new(threads), &items, |i, x| {
-                if expected_bad.contains(&i) {
-                    panic!("chaos: injected panic at test[{i}]");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), items.len());
-            let bad: Vec<usize> =
-                out.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i).collect();
-            assert_eq!(bad, expected_bad, "threads = {threads}");
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Ok(v) => assert_eq!(*v, items[i] * 2),
-                    Err(p) => {
-                        assert_eq!(p.index, i);
-                        assert!(p.message.contains("injected panic"), "message = {}", p.message);
-                    }
-                }
-            }
-            // Quarantine set and messages are identical at every width.
-            if let Some(first) = &reference {
-                assert_eq!(&out, first, "threads = {threads}");
-            } else {
-                reference = Some(out);
-            }
-        }
-    }
-
-    #[test]
-    fn try_coarse_variant_isolates_small_inputs() {
-        let items: Vec<u32> = (0..5).collect();
-        let out = try_par_map_coarse(Parallelism::new(4), &items, |i, x| {
-            if i == 2 {
-                panic!("boom");
-            }
-            x + 1
-        });
-        assert_eq!(out[0], Ok(1));
-        assert_eq!(out[1], Ok(2));
-        assert!(out[2].is_err());
-        assert_eq!(out[3], Ok(4));
-        assert_eq!(out[4], Ok(5));
-    }
-
-    #[test]
-    fn panics_caught_counter_increments() {
-        dim_obs::enable();
-        let before = counter_value("par.panics_caught");
-        let items: Vec<u32> = (0..40).collect();
-        let _ = try_par_map_indexed(Parallelism::new(2), &items, |i, x| {
-            if i % 10 == 3 {
-                panic!("boom");
-            }
-            *x
-        });
-        let after = counter_value("par.panics_caught");
-        assert!(after >= before + 4, "before = {before}, after = {after}");
-    }
-
-    fn counter_value(name: &str) -> u64 {
-        dim_obs::snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
     }
 
     #[test]
@@ -795,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn morsel_parallel_path_preserves_quarantine_slots() {
+    fn morsel_parallel_path_preserves_panic_slots() {
         let items: Vec<u32> = (0..64).collect();
         let slots = morsel_run_parallel(
             4,
@@ -804,7 +616,7 @@ mod tests {
             &|| (),
             &|i, x: &u32, _: &mut ()| {
                 if i == 17 {
-                    return Err((i, Box::new("boom".to_string()) as Box<dyn Any + Send>));
+                    return Err(Box::new("boom") as Caught);
                 }
                 Ok(*x)
             },
@@ -812,37 +624,9 @@ mod tests {
         for (i, slot) in slots.iter().enumerate() {
             match slot {
                 Ok(v) => assert_eq!(*v, i as u32),
-                Err((idx, _)) => assert_eq!(*idx, 17),
+                Err(_) => assert_eq!(i, 17),
             }
         }
         assert_eq!(slots.iter().filter(|s| s.is_err()).count(), 1);
-    }
-
-    #[test]
-    fn try_scratch_quarantines_deterministically() {
-        let items: Vec<u32> = (0..100).collect();
-        let mut reference: Option<Vec<Result<u32, ItemPanic>>> = None;
-        for threads in [1, 2, 4] {
-            let out = try_par_map_scratch(
-                Parallelism::new(threads),
-                &items,
-                String::new,
-                |i, x, s| {
-                    s.clear();
-                    if i == 41 {
-                        panic!("chaos: injected panic at scratch[{i}]");
-                    }
-                    x * 2
-                },
-            );
-            assert_eq!(out.len(), 100);
-            assert!(out[41].is_err());
-            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
-            if let Some(first) = &reference {
-                assert_eq!(&out, first, "threads = {threads}");
-            } else {
-                reference = Some(out);
-            }
-        }
     }
 }

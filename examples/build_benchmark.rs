@@ -6,6 +6,7 @@
 //! ```
 
 use dimension_perception::eval::{cot, DimEval, DimEvalConfig, TaskKind};
+use dimension_perception::kb::degrade::{self, Policy};
 use dimension_perception::kb::DimUnitKb;
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
     let config = DimEvalConfig { per_task: 10, extraction_items: 10, ..Default::default() };
     println!("building DimEval (Algorithm 1 for extraction, Algorithm 2 + heuristic");
     println!("rule-based generation for the choice tasks)...\n");
-    let eval = DimEval::build(&kb, &config);
+    let eval = degrade::complete(DimEval::build(&kb, &config, Policy::CLASSIC));
 
     for task in TaskKind::CHOICE {
         let item = &eval.choice[&task][0];

@@ -7,9 +7,8 @@
 //! cargo run --release --example qmwp_pipeline
 //! ```
 
-use dimension_perception::core::pipeline::{
-    run_full_pipeline, PipelineConfig,
-};
+use dimension_perception::core::pipeline::{run_full_pipeline, PipelineConfig};
+use dimension_perception::kb::degrade::{self, Policy};
 use dimension_perception::kb::DimUnitKb;
 use dimension_perception::mwp::{
     accuracy, generate, prediction_correct, Augmenter, GenConfig, MwpSolver, Source,
@@ -24,7 +23,7 @@ fn main() {
         ..Default::default()
     };
     println!("running the full pipeline (steps 1-3 of Fig. 2)...");
-    let mut model = run_full_pipeline(&config);
+    let mut model = degrade::complete(run_full_pipeline(&config, Policy::CLASSIC));
     println!("trained model: {}\n", model.display_name);
 
     // Held-out Q-MWP evaluation.

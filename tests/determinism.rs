@@ -6,6 +6,7 @@ use dim_core::pipeline::{self, PipelineConfig};
 use dim_mwp::{Augmenter, GenConfig, Source};
 use dim_par::Parallelism;
 use dimeval::{DimEval, DimEvalConfig};
+use dimkb::degrade::{self, Policy};
 use dimkb::DimUnitKb;
 use dimlink::{Annotator, LinkerConfig, UnitLinker};
 
@@ -15,11 +16,9 @@ const THREADS: usize = 4;
 fn dimeval_build_is_byte_identical_across_thread_counts() {
     let kb = DimUnitKb::shared();
     let base = DimEvalConfig { per_task: 8, extraction_items: 8, ..Default::default() };
-    let seq = DimEval::build(&kb, &base);
-    let par = DimEval::build(
-        &kb,
-        &DimEvalConfig { parallelism: Parallelism::new(THREADS), ..base },
-    );
+    let build = |cfg| degrade::complete(DimEval::build(&kb, &cfg, Policy::CLASSIC));
+    let seq = build(base);
+    let par = build(DimEvalConfig { parallelism: Parallelism::new(THREADS), ..base });
     assert_eq!(seq, par);
 }
 
@@ -28,13 +27,16 @@ fn mwp_generation_and_augmentation_are_byte_identical() {
     let kb = DimUnitKb::shared();
     let cfg = GenConfig { count: 200, seed: 4242 };
     let seq_gen = dim_mwp::generate(Source::Ape210k, &cfg);
-    let par_gen = dim_mwp::generate_with(Source::Ape210k, &cfg, Parallelism::new(THREADS));
+    let par = Parallelism::new(THREADS);
+    let par_gen =
+        degrade::complete(dim_mwp::generate_with(Source::Ape210k, &cfg, par, Policy::CLASSIC));
     assert_eq!(seq_gen, par_gen);
 
-    let seq_aug = Augmenter::new(&kb, 7).augment_dataset(&seq_gen, 0.5);
-    let par_aug =
-        Augmenter::new(&kb, 7).augment_dataset_with(&seq_gen, 0.5, Parallelism::new(THREADS));
-    assert_eq!(seq_aug, par_aug);
+    let augment = |par| {
+        let d = Augmenter::new(&kb, 7).augment_dataset_with(&seq_gen, 0.5, par, Policy::CLASSIC);
+        degrade::complete(d)
+    };
+    assert_eq!(augment(Parallelism::SEQUENTIAL), augment(par));
 }
 
 #[test]

@@ -2,9 +2,14 @@
 
 use dimension_perception::core::DimKs;
 use dimension_perception::eval::{evaluate, DimEval, DimEvalConfig, TaskKind};
+use dimension_perception::kb::degrade::{self, Policy};
 use dimension_perception::kb::DimUnitKb;
 use dimension_perception::models::profile::GPT4;
 use dimension_perception::models::SimulatedLlm;
+
+fn build_dimeval(config: &DimEvalConfig) -> DimEval {
+    degrade::complete(DimEval::build(&DimUnitKb::shared(), config, Policy::CLASSIC))
+}
 
 #[test]
 fn dimks_annotates_bilingual_text_end_to_end() {
@@ -22,25 +27,19 @@ fn dimks_annotates_bilingual_text_end_to_end() {
 #[test]
 fn benchmark_pipeline_is_reproducible_across_processes_shape() {
     // Same seed → identical benchmark; different seed → different items.
-    let kb = DimUnitKb::shared();
-    let a = DimEval::build(&kb, &DimEvalConfig { per_task: 8, extraction_items: 8, ..Default::default() });
-    let b = DimEval::build(&kb, &DimEvalConfig { per_task: 8, extraction_items: 8, ..Default::default() });
+    let cfg = DimEvalConfig { per_task: 8, extraction_items: 8, ..Default::default() };
+    let a = build_dimeval(&cfg);
+    let b = build_dimeval(&cfg);
     assert_eq!(a.choice[&TaskKind::UnitConversion], b.choice[&TaskKind::UnitConversion]);
-    let c = DimEval::build(
-        &kb,
-        &DimEvalConfig { per_task: 8, extraction_items: 8, seed: 999, ..Default::default() },
-    );
+    let c = build_dimeval(&DimEvalConfig { seed: 999, ..cfg });
     assert_ne!(a.choice[&TaskKind::UnitConversion], c.choice[&TaskKind::UnitConversion]);
 }
 
 #[test]
 fn simulated_model_runs_the_whole_benchmark() {
-    let kb = DimUnitKb::shared();
-    let eval = DimEval::build(
-        &kb,
-        &DimEvalConfig { per_task: 10, extraction_items: 10, ..Default::default() },
-    );
-    let mut model = SimulatedLlm::new(kb, GPT4, 1);
+    let eval =
+        build_dimeval(&DimEvalConfig { per_task: 10, extraction_items: 10, ..Default::default() });
+    let mut model = SimulatedLlm::new(DimUnitKb::shared(), GPT4, 1);
     let report = evaluate(&mut model, &eval);
     assert_eq!(report.choice.len(), 6);
     for (task, score) in &report.choice {

@@ -20,7 +20,9 @@
 //! then review the `results/` diff like any other code change.
 
 use dim_bench::render;
-use dimension_perception::core::experiments::{quick_config, ExperimentConfig};
+use dim_verify::DEFAULT_NOISE;
+use dimension_perception::core::experiments::{build_mwp_eval, quick_config, ExperimentConfig};
+use dimension_perception::eval::detection_rates;
 use std::fs;
 use std::path::PathBuf;
 
@@ -167,8 +169,8 @@ fn quick_fig7_matches_golden_at_every_thread_width() {
 /// The dim-verify repair table (before/after accuracy of the dimensional
 /// rejection/repair pass, DESIGN.md §15) is a paper-facing output like
 /// Tables VI/VII: byte-identical at both fan-out widths and pinned
-/// against the committed golden. `make verify-gate` additionally asserts
-/// the after >= before invariant on the underlying numbers.
+/// against the committed golden. `quick_verify_repair_never_hurts`
+/// asserts the after >= before invariant on the underlying numbers.
 #[test]
 fn quick_verify_repair_matches_golden_at_every_thread_width() {
     for threads in [1, 4] {
@@ -188,13 +190,42 @@ fn quick_verify_perturb_matches_golden_at_every_thread_width() {
     }
 }
 
+/// Repair never hurts: on every quick evaluation set, accuracy after the
+/// rejection/repair pass is at least the beam's top-candidate accuracy
+/// (gold equations always verify, so rejection can only promote).
+#[test]
+fn quick_verify_repair_never_hurts() {
+    let cfg = quick_config();
+    let kb = dimension_perception::kb::DimUnitKb::shared();
+    for (name, problems) in build_mwp_eval(&cfg).iter() {
+        let par = cfg.pipeline.parallelism;
+        let row = dim_verify::repair_row(name, problems, &kb, cfg.seed, DEFAULT_NOISE, par);
+        assert!(row.after >= row.before, "{name}: repair hurt: {row:?}");
+    }
+}
+
+/// Every mutation class applies to at least one problem and is detected
+/// at a nonzero rate on every quick Q-MWP set.
+#[test]
+fn quick_verify_detects_every_mutation_class() {
+    let cfg = quick_config();
+    let kb = dimension_perception::kb::DimUnitKb::shared();
+    let sets = build_mwp_eval(&cfg);
+    for (name, problems) in sets.iter().filter(|(name, _)| name.starts_with("Q-")) {
+        for row in detection_rates(problems, &kb, cfg.seed, cfg.pipeline.parallelism) {
+            let class = row.class.name();
+            assert!(row.n > 0 && row.detected > 0, "{name}/{class}: {row:?}");
+        }
+    }
+}
+
 /// The chaos stage under a fixed `FaultPlan` (seed 7, rate 0.05) renders a
 /// byte-identical report — plan banner, stage outcomes, and the full
 /// quarantine manifest — at both fan-out widths. This pins the
 /// fault-injection decision function and the quarantine contract the same
 /// way the other goldens pin paper-facing numbers. Safe alongside the
 /// other golden tests: the plan is a value passed to this report's
-/// `try_*` stages only, and the classic stages run under no plan.
+/// stages only, and the other stages run under `Policy::CLASSIC`.
 #[test]
 fn chaos_quick_matches_golden() {
     for threads in [1, 4] {
@@ -216,6 +247,7 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
     use dimension_perception::eval::algo1::{self, Algo1Config};
     use dimension_perception::eval::algo2::{self, Algo2Config};
     use dimension_perception::eval::{evaluate, DimEval, DimEvalConfig};
+    use dimension_perception::kb::degrade::{self, Policy};
     use dimension_perception::kb::DimUnitKb;
     use dimension_perception::kgraph::{synthesize, SynthConfig};
     use dimension_perception::link::{Annotator, LinkerConfig, UnitLinker};
@@ -250,8 +282,8 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
 
     // dimeval.build + eval.* : build a tiny benchmark and evaluate a
     // simulated solver over it.
-    let eval =
-        DimEval::build(&kb, &DimEvalConfig { per_task: 4, extraction_items: 4, ..Default::default() });
+    let eval_config = DimEvalConfig { per_task: 4, extraction_items: 4, ..Default::default() };
+    let eval = degrade::complete(DimEval::build(&kb, &eval_config, Policy::CLASSIC));
     let mut solver = SimulatedLlm::new(kb.clone(), profile::GPT35_TURBO, 1);
     evaluate(&mut solver, &eval);
 
