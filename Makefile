@@ -83,9 +83,14 @@ perfbench-smoke:
 # plus the --deep workspace analyses over the cross-crate call graph
 # (panic-reachability, lock-order). Exits nonzero on any
 # error-severity finding; warnings print but do not gate. Also writes the
-# machine-readable v2 report consumed alongside obs_report.json.
+# machine-readable v2 report consumed alongside obs_report.json. Then
+# fails if the dim-obs global switch comes back: a `TEST_LOCK`, or a call
+# to dim_obs::{enable,disable,enabled,reset}, anywhere in the program or its
+# tests (recording is always on; the two kept empty functions are defined
+# unqualified in crates/obs, so their definitions do not match).
 lint:
 	cargo run --release -p dim-lint --bin dimlint -- --deep --json lint_report.json
+	! grep -rnE 'TEST_LOCK|dim_obs::(enable|disable|enabled|reset)\b' crates src tests examples
 
 # Deep-lint regression gate: a 20-sample median runtime budget for the
 # full deep run, whose file pass runs on one thread (see EXPERIMENTS.md

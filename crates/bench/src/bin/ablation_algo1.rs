@@ -2,7 +2,5 @@
 //! precision with and without the filter, and the review workload.
 
 fn main() {
-    dim_bench::obs_init();
-    print!("{}", dim_bench::render::ablation_algo1());
-    dim_bench::obs_finish();
+    dim_bench::run(|_| print!("{}", dim_bench::render::ablation_algo1()));
 }

@@ -7,7 +7,5 @@
 //! how each scoring factor recovers the right unit.
 
 fn main() {
-    dim_bench::obs_init();
-    print!("{}", dim_bench::render::ablation_linking());
-    dim_bench::obs_finish();
+    dim_bench::run(|_| print!("{}", dim_bench::render::ablation_linking()));
 }

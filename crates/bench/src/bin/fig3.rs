@@ -1,7 +1,5 @@
 //! Regenerates Fig. 3: popular units sorted by the frequency feature.
 
 fn main() {
-    dim_bench::obs_init();
-    print!("{}", dim_bench::render::fig3());
-    dim_bench::obs_finish();
+    dim_bench::run(|_| print!("{}", dim_bench::render::fig3()));
 }

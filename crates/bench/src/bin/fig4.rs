@@ -1,7 +1,5 @@
 //! Regenerates Fig. 4: top quantity kinds and their top-five units.
 
 fn main() {
-    dim_bench::obs_init();
-    print!("{}", dim_bench::render::fig4());
-    dim_bench::obs_finish();
+    dim_bench::run(|_| print!("{}", dim_bench::render::fig4()));
 }

@@ -1,8 +1,5 @@
 //! Regenerates Fig. 6: DimPerc accuracy on Q-Ape210k vs augmentation rate η.
 
 fn main() {
-    dim_bench::obs_init();
-    let cfg = dim_bench::config_from_args();
-    print!("{}", dim_bench::render::fig6(&cfg));
-    dim_bench::obs_finish();
+    dim_bench::run(|cli| print!("{}", dim_bench::render::fig6(&cli.config())));
 }

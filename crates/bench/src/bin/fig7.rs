@@ -2,8 +2,5 @@
 //! tokenization strategies on Q-Ape210k.
 
 fn main() {
-    dim_bench::obs_init();
-    let cfg = dim_bench::config_from_args();
-    print!("{}", dim_bench::render::fig7(&cfg));
-    dim_bench::obs_finish();
+    dim_bench::run(|cli| print!("{}", dim_bench::render::fig7(&cli.config())));
 }

@@ -1,7 +1,5 @@
 //! Regenerates Table IV: knowledge-base statistics comparison.
 
 fn main() {
-    dim_bench::obs_init();
-    print!("{}", dim_bench::render::table4());
-    dim_bench::obs_finish();
+    dim_bench::run(|_| print!("{}", dim_bench::render::table4()));
 }

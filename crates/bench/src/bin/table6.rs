@@ -1,8 +1,5 @@
 //! Regenerates Table VI: statistics of the MWP evaluation datasets.
 
 fn main() {
-    dim_bench::obs_init();
-    let cfg = dim_bench::config_from_args();
-    print!("{}", dim_bench::render::table6(&cfg));
-    dim_bench::obs_finish();
+    dim_bench::run(|cli| print!("{}", dim_bench::render::table6(&cli.config())));
 }

@@ -1,8 +1,5 @@
 //! Regenerates Table VIII: DimPerc vs the base model on DimEval categories.
 
 fn main() {
-    dim_bench::obs_init();
-    let cfg = dim_bench::config_from_args();
-    print!("{}", dim_bench::render::table8(&cfg));
-    dim_bench::obs_finish();
+    dim_bench::run(|cli| print!("{}", dim_bench::render::table8(&cli.config())));
 }

@@ -1,8 +1,5 @@
 //! Regenerates Table IX: accuracy on N-MWP and Q-MWP.
 
 fn main() {
-    dim_bench::obs_init();
-    let cfg = dim_bench::config_from_args();
-    print!("{}", dim_bench::render::table9(&cfg));
-    dim_bench::obs_finish();
+    dim_bench::run(|cli| print!("{}", dim_bench::render::table9(&cli.config())));
 }

@@ -13,9 +13,11 @@ pub fn pct(v: f64) -> String {
 pub struct Cli {
     /// `--quick`: shrink datasets and training for a fast smoke run.
     pub quick: bool,
-    /// `--obs`: collect metrics and print their table to stderr.
+    /// `--obs`: print the metrics table to stderr (metrics are always
+    /// recorded; this only chooses whether they are reported).
     pub obs: bool,
     /// `--obs-out PATH`: where `all_experiments` writes its metrics report.
+    /// Implies `--obs`.
     pub obs_out: Option<String>,
     /// `--threads N`: the fan-out width (0 clamps to 1).
     pub threads: Option<usize>,
@@ -54,7 +56,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         match flag.as_str() {
             "--quick" => cli.quick = true,
             "--obs" => cli.obs = true,
-            "--obs-out" => cli.obs_out = Some(value()?.clone()),
+            "--obs-out" => {
+                cli.obs_out = Some(value()?.clone());
+                cli.obs = true;
+            }
             "--threads" => cli.threads = Some(parse_value(flag, value()?)?),
             "--chaos-seed" => cli.chaos_seed = parse_value(flag, value()?)?,
             "--chaos-rate" => cli.chaos_rate = parse_value(flag, value()?)?,
@@ -75,38 +80,34 @@ pub fn cli() -> Cli {
     })
 }
 
-/// Checks the CLI flags and enables metrics collection when `--obs` was
-/// passed. Call at the top of a harness `main`.
-pub fn obs_init() {
-    if cli().obs {
-        dim_obs::enable();
+impl Cli {
+    /// The experiment configuration these flags select. `--quick` shrinks
+    /// datasets and training for fast smoke runs and pins the sequential
+    /// reference paths; `--threads N` overrides the fan-out width in either
+    /// mode (results are identical at every width).
+    pub fn config(&self) -> dim_core::experiments::ExperimentConfig {
+        let mut config = if self.quick {
+            dim_core::experiments::quick_config()
+        } else {
+            dim_core::experiments::ExperimentConfig::default()
+        };
+        if let Some(threads) = self.threads {
+            config.pipeline.parallelism = dim_par::Parallelism::new(threads);
+        }
+        config
     }
 }
 
-/// When observability is on, prints the human-readable metrics table to
-/// **stderr** — stdout must stay byte-identical to the non-`--obs` run so
-/// determinism diffs over harness output keep working.
-pub fn obs_finish() {
-    if dim_obs::enabled() {
+/// The `main` of a harness binary: checks the flags before any work, runs
+/// `body` (which prints the results to stdout) and, with `--obs`, prints
+/// the metrics table to **stderr** — stdout stays byte-identical to a run
+/// without `--obs`, so determinism diffs over harness output keep working.
+pub fn run(body: impl FnOnce(&Cli)) {
+    let cli = cli();
+    body(&cli);
+    if cli.obs {
         eprint!("{}", dim_obs::snapshot().render_table());
     }
-}
-
-/// Returns the experiment configuration selected by the CLI. `--quick`
-/// shrinks datasets and training for fast smoke runs and pins the
-/// sequential reference paths; `--threads N` overrides the fan-out width
-/// in either mode (results are identical at every width).
-pub fn config_from_args() -> dim_core::experiments::ExperimentConfig {
-    let cli = cli();
-    let mut config = if cli.quick {
-        dim_core::experiments::quick_config()
-    } else {
-        dim_core::experiments::ExperimentConfig::default()
-    };
-    if let Some(threads) = cli.threads {
-        config.pipeline.parallelism = dim_par::Parallelism::new(threads);
-    }
-    config
 }
 
 /// Prints a rule line.
@@ -211,6 +212,13 @@ mod tests {
         assert!(cli.quick && cli.obs);
         assert_eq!((cli.obs_out.as_deref(), cli.threads), (Some("o.json"), Some(4)));
         assert_eq!((cli.chaos_seed, cli.chaos_rate), (5, 0.25));
+    }
+
+    #[test]
+    fn obs_out_alone_turns_the_report_on() {
+        let cli = parse_cli(&args(&["--quick", "--obs-out", "o.json"])).unwrap();
+        assert!(cli.obs, "--obs-out without --obs must still write the report");
+        assert_eq!(cli.obs_out.as_deref(), Some("o.json"));
     }
 
     #[test]

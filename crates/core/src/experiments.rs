@@ -18,9 +18,8 @@ use dimkb::{DimUnitKb, UnitId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-// Observability (no-ops unless `dim_obs::enable()` was called): one span
-// per experiment runner, so `obs_report.json` breaks a full suite run down
-// by table/figure.
+// Observability: one span per experiment runner, so `obs_report.json`
+// breaks a full suite run down by table/figure.
 static EXP_TABLE4: dim_obs::Histogram = dim_obs::Histogram::new("exp.table4");
 static EXP_TABLE6: dim_obs::Histogram = dim_obs::Histogram::new("exp.table6");
 static EXP_TABLE7: dim_obs::Histogram = dim_obs::Histogram::new("exp.table7");

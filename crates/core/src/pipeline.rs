@@ -9,8 +9,7 @@ use dimkb::degrade::{self, BudgetExceeded, Outcome, Policy, QuarantineEntry};
 use dimkb::DimUnitKb;
 use std::sync::Arc;
 
-// Observability (no-ops unless `dim_obs::enable()` was called): one span
-// per Fig. 2 pipeline step.
+// Observability: one span per Fig. 2 pipeline step.
 static TRAIN_DIMPERC_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("pipeline.train_dimperc");
 static BUILD_MWP_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("pipeline.build_mwp_training");
 static TRAIN_QUANT_SPAN: dim_obs::Histogram =
@@ -125,7 +124,7 @@ fn mwp_training(
     let (ape, ape_quarantine) = d2.split();
     problems.extend(ape);
     quarantine.extend(ape_quarantine);
-    let mut aug = Augmenter::new(kb, config.seed ^ 0xA6);
+    let aug = Augmenter::new(kb, config.seed ^ 0xA6);
     let (out, aug_quarantine) =
         aug.augment_dataset_with(&problems, config.eta, config.parallelism, policy)?;
     quarantine.extend(aug_quarantine);

@@ -16,7 +16,6 @@ use crate::task::{ExtractionItem, GoldExtraction};
 use dim_corpus::{NumericSlotModel, Sentence};
 use dimlink::{Annotator, QuantityMention};
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
 static ALGO1_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("algo1.run");
 static ALGO1_SENTENCES: dim_obs::Counter = dim_obs::Counter::new("algo1.sentences");
 static ALGO1_MLM_REMOVED: dim_obs::Counter = dim_obs::Counter::new("algo1.mlm_removed");

@@ -16,7 +16,6 @@ use dim_kgraph::{PredicateId, SynthKg, TripleId};
 use dimlink::Annotator;
 use std::collections::{BTreeMap, BTreeSet};
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
 static ALGO2_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("algo2.run");
 static ALGO2_PREDICATES: dim_obs::Counter = dim_obs::Counter::new("algo2.predicates");
 static ALGO2_TRIPLES: dim_obs::Counter = dim_obs::Counter::new("algo2.triples");

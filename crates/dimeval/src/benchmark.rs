@@ -19,7 +19,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
 static BUILD_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("dimeval.build");
 static BUILD_ITEMS: dim_obs::Counter = dim_obs::Counter::new("dimeval.items");
 static EVAL_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("eval.evaluate");

@@ -36,7 +36,6 @@ use std::any::Any;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
 static PANICS_CAUGHT: dim_obs::Counter = dim_obs::Counter::new("degrade.panics_caught");
 
 /// Per-record size cap enforced by the degraded-mode entry points. Real
@@ -489,15 +488,13 @@ mod tests {
 
     #[test]
     fn isolate_counts_each_caught_panic() {
-        dim_obs::enable();
-        let caught = || dim_obs::snapshot().counter("degrade.panics_caught").unwrap_or(0);
-        let before = caught();
+        let before = dim_obs::snapshot();
         for _ in 0..3 {
             assert!(isolate::<u32>(|| panic!("boom")).is_err());
         }
         assert_eq!(isolate(|| Ok(1)), Ok(1));
-        let after = caught();
-        assert!(after >= before + 3, "before = {before}, after = {after}");
+        let caught = dim_obs::snapshot().counter_since(&before, "degrade.panics_caught");
+        assert!(caught >= 3, "caught {caught}");
     }
 
     #[test]

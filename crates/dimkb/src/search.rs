@@ -14,9 +14,8 @@ use crate::unit::{Unit, UnitId};
 use dim_embed::tokenize::words;
 use std::collections::HashMap;
 
-// Observability (no-ops unless `dim_obs::enable()` was called). The
-// candidate counters quantify exactly what the inverted index buys: scored
-// candidates per query vs the full-scan unit count.
+// The candidate counters quantify exactly what the inverted index buys:
+// scored candidates per query vs the full-scan unit count.
 static SEARCH_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("kb.search");
 static SEARCH_QUERIES: dim_obs::Counter = dim_obs::Counter::new("kb.search.queries");
 static SEARCH_CANDIDATES: dim_obs::Counter = dim_obs::Counter::new("kb.search.candidates");

@@ -21,10 +21,9 @@ use crate::scratch::ScratchSpace;
 use dim_embed::tokenize::is_cjk;
 use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy, RecordError};
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
+// Times each public annotate call, one text or a whole batch; the per-text
+// counts are per-worker tallies in `ScratchSpace` (see `crate::scratch`).
 static ANNOTATE_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("link.annotate");
-static ANNOTATE_TEXTS: dim_obs::Counter = dim_obs::Counter::new("link.annotate.texts");
-static ANNOTATE_MENTIONS: dim_obs::Counter = dim_obs::Counter::new("link.mentions");
 
 /// A quantity mention found and linked in text.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +124,7 @@ impl Annotator {
     /// scratch space; batch callers should hold a [`ScratchSpace`] per
     /// worker instead so buffers persist across texts.
     pub fn annotate(&self, text: &str) -> Vec<QuantityMention> {
+        let _span = ANNOTATE_SPAN.span();
         let mut scratch = ScratchSpace::new();
         self.annotate_with(text, &mut scratch)
     }
@@ -134,8 +134,6 @@ impl Annotator {
     /// all reused across calls. Output is identical to `annotate`
     /// for the same text — the scratch is working memory, never state.
     pub fn annotate_with(&self, text: &str, scratch: &mut ScratchSpace) -> Vec<QuantityMention> {
-        let _span = ANNOTATE_SPAN.span();
-        ANNOTATE_TEXTS.inc();
         let mut out = Vec::new();
         // Take the match buffer out so `scratch` stays free for the trial
         // loop below (NumberMatch is Copy; the buffer goes back after).
@@ -147,7 +145,8 @@ impl Annotator {
             }
         }
         scratch.nums = nums;
-        ANNOTATE_MENTIONS.add(out.len() as u64);
+        scratch.texts += 1;
+        scratch.mentions += out.len() as u64;
         out
     }
 
@@ -162,6 +161,7 @@ impl Annotator {
         texts: &[S],
         par: dim_par::Parallelism,
     ) -> Vec<Vec<QuantityMention>> {
+        let _span = ANNOTATE_SPAN.span();
         dim_par::par_map_scratch(par, texts, ScratchSpace::new, |_, text, scratch| {
             self.annotate_with(text.as_ref(), scratch)
         })
@@ -181,6 +181,7 @@ impl Annotator {
         par: dim_par::Parallelism,
         policy: Policy,
     ) -> Result<Degraded<Vec<QuantityMention>>, BudgetExceeded> {
+        let _span = ANNOTATE_SPAN.span();
         let slots = dim_par::par_map_scratch(par, texts, ScratchSpace::new, |i, text, scratch| {
             degrade::isolate(|| {
                 let text = text.as_ref();

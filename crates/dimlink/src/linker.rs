@@ -26,13 +26,9 @@ use dimkb::intern::char_signature;
 use dimkb::{DimUnitKb, UnitId};
 use std::sync::Arc;
 
-// Observability (all no-ops unless `dim_obs::enable()` was called). The
-// lev pair measures how many DP runs the char-signature prefilter saves.
+// Times single-query `UnitLinker::link` calls; the per-query counts are
+// per-worker tallies in `LinkBufs` (see `crate::scratch`).
 static LINK_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("link.link");
-static LINK_QUERIES: dim_obs::Counter = dim_obs::Counter::new("link.queries");
-static LINK_RESULTS: dim_obs::Counter = dim_obs::Counter::new("link.results");
-static LEV_COMPUTED: dim_obs::Counter = dim_obs::Counter::new("link.lev_computed");
-static LEV_PRUNED: dim_obs::Counter = dim_obs::Counter::new("link.lev_pruned");
 
 /// A scored candidate from the linker.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +107,7 @@ impl UnitLinker {
     /// (highest confidence first). Allocates fresh working buffers; batch
     /// hot paths use [`Self::link_with`] with per-worker scratch instead.
     pub fn link(&self, mention: &str, context: &str) -> Vec<LinkResult> {
+        let _span = LINK_SPAN.span();
         self.link_in(mention, context, &mut LinkBufs::default())
     }
 
@@ -125,10 +122,9 @@ impl UnitLinker {
     /// buffers so the annotator can hold disjoint borrows of its own
     /// scratch fields (candidate buffers) across the call.
     pub(crate) fn link_in(&self, mention: &str, context: &str, bufs: &mut LinkBufs) -> Vec<LinkResult> {
-        LINK_QUERIES.inc();
-        let _span = LINK_SPAN.span();
         self.link_core(mention, context, bufs);
-        LINK_RESULTS.add(bufs.results.len() as u64);
+        bufs.queries += 1;
+        bufs.results_linked += bufs.results.len() as u64;
         bufs.results.clone() // lint:allow(hot_alloc, output construction: the ranked result Vec is the query's output and must be owned)
     }
 
@@ -174,10 +170,10 @@ impl UnitLinker {
                         .count_ones()
                         .max((k_sig & !m_sig).count_ones());
                     if 1.0 - f64::from(dist_lb) / max_len < self.config.mention_threshold {
-                        LEV_PRUNED.inc();
+                        bufs.lev_pruned += 1;
                         continue;
                     }
-                    LEV_COMPUTED.inc();
+                    bufs.lev_computed += 1;
                     let sim = lev::similarity_with(
                         &bufs.mention_chars,
                         idx.key(sym),

@@ -22,8 +22,7 @@ use dimkb::{DimUnitKb, Unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Observability (no-ops unless `dim_obs::enable()` was called). Attempts
-// vs augmented measures the augmentation success rate at each η.
+// Attempts vs augmented measures the augmentation success rate at each η.
 static QMWP_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("mwp.qmwp");
 static AUGMENT_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("mwp.augment");
 static AUGMENT_ATTEMPTS: dim_obs::Counter = dim_obs::Counter::new("mwp.augment_attempts");
@@ -260,7 +259,7 @@ impl<'a> Augmenter<'a> {
     /// Builds a Q-MWP dataset: each problem receives one or two dimension
     /// substitutions (falling back to format substitution), diversifying
     /// units and adding conversion steps — the Table VI profile.
-    pub fn to_qmwp(&mut self, problems: &[MwpProblem]) -> Vec<MwpProblem> {
+    pub fn to_qmwp(&self, problems: &[MwpProblem]) -> Vec<MwpProblem> {
         self.to_qmwp_with(problems, dim_par::Parallelism::SEQUENTIAL)
     }
 
@@ -271,7 +270,7 @@ impl<'a> Augmenter<'a> {
     /// clamps the worker count to the host's usable cores), never which
     /// seed it gets.
     pub fn to_qmwp_with(
-        &mut self,
+        &self,
         problems: &[MwpProblem],
         par: dim_par::Parallelism,
     ) -> Vec<MwpProblem> {
@@ -297,7 +296,7 @@ impl<'a> Augmenter<'a> {
     /// (with no faults it is identical). The budget is checked over
     /// attempts at the end.
     pub fn augment_dataset_with(
-        &mut self,
+        &self,
         problems: &[MwpProblem],
         eta: f64,
         par: dim_par::Parallelism,
@@ -311,12 +310,14 @@ impl<'a> Augmenter<'a> {
         }
         let (kb, seed) = (self.kb, self.seed);
         let guard_limit = extra * 20 + 100;
+        // Slot `k` is attempt `k`'s outcome, so quarantine indices are
+        // attempt numbers.
+        let mut slots = Vec::new();
         let mut produced = 0usize;
-        let mut attempt = 0usize;
-        let mut quarantine = Vec::new();
-        while produced < extra && attempt < guard_limit {
+        while produced < extra && slots.len() < guard_limit {
             // Most attempts succeed, so a wave sized to the deficit (with a
             // floor to amortize fan-out) rarely needs a second round.
+            let attempt = slots.len();
             let wave = (extra - produced).max(32).min(guard_limit - attempt);
             let ks: Vec<u64> = (attempt..attempt + wave).map(|k| k as u64).collect();
             let results = dim_par::par_map_indexed(par, &ks, |_, &k| {
@@ -325,36 +326,14 @@ impl<'a> Augmenter<'a> {
                     Ok(attempt_one(kb, seed, problems, k))
                 })
             });
-            for (j, slot) in results.into_iter().enumerate() {
-                match slot {
-                    Ok(Some(aug)) => {
-                        if produced < extra {
-                            out.push(aug);
-                            produced += 1;
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => quarantine.push(QuarantineEntry {
-                        site: SITE_AUGMENT.to_string(),
-                        index: attempt + j,
-                        error: e.to_string(),
-                    }),
-                }
-            }
-            attempt += wave;
+            produced += results.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
+            slots.extend(results);
         }
-        AUGMENT_ATTEMPTS.add(attempt as u64);
-        AUGMENTED.add(produced as u64);
-        let failed = quarantine.len();
-        if attempt > 0 && failed as f64 > policy.budget.max_error_rate * attempt as f64 {
-            return Err(BudgetExceeded {
-                site: SITE_AUGMENT.to_string(),
-                failed,
-                total: attempt,
-                max_error_rate: policy.budget.max_error_rate,
-            });
-        }
-        Ok((out, quarantine))
+        AUGMENT_ATTEMPTS.add(slots.len() as u64);
+        AUGMENTED.add(produced.min(extra) as u64);
+        let batch = degrade::collect_degraded(SITE_AUGMENT, slots, policy.budget)?;
+        out.extend(batch.items.into_iter().flatten().flatten().take(extra));
+        Ok((out, batch.quarantine))
     }
 }
 
@@ -487,7 +466,7 @@ mod tests {
     fn qmwp_diversifies_units() {
         let kb = DimUnitKb::shared();
         let ps = problems();
-        let mut aug = Augmenter::new(&kb, 5);
+        let aug = Augmenter::new(&kb, 5);
         let qs = aug.to_qmwp(&ps);
         let distinct = |set: &[MwpProblem]| {
             let mut all: Vec<String> = set
@@ -514,8 +493,8 @@ mod tests {
     fn augment_dataset_rate_controls_size() {
         let kb = DimUnitKb::shared();
         let ps = problems();
-        let mut aug = Augmenter::new(&kb, 6);
-        let mut augment = |eta| {
+        let aug = Augmenter::new(&kb, 6);
+        let augment = |eta| {
             let par = Parallelism::SEQUENTIAL;
             degrade::complete(aug.augment_dataset_with(&ps, eta, par, Policy::CLASSIC))
         };
@@ -546,7 +525,7 @@ mod tests {
     fn augmented_equations_still_calculate() {
         let kb = DimUnitKb::shared();
         let ps = problems();
-        let mut aug = Augmenter::new(&kb, 7);
+        let aug = Augmenter::new(&kb, 7);
         for p in aug.to_qmwp(&ps) {
             let via = crate::equation::calculate(&p.equation_text()).unwrap();
             assert!(

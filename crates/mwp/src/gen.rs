@@ -12,7 +12,6 @@ use dimkb::degrade::{self, BudgetExceeded, Degraded, Policy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Observability (no-ops unless `dim_obs::enable()` was called).
 static GEN_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("mwp.gen");
 static GEN_PROBLEMS: dim_obs::Counter = dim_obs::Counter::new("mwp.problems");
 

@@ -59,7 +59,7 @@ mod tests {
         // Table VI: Q-sets have more units and shift to higher op buckets.
         let kb = DimUnitKb::shared();
         let n = generate(Source::Ape210k, &GenConfig { count: 225, seed: 2 });
-        let mut aug = Augmenter::new(&kb, 2);
+        let aug = Augmenter::new(&kb, 2);
         let qs = aug.to_qmwp(&n);
         let (sn, sq) = (dataset_stats(&n), dataset_stats(&qs));
         assert!(sq.units > sn.units, "units {} vs {}", sq.units, sn.units);

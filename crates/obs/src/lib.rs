@@ -14,14 +14,16 @@
 //! * [`Counter`] — a monotonic, saturating `u64` (units linked, cache hits,
 //!   sentences filtered, items fanned out per worker).
 //!
-//! The offline pipeline's metrics are `static`s declared at their call site
-//! that register themselves in a global registry on first touch. That
-//! layer is disabled by default: every record path starts with one relaxed
-//! atomic load and returns immediately, so uninstrumented runs pay a
-//! branch, not a syscall — and the registry stays empty, which a test pins.
-//! A [`Histogram`] owned by a value instead of a `static` (a server's
-//! request latencies) records through [`Histogram::observe`], always on and
-//! outside the registry, and reports its own [`Histogram::stats`].
+//! Recording is always on; there is no switch. The offline pipeline's
+//! metrics are `static`s declared at their call site that register
+//! themselves in a global registry on first touch, and only ever grow, so
+//! a reader wanting one run's share compares two [`snapshot`]s. A hot path
+//! that would otherwise touch a shared atomic per event keeps a plain
+//! per-worker tally and adds it to the `static` once (the linker's
+//! per-worker scratch does this when it drops). A metric owned by a value
+//! instead of a `static` (a server's request counts and latencies) records
+//! through [`Counter::observe`] / [`Histogram::observe`], outside the
+//! registry, and its owner reports it.
 //!
 //! [`snapshot`] freezes the registry into a [`Snapshot`] that renders as a
 //! human table ([`Snapshot::render_table`], intended for stderr so stdout
@@ -32,29 +34,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-// ===================== global enable switch =====================
+/// Does nothing: recording is always on. Kept, with [`disable`], for
+/// callers written when the crate had a global switch (the benchmark
+/// harness in `perfbench/`).
+pub fn enable() {}
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is recording currently enabled? One relaxed load — the cost every
-/// instrumented call site pays when observability is off.
-#[inline]
-pub fn enabled() -> bool {
-    // No data is published under this flag: record paths synchronize via
-    // the registry mutex and per-metric atomics, so the gate itself needs
-    // no ordering.
-    ENABLED.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, pure on/off gate; registry handoff synchronizes via the REGISTRY mutex)
-}
-
-/// Turns recording on (idempotent). Metrics register lazily afterwards.
-pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turns recording off. Already-registered metrics keep their values.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
+/// Does nothing: recording is always on (see [`enable`]).
+pub fn disable() {}
 
 // ===================== registry =====================
 
@@ -66,24 +52,13 @@ struct RegistryInner {
 static REGISTRY: Mutex<RegistryInner> =
     Mutex::new(RegistryInner { counters: Vec::new(), histograms: Vec::new() });
 
-/// Zeroes every registered metric and empties the registry (metrics
-/// re-register on their next recorded value). Test isolation helper; the
-/// bench binaries never need it because each process reports once.
-pub fn reset() {
-    let mut r = REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for c in r.counters.drain(..) {
-        c.value.store(0, Ordering::SeqCst);
-        c.registered.store(false, Ordering::SeqCst);
-    }
-    for h in r.histograms.drain(..) {
-        h.count.store(0, Ordering::SeqCst);
-        h.sum.store(0, Ordering::SeqCst);
-        h.min.store(u64::MAX, Ordering::SeqCst);
-        h.max.store(0, Ordering::SeqCst);
-        for b in &h.buckets {
-            b.store(0, Ordering::SeqCst);
-        }
-        h.registered.store(false, Ordering::SeqCst);
+/// Registers a `static` metric on its first touch. The relaxed load keeps
+/// the common already-registered path to one uncontended read.
+fn register_once(registered: &AtomicBool, push: impl FnOnce(&mut RegistryInner)) {
+    if !registered.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, fast-path pre-check; the SeqCst swap below is authoritative)
+        && !registered.swap(true, Ordering::SeqCst)
+    {
+        push(&mut REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
     }
 }
 
@@ -103,13 +78,28 @@ impl Counter {
         Counter { name, value: AtomicU64::new(0), registered: AtomicBool::new(false) }
     }
 
-    /// Adds `n` (saturating). No-op while recording is disabled.
+    /// Adds `n` (saturating) and registers the counter on its first
+    /// nonzero addition.
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if !enabled() || n == 0 {
+        if n == 0 {
             return;
         }
-        self.register();
+        register_once(&self.registered, |r| r.counters.push(self));
+        self.observe(n);
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn inc(&'static self) {
+        self.add(1);
+    }
+
+    /// Adds `n` (saturating) without touching the registry — the record
+    /// path of a counter owned by a value, which the owner reports itself
+    /// (compare [`Histogram::observe`]).
+    #[inline]
+    pub fn observe(&self, n: u64) {
         let mut cur = self.value.load(Ordering::Relaxed); // lint:allow(relaxed_ordering, single-cell CAS loop; only the value matters)
         loop {
             let next = cur.saturating_add(n);
@@ -121,23 +111,14 @@ impl Counter {
         }
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn inc(&'static self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, monotonic value read; no ordering dependency)
     }
 
-    fn register(&'static self) {
-        if !self.registered.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, fast-path pre-check; the SeqCst swap below is authoritative)
-            && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner).counters.push(self);
-        }
+    /// The metric name.
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 }
 
@@ -212,23 +193,16 @@ impl Histogram {
         }
     }
 
-    /// Records one value. No-op while recording is disabled.
+    /// Records one value and registers the histogram on its first record.
     #[inline]
     pub fn record(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        if !self.registered.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, fast-path pre-check; the SeqCst swap below is authoritative)
-            && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner).histograms.push(self);
-        }
+        register_once(&self.registered, |r| r.histograms.push(self));
         self.observe(v);
     }
 
-    /// Records one value whatever the enable flag says, without touching
-    /// the registry — the record path of a histogram owned by a value, which
-    /// the owner renders through [`Histogram::stats`].
+    /// Records one value without touching the registry — the record path
+    /// of a histogram owned by a value, which the owner renders through
+    /// [`Histogram::stats`].
     #[inline]
     pub fn observe(&self, v: u64) {
         // Independent stat cells; a snapshot may observe a torn cross-cell
@@ -242,11 +216,10 @@ impl Histogram {
     }
 
     /// Starts a scoped timing span: elapsed nanoseconds are recorded into
-    /// this histogram when the returned guard drops. When recording is
-    /// disabled the guard is inert and no clock is read.
+    /// this histogram when the returned guard drops.
     #[must_use = "a span records on drop; binding it to _ drops immediately"]
     pub fn span(&'static self) -> Span {
-        Span { hist: self, start: if enabled() { Some(Instant::now()) } else { None } } // lint:allow(nondeterministic, span timing is measurement-only; reports render to stderr/obs_report.json, never stdout goldens)
+        Span { hist: self, start: Instant::now() } // lint:allow(nondeterministic, span timing is measurement-only; reports render to stderr/obs_report.json, never stdout goldens)
     }
 
     /// Number of recorded values.
@@ -295,7 +268,7 @@ impl Histogram {
 /// Scoped timing guard returned by [`Histogram::span`].
 pub struct Span {
     hist: &'static Histogram,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Span {
@@ -305,9 +278,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.hist.record(start.elapsed().as_nanos() as u64);
-        }
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -368,6 +339,14 @@ impl Snapshot {
     /// Value of a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
+    /// How much counter `name` grew since the earlier snapshot `before`
+    /// (an unregistered counter reads 0). Counters never reset, so one
+    /// run's share of a process-wide count is this difference.
+    pub fn counter_since(&self, before: &Snapshot, name: &str) -> u64 {
+        let value = |s: &Snapshot| s.counter(name).unwrap_or(0);
+        value(self).saturating_sub(value(before))
     }
 
     /// Machine-readable JSON (the `obs_report.json` schema): top-level
@@ -468,23 +447,6 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    /// The registry and enable flag are process-global; tests that touch
-    /// them serialize on this lock (and restore the disabled state).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    struct EnabledGuard;
-    impl EnabledGuard {
-        fn new() -> EnabledGuard {
-            enable();
-            EnabledGuard
-        }
-    }
-    impl Drop for EnabledGuard {
-        fn drop(&mut self) {
-            disable();
-        }
-    }
-
     /// Deterministic xorshift so the quantile test needs no RNG dependency.
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -495,8 +457,6 @@ mod tests {
 
     #[test]
     fn quantiles_match_sorted_reference() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
         static H: Histogram = Histogram::new("test.quantiles");
         // A skewed latency-like distribution spanning several octaves.
         let mut state = 0x5DEECE66D;
@@ -523,13 +483,10 @@ mod tests {
             );
         }
         assert_eq!(H.count(), 10_000);
-        reset();
     }
 
     #[test]
     fn quantile_is_exact_in_linear_range() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
         static H: Histogram = Histogram::new("test.linear");
         for v in [3u64, 3, 5, 9, 15] {
             H.record(v);
@@ -537,7 +494,6 @@ mod tests {
         assert_eq!(H.quantile(0.5), 5);
         assert_eq!(H.quantile(1.0), 15);
         assert_eq!(H.quantile(0.0), 3);
-        reset();
     }
 
     #[test]
@@ -558,8 +514,6 @@ mod tests {
 
     #[test]
     fn counter_saturates_instead_of_wrapping() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
         static C: Counter = Counter::new("test.saturate");
         C.add(u64::MAX - 5);
         C.add(3);
@@ -568,33 +522,10 @@ mod tests {
         assert_eq!(C.get(), u64::MAX, "must saturate, not wrap");
         C.inc();
         assert_eq!(C.get(), u64::MAX);
-        reset();
     }
 
     #[test]
-    fn disabled_registry_records_nothing_and_stays_empty() {
-        let _l = TEST_LOCK.lock().unwrap();
-        disable();
-        static C: Counter = Counter::new("test.disabled.counter");
-        static H: Histogram = Histogram::new("test.disabled.hist");
-        C.add(7);
-        C.inc();
-        H.record(1000);
-        {
-            let span = H.span();
-            span.end();
-        }
-        assert_eq!(C.get(), 0);
-        assert_eq!(H.count(), 0);
-        let snap = snapshot();
-        assert!(snap.counter("test.disabled.counter").is_none());
-        assert!(snap.histogram("test.disabled.hist").is_none());
-    }
-
-    #[test]
-    fn observe_records_without_the_flag_or_the_registry() {
-        let _l = TEST_LOCK.lock().unwrap();
-        disable();
+    fn observe_records_without_the_registry() {
         let h = Histogram::with_unit("test.owned", "items");
         for v in [4u64, 8, 12] {
             h.observe(v);
@@ -602,13 +533,17 @@ mod tests {
         let stats = h.stats();
         assert_eq!((stats.count, stats.sum, stats.min, stats.max, stats.p50), (3, 24, 4, 12, 8));
         assert_eq!((stats.name.as_str(), stats.unit), ("test.owned", "items"));
-        assert!(snapshot().histogram("test.owned").is_none(), "an owned histogram never registers");
+        let c = Counter::new("test.owned.count");
+        c.observe(u64::MAX - 1);
+        c.observe(5);
+        assert_eq!(c.get(), u64::MAX, "owned counts saturate too");
+        let snap = snapshot();
+        assert!(snap.histogram("test.owned").is_none(), "an owned histogram never registers");
+        assert!(snap.counter("test.owned.count").is_none(), "an owned counter never registers");
     }
 
     #[test]
-    fn span_records_elapsed_time_when_enabled() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
+    fn span_records_elapsed_time() {
         static H: Histogram = Histogram::new("test.span");
         {
             let _span = H.span();
@@ -618,13 +553,10 @@ mod tests {
         let stats = snapshot().histogram("test.span").unwrap().clone();
         assert!(stats.sum >= 2_000_000, "2ms sleep must record ≥2ms, got {}ns", stats.sum);
         assert!(stats.min <= stats.p50 && stats.p50 <= stats.max * 2);
-        reset();
     }
 
     #[test]
     fn snapshot_sorts_and_json_renders() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
         static C2: Counter = Counter::new("test.zz");
         static C1: Counter = Counter::new("test.aa");
         static H: Histogram = Histogram::with_unit("test.pct", "pct");
@@ -644,27 +576,10 @@ mod tests {
         assert!(json.contains("\"unit\": \"pct\""));
         let table = snap.render_table();
         assert!(table.contains("test.pct") && table.contains("50 pct"));
-        reset();
-    }
-
-    #[test]
-    fn reset_allows_reregistration() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
-        static C: Counter = Counter::new("test.reset");
-        C.add(5);
-        assert_eq!(snapshot().counter("test.reset"), Some(5));
-        reset();
-        assert!(snapshot().counter("test.reset").is_none());
-        C.add(2);
-        assert_eq!(snapshot().counter("test.reset"), Some(2));
-        reset();
     }
 
     #[test]
     fn concurrent_recording_is_lossless() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _e = EnabledGuard::new();
         static C: Counter = Counter::new("test.concurrent");
         static H: Histogram = Histogram::new("test.concurrent.hist");
         std::thread::scope(|s| {
@@ -679,15 +594,11 @@ mod tests {
         });
         assert_eq!(C.get(), 40_000);
         assert_eq!(H.count(), 40_000);
-        reset();
     }
 
     #[test]
     fn empty_snapshot_renders_placeholder() {
-        let _l = TEST_LOCK.lock().unwrap();
-        disable();
-        reset();
-        let snap = snapshot();
+        let snap = Snapshot::default();
         assert!(snap.render_table().contains("(no metrics recorded)"));
         let json = snap.to_json();
         assert!(json.contains("\"counters\": {}"));

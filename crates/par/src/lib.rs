@@ -69,7 +69,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-// Observability (all no-ops unless `dim_obs::enable()` was called).
 // `PAR_WORKER_BUSY` is the per-worker wall time of every spawned chunk
 // worker: a wide p50→max spread there is thread imbalance, the first thing
 // to check when a parallel path fails to scale. `PAR_IMBALANCE_PCT` makes
@@ -305,7 +304,7 @@ where
     out.resize_with(n, || None);
 
     // Per-worker busy nanoseconds, returned through the join handles so the
-    // imbalance of *this* call can be computed (None unless obs is on).
+    // imbalance of *this* call can be computed.
     let mut busy_ns: Vec<u64> = Vec::new();
     std::thread::scope(|scope| {
         let run_one = &run_one;
@@ -314,7 +313,7 @@ where
         let mut handles = Vec::new();
         for _ in 0..workers {
             handles.push(scope.spawn(move || {
-                let started = dim_obs::enabled().then(Instant::now);
+                let started = Instant::now();
                 let mut scratch = make_scratch();
                 // Runs of consecutive results, tagged with their start index.
                 let mut runs: Vec<(usize, Vec<Result<U, Caught>>)> = Vec::new();
@@ -332,7 +331,7 @@ where
                     pulled += (end - start) as u64;
                     runs.push((start, results));
                 }
-                (runs, started.map(|t| t.elapsed().as_nanos() as u64), pulled)
+                (runs, started.elapsed().as_nanos() as u64, pulled)
             }));
         }
         for h in handles {
@@ -343,11 +342,9 @@ where
                             out[start + k] = Some(r); // lint:allow(no_panic, start + k < end <= n by the worker loop bounds and out.len() == n)
                         }
                     }
-                    if let Some(ns) = busy {
-                        busy_ns.push(ns);
-                        PAR_WORKER_BUSY.record(ns);
-                        PAR_CHUNK_ITEMS.record(pulled);
-                    }
+                    busy_ns.push(busy);
+                    PAR_WORKER_BUSY.record(busy);
+                    PAR_CHUNK_ITEMS.record(pulled);
                 }
                 // Item panics are caught per item above; a panic escaping a
                 // worker thread is a fan-out bug, not a data fault.

@@ -1,9 +1,15 @@
 //! Per-worker observability of the fan-out layer. Lives in its own test
-//! binary because the obs registry and enable flag are process-global — the
-//! unit tests in `lib.rs` must keep running with observability disabled.
-//! One test function: phases share the global registry and must not race.
+//! binary, with one test function, so no other fan-out runs between the
+//! snapshots whose differences it checks.
 
 use dim_par::{par_map, Parallelism};
+
+/// The `(count, sum)` increase of histogram `name` from `before` to `after`.
+fn hist_delta(before: &dim_obs::Snapshot, after: &dim_obs::Snapshot, name: &str) -> (u64, u64) {
+    let at = |s: &dim_obs::Snapshot| s.histogram(name).map_or((0, 0), |h| (h.count, h.sum));
+    let ((c0, s0), (c1, s1)) = (at(before), at(after));
+    (c1 - c0, s1 - s0)
+}
 
 #[test]
 fn worker_timing_and_sequential_counters() {
@@ -12,43 +18,42 @@ fn worker_timing_and_sequential_counters() {
     // host's CPU count, so the expectations are computed, not hard-coded.
     let par = Parallelism::new(4);
     let expected_workers = par.effective_workers(64, 8);
-    dim_obs::enable();
+    let before = dim_obs::snapshot();
     let items: Vec<u64> = (0..64).collect();
     let out = par_map(par, &items, |x| x + 1);
     assert_eq!(out, (1..=64).collect::<Vec<u64>>());
 
-    let snap = dim_obs::snapshot();
+    let after = dim_obs::snapshot();
+    let counter = |name| after.counter_since(&before, name);
     if expected_workers > 1 {
-        let busy = snap.histogram("par.worker_busy").expect("worker timings recorded");
-        assert_eq!(busy.count, expected_workers as u64, "one sample per spawned worker");
-        assert_eq!(snap.counter("par.items"), Some(64));
-        assert_eq!(snap.counter("par.workers_spawned"), Some(expected_workers as u64));
-        assert_eq!(snap.counter("par.calls"), Some(1));
-        let chunk = snap.histogram("par.chunk_items").unwrap();
-        assert_eq!(chunk.count, expected_workers as u64);
-        assert_eq!(chunk.sum, 64, "morsels pulled per worker sum to the item count");
+        let workers = expected_workers as u64;
+        let busy = hist_delta(&before, &after, "par.worker_busy");
+        assert_eq!(busy.0, workers, "one sample per spawned worker");
+        assert_eq!(counter("par.items"), 64);
+        assert_eq!(counter("par.workers_spawned"), workers);
+        assert_eq!(counter("par.calls"), 1);
+        let chunk = hist_delta(&before, &after, "par.chunk_items");
+        assert_eq!(chunk, (workers, 64), "morsels pulled per worker sum to the item count");
         // One imbalance sample per parallel call, expressed in percent.
-        let imb = snap.histogram("par.imbalance_pct").unwrap();
-        assert_eq!(imb.count, 1);
-        assert!(imb.max <= 100);
+        assert_eq!(hist_delta(&before, &after, "par.imbalance_pct").0, 1);
+        assert!(after.histogram("par.imbalance_pct").unwrap().max <= 100);
     } else {
         // Single-CPU host: width 4 clamps to the inline path.
-        assert_eq!(snap.counter("par.seq_calls"), Some(1));
-        assert_eq!(snap.counter("par.seq_items"), Some(64));
-        assert_eq!(snap.counter("par.calls"), None);
+        assert_eq!(counter("par.seq_calls"), 1);
+        assert_eq!(counter("par.seq_items"), 64);
+        assert_eq!(counter("par.calls"), 0);
     }
 
     // --- sequential path: inline calls tallied separately --------------
-    dim_obs::reset();
+    let before = dim_obs::snapshot();
     // threads = 1 and tiny inputs both take the inline path.
     let tiny: Vec<u64> = (0..3).collect();
     par_map(Parallelism::new(4), &tiny, |x| *x);
     let items: Vec<u64> = (0..100).collect();
     par_map(Parallelism::SEQUENTIAL, &items, |x| *x);
-    dim_obs::disable();
 
-    let snap = dim_obs::snapshot();
-    assert_eq!(snap.counter("par.seq_calls"), Some(2));
-    assert_eq!(snap.counter("par.seq_items"), Some(103));
-    assert_eq!(snap.counter("par.calls"), None, "no parallel call happened");
+    let after = dim_obs::snapshot();
+    assert_eq!(after.counter_since(&before, "par.seq_calls"), 2);
+    assert_eq!(after.counter_since(&before, "par.seq_items"), 103);
+    assert_eq!(after.counter_since(&before, "par.calls"), 0, "no parallel call happened");
 }

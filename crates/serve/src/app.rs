@@ -109,12 +109,12 @@ impl App {
     pub fn handle(&self, req: &Request) -> Response {
         let started = Instant::now();
         let m = &self.metrics;
-        m.requests.inc();
+        m.requests.observe(1);
         let response = self.route(req);
         match response.status {
-            200..=299 => m.responses_2xx.inc(),
-            400..=499 => m.responses_4xx.inc(),
-            _ => m.responses_5xx.inc(),
+            200..=299 => m.responses_2xx.observe(1),
+            400..=499 => m.responses_4xx.observe(1),
+            _ => m.responses_5xx.observe(1),
         }
         m.request.observe(started.elapsed().as_nanos() as u64);
         response
@@ -378,7 +378,7 @@ impl App {
     /// The structured degraded `503` for a chaos-faulted request, recording
     /// the quarantine entry (bounded) and the `srv.degraded` counter.
     fn quarantined_response(&self, seq: u64, error: RecordError) -> Response {
-        self.metrics.degraded.inc();
+        self.metrics.degraded.observe(1);
         {
             let mut q = self.lock_quarantine();
             if q.len() < MAX_QUARANTINE_ENTRIES {
@@ -402,7 +402,7 @@ impl App {
     /// injected chaos panics land here).
     pub fn degraded_response(&self, message: String) -> Response {
         let seq = self.seq.load(Ordering::Relaxed).saturating_sub(1); // lint:allow(relaxed_ordering, best-effort attribution of a panicked request; exactness is not required)
-        self.metrics.responses_5xx.inc();
+        self.metrics.responses_5xx.observe(1);
         self.quarantined_response(seq, RecordError::Panicked(message))
     }
 

@@ -15,10 +15,8 @@
 //! does not parse prints the usage and exits with status 2. `--queue` plus
 //! `--workers` caps the open connections.
 //!
-//! The server counts its own `srv.*` metrics whatever the process does;
-//! this binary also turns the process-wide `dim-obs` registry on, so
-//! `/metrics` and the `--obs-out` report carry the engine's metrics
-//! (`link.*`, …) next to the server's.
+//! `/metrics` and the `--obs-out` report carry the server's own `srv.*`
+//! metrics next to the engine's process-wide ones (`link.*`, …).
 
 use dim_serve::{AppConfig, ServerConfig};
 use std::io::Read;
@@ -85,7 +83,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    dim_obs::enable();
     if config.app.faults.rate > 0.0 {
         eprintln!("chaos: seed={} rate={}", config.app.faults.seed, config.app.faults.rate);
     }

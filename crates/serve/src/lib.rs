@@ -29,10 +29,10 @@
 //!   client in [`load`] soaks it with 3600 requests whose final response
 //!   bytes the `serve_soak` gate pins.
 //! - **Per-server metrics.** Every `srv.*` metric is a field of one
-//!   [`metrics::ServerMetrics`] value the [`App`] owns, always on, so two
-//!   servers in one process never count each other's traffic; `GET
-//!   /metrics` and the drain report render it ([`metrics`]). Starting a
-//!   server leaves the process-wide `dim-obs` registry alone.
+//!   [`metrics::ServerMetrics`] value the [`App`] owns, outside the
+//!   process-wide `dim-obs` registry, so two servers in one process never
+//!   count each other's traffic; `GET /metrics` and the drain report
+//!   render it next to the registry's engine metrics ([`metrics`]).
 //! - **Graceful drain.** Shutdown stops accepting, drains queued and
 //!   in-flight requests, and emits a final metrics report
 //!   ([`server::ServerHandle::shutdown`]).

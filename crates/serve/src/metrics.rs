@@ -6,36 +6,19 @@
 //! queue, deadline sheds, header timeouts,
 //! failed writes, caught panics and connection faults, and `App::handle` counts
 //! requests by status class and times them into the `srv.request`
-//! histogram. The counts are always on — one relaxed `fetch_add` per event,
-//! no enable flag and no registry — so two servers in one process never
-//! see each other's traffic. [`ServerMetrics::snapshot`] renders the value
-//! as a [`dim_obs::Snapshot`] under the same metric names, for `GET
-//! /metrics` and the drain report.
+//! histogram. The counts are [`dim_obs::Counter`]s recorded through
+//! [`Counter::observe`], outside the process registry, so two servers in
+//! one process never see each other's traffic.
+//! [`ServerMetrics::snapshot`] renders the value as a [`dim_obs::Snapshot`]
+//! under the same metric names, for `GET /metrics` and the drain report.
 //!
 //! The one process-wide exception is the response cache's hit, miss and
 //! eviction counts, which [`crate::cache::counters`] keeps for the load
 //! tools; the snapshot reports them as `srv.cache.{hits,misses,evictions}`.
 
-use dim_obs::{Histogram, Snapshot};
+use dim_obs::{Counter, Histogram, Snapshot};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A monotonic count of one kind of event.
-#[derive(Default)]
-pub struct Count(AtomicU64);
-
-impl Count {
-    /// Counts one event.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed); // lint:allow(relaxed_ordering, pure counter; atomicity alone gives a lossless total)
-    }
-
-    /// Events counted so far.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed) // lint:allow(relaxed_ordering, monotonic stat read; no data guarded by it)
-    }
-}
 
 /// A last-value-wins level (queue depth).
 #[derive(Default)]
@@ -85,43 +68,43 @@ impl Drop for LiveGuard {
 /// Every `srv.*` metric of one server.
 pub struct ServerMetrics {
     /// `srv.requests`: requests routed through `App::handle`.
-    pub requests: Count,
+    pub requests: Counter,
     /// `srv.responses.2xx`.
-    pub responses_2xx: Count,
+    pub responses_2xx: Counter,
     /// `srv.responses.4xx`.
-    pub responses_4xx: Count,
+    pub responses_4xx: Counter,
     /// `srv.responses.5xx`, degraded responses to caught panics included.
-    pub responses_5xx: Count,
+    pub responses_5xx: Counter,
     /// `srv.degraded` and `srv.quarantined`: requests answered with the
     /// structured degraded `503` (each is also quarantined).
-    pub degraded: Count,
+    pub degraded: Counter,
     /// `srv.request`: nanoseconds spent in `App::handle`.
     pub request: Histogram,
     /// `srv.connections` and `srv.queue.pushed`: queued connections a worker
     /// has taken up.
-    pub connections: Count,
+    pub connections: Counter,
     /// `srv.rejected`: connections refused at admission.
-    pub rejected: Count,
+    pub rejected: Counter,
     /// `srv.admission.queue_full`: accepted connections refused because
     /// the queue was full.
-    pub queue_full: Count,
+    pub queue_full: Counter,
     /// `srv.deadline.shed`: requests shed because their deadline expired
     /// before dispatch.
-    pub deadline_shed: Count,
+    pub deadline_shed: Counter,
     /// `srv.deadline.shed_queue`: the subset that expired in the queue.
-    pub deadline_shed_queue: Count,
+    pub deadline_shed_queue: Counter,
     /// `srv.header_timeouts`: requests over the header-read budget.
-    pub header_timeouts: Count,
+    pub header_timeouts: Counter,
     /// `srv.write_failed`: responses whose write failed.
-    pub write_failed: Count,
+    pub write_failed: Counter,
     /// `srv.panics_caught`: request panics the workers caught.
-    pub panics_caught: Count,
+    pub panics_caught: Counter,
     /// `srv.conn_fault.stall`.
-    pub conn_fault_stall: Count,
+    pub conn_fault_stall: Counter,
     /// `srv.conn_fault.partial_write`.
-    pub conn_fault_partial_write: Count,
+    pub conn_fault_partial_write: Counter,
     /// `srv.conn_fault.abrupt_close`.
-    pub conn_fault_abrupt_close: Count,
+    pub conn_fault_abrupt_close: Counter,
     /// `srv.conn.open`: accepted connections not yet closed, queued, in
     /// service or being refused. Each one's [`LiveGuard`] rides in its
     /// connection task.
@@ -134,23 +117,23 @@ pub struct ServerMetrics {
 impl Default for ServerMetrics {
     fn default() -> ServerMetrics {
         ServerMetrics {
-            requests: Count::default(),
-            responses_2xx: Count::default(),
-            responses_4xx: Count::default(),
-            responses_5xx: Count::default(),
-            degraded: Count::default(),
+            requests: Counter::new("srv.requests"),
+            responses_2xx: Counter::new("srv.responses.2xx"),
+            responses_4xx: Counter::new("srv.responses.4xx"),
+            responses_5xx: Counter::new("srv.responses.5xx"),
+            degraded: Counter::new("srv.degraded"),
             request: Histogram::new("srv.request"),
-            connections: Count::default(),
-            rejected: Count::default(),
-            queue_full: Count::default(),
-            deadline_shed: Count::default(),
-            deadline_shed_queue: Count::default(),
-            header_timeouts: Count::default(),
-            write_failed: Count::default(),
-            panics_caught: Count::default(),
-            conn_fault_stall: Count::default(),
-            conn_fault_partial_write: Count::default(),
-            conn_fault_abrupt_close: Count::default(),
+            connections: Counter::new("srv.connections"),
+            rejected: Counter::new("srv.rejected"),
+            queue_full: Counter::new("srv.admission.queue_full"),
+            deadline_shed: Counter::new("srv.deadline.shed"),
+            deadline_shed_queue: Counter::new("srv.deadline.shed_queue"),
+            header_timeouts: Counter::new("srv.header_timeouts"),
+            write_failed: Counter::new("srv.write_failed"),
+            panics_caught: Counter::new("srv.panics_caught"),
+            conn_fault_stall: Counter::new("srv.conn_fault.stall"),
+            conn_fault_partial_write: Counter::new("srv.conn_fault.partial_write"),
+            conn_fault_abrupt_close: Counter::new("srv.conn_fault.abrupt_close"),
             conn_open: Live::default(),
             queue_depth: Level::default(),
         }
@@ -160,33 +143,35 @@ impl Default for ServerMetrics {
 impl ServerMetrics {
     /// Renders this server's metrics as one snapshot: the `srv.*` values,
     /// with `cache_entries` as the `srv.cache.entries` gauge and the
-    /// process-wide cache counts, merged with the process registry (empty
-    /// unless the process turned it on). Each list is sorted by name.
+    /// process-wide cache counts, merged with the process registry's
+    /// metrics. Each list is sorted by name.
     pub fn snapshot(&self, cache_entries: usize) -> Snapshot {
         let (hits, misses, evictions) = crate::cache::counters();
-        let counters = [
-            ("srv.admission.queue_full", self.queue_full.get()),
+        let owned = [
+            &self.requests,
+            &self.responses_2xx,
+            &self.responses_4xx,
+            &self.responses_5xx,
+            &self.degraded,
+            &self.connections,
+            &self.rejected,
+            &self.queue_full,
+            &self.deadline_shed,
+            &self.deadline_shed_queue,
+            &self.header_timeouts,
+            &self.write_failed,
+            &self.panics_caught,
+            &self.conn_fault_stall,
+            &self.conn_fault_partial_write,
+            &self.conn_fault_abrupt_close,
+        ];
+        let counters = owned.into_iter().map(|c| (c.name(), c.get())).chain([
             ("srv.cache.evictions", evictions),
             ("srv.cache.hits", hits),
             ("srv.cache.misses", misses),
-            ("srv.conn_fault.abrupt_close", self.conn_fault_abrupt_close.get()),
-            ("srv.conn_fault.partial_write", self.conn_fault_partial_write.get()),
-            ("srv.conn_fault.stall", self.conn_fault_stall.get()),
-            ("srv.connections", self.connections.get()),
-            ("srv.deadline.shed", self.deadline_shed.get()),
-            ("srv.deadline.shed_queue", self.deadline_shed_queue.get()),
-            ("srv.degraded", self.degraded.get()),
-            ("srv.header_timeouts", self.header_timeouts.get()),
-            ("srv.panics_caught", self.panics_caught.get()),
             ("srv.quarantined", self.degraded.get()),
             ("srv.queue.pushed", self.connections.get()),
-            ("srv.rejected", self.rejected.get()),
-            ("srv.requests", self.requests.get()),
-            ("srv.responses.2xx", self.responses_2xx.get()),
-            ("srv.responses.4xx", self.responses_4xx.get()),
-            ("srv.responses.5xx", self.responses_5xx.get()),
-            ("srv.write_failed", self.write_failed.get()),
-        ];
+        ]);
         let gauges = [
             ("srv.cache.entries", cache_entries as u64),
             ("srv.conn.open", self.conn_open.get() as u64),
@@ -194,7 +179,7 @@ impl ServerMetrics {
         ];
         let mut snap = dim_obs::snapshot();
         let owned = |(name, v): (&str, u64)| (name.to_string(), v); // lint:allow(hot_alloc, snapshot rendering runs per scrape, not per request)
-        snap.counters.extend(counters.into_iter().map(owned));
+        snap.counters.extend(counters.map(owned));
         snap.gauges.extend(gauges.into_iter().map(owned));
         snap.histograms.push(self.request.stats());
         snap.counters.sort();

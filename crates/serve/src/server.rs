@@ -196,7 +196,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 while let Some(task) = queue.pop() {
                     // Counted before any of its requests is read, so a
                     // `/metrics` answer always counts its own connection.
-                    m.connections.inc();
+                    m.connections.observe(1);
                     serve_connection(&app, task, &stop, params);
                 }
             })
@@ -284,8 +284,8 @@ fn accept_loop(
         // The queue closes only after this loop has returned, so a refusal
         // here is a full queue.
         if let Err(PushError::Full(task) | PushError::Closed(task)) = queue.push(task) {
-            m.rejected.inc();
-            m.queue_full.inc();
+            m.rejected.observe(1);
+            m.queue_full.observe(1);
             reject(m, task.stream, "queue full", Some(RETRY_AFTER_SECS));
         }
     }
@@ -333,16 +333,16 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
             ConnFault::AbruptClose => {
                 // The peer's view: connection accepted, then dropped with
                 // no bytes — the client must survive an unexpected EOF.
-                m.conn_fault_abrupt_close.inc();
+                m.conn_fault_abrupt_close.observe(1);
                 return;
             }
             ConnFault::Stall => {
-                m.conn_fault_stall.inc();
+                m.conn_fault_stall.observe(1);
                 let ms = params.conn_faults.stall_ms(SITE_CONN, seq);
                 std::thread::sleep(Duration::from_millis(ms));
             }
             ConnFault::PartialWrite => {
-                m.conn_fault_partial_write.inc();
+                m.conn_fault_partial_write.observe(1);
                 out.truncate_next = true;
             }
         }
@@ -392,18 +392,18 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
                 };
                 let deadline = Deadline::after(started, budget);
                 let mut response = if deadline.expired() {
-                    m.deadline_shed.inc();
+                    m.deadline_shed.observe(1);
                     if first_request {
                         // Expired before a worker ever saw the connection:
                         // the time went to the admission queue.
-                        m.deadline_shed_queue.inc();
+                        m.deadline_shed_queue.observe(1);
                     }
                     deadline_shed_response()
                 } else {
                     match catch_unwind(AssertUnwindSafe(|| app.handle(&request))) {
                         Ok(response) => response,
                         Err(payload) => {
-                            m.panics_caught.inc();
+                            m.panics_caught.observe(1);
                             app.degraded_response(panic_message(payload))
                         }
                     }
@@ -429,7 +429,7 @@ fn serve_connection(app: &App, task: ConnTask, stop: &AtomicBool, params: ConnPa
         // but the *total* time spent trickling one request head/body is
         // bounded — a peer can hold a worker for at most this budget.
         if head_started.is_some_and(|t| t.elapsed() >= params.header_read_budget) {
-            m.header_timeouts.inc();
+            m.header_timeouts.observe(1);
             let resp = Response::json(
                 408,
                 "{\"error\":\"request header read budget exceeded\"}".to_string(),
@@ -495,7 +495,7 @@ impl<'m> ResponseWriter<'m> {
             stream.write_all(wire)
         };
         if result.is_err() {
-            self.metrics.write_failed.inc();
+            self.metrics.write_failed.observe(1);
         }
         result
     }

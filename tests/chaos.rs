@@ -204,23 +204,13 @@ fn blown_budget_is_a_typed_abort() {
 
 #[test]
 fn degraded_quick_pipeline_completes_panic_free() {
-    dim_obs::enable();
     let config = PipelineConfig {
         train_per_task: 120,
         epochs: 2,
         mwp_train: 300,
         ..Default::default()
     };
-    let counter = |name: &str| {
-        dim_obs::snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    let quarantined_before = counter("pipeline.records_quarantined");
-    let degraded_before = counter("pipeline.degraded_runs");
+    let before = dim_obs::snapshot();
 
     let mut manifests: Vec<String> = Vec::new();
     for par in widths() {
@@ -232,8 +222,9 @@ fn degraded_quick_pipeline_completes_panic_free() {
         manifests.push(degrade::manifest(&quarantine));
     }
     assert_eq!(manifests[0], manifests[1], "pipeline manifest must not depend on width");
-    assert!(counter("pipeline.records_quarantined") > quarantined_before);
-    assert!(counter("pipeline.degraded_runs") >= degraded_before + 2);
+    let after = dim_obs::snapshot();
+    assert!(after.counter_since(&before, "pipeline.records_quarantined") > 0);
+    assert!(after.counter_since(&before, "pipeline.degraded_runs") >= 2);
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn umbrella_reexports_are_wired() {
         &dimension_perception::mwp::GenConfig { count: 3, seed: 1 },
     );
     assert_eq!(problems.len(), 3);
-    let mut aug = dimension_perception::mwp::Augmenter::new(&kb, 2);
+    let aug = dimension_perception::mwp::Augmenter::new(&kb, 2);
     let q = aug.to_qmwp(&problems);
     assert_eq!(q.len(), 3);
 }

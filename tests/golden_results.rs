@@ -236,11 +236,11 @@ fn chaos_quick_matches_golden() {
     }
 }
 
-/// Drives every instrumented hot path with a small workload under
-/// `dim_obs::enable()` and asserts each acceptance-criteria stage (link,
-/// algo1, algo2, mwp-gen, eval) reports a non-zero span timing plus
-/// plausible counters. Output-perturbation safety is covered by the
-/// golden tests above running in the same (obs-enabled) process.
+/// Drives every instrumented hot path with a small workload and asserts
+/// each acceptance-criteria stage (link, algo1, algo2, mwp-gen, eval)
+/// reports a non-zero span timing plus plausible counters. Recording is
+/// always on, so output-perturbation safety is covered by the golden tests
+/// above running in the same process.
 #[test]
 fn obs_instrumentation_covers_stages_without_perturbing_output() {
     use dimension_perception::corpus::{generate, CorpusConfig};
@@ -254,8 +254,6 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
     use dimension_perception::models::{profile, SimulatedLlm};
     use dimension_perception::mwp::{self, GenConfig, Source};
 
-    dim_obs::enable();
-
     let kb = DimUnitKb::shared();
     let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
 
@@ -263,7 +261,8 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
     let hits = dimension_perception::kb::search::search(&kb, "meter", 5);
     assert!(!hits.is_empty());
 
-    // link.* : annotate a sentence with two quantities.
+    // link.* : link one mention, and annotate a sentence with two quantities.
+    assert!(!annotator.linker().link("km", "").is_empty());
     let mentions = annotator.annotate("LeBron James's height is 2.06 meters and his weight is 113 kg.");
     assert_eq!(mentions.len(), 2);
 
@@ -288,7 +287,7 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
     evaluate(&mut solver, &eval);
 
     let snap = dim_obs::snapshot();
-    for stage in ["link.link", "algo1.run", "algo2.run", "mwp.gen", "eval.evaluate", "dimeval.build"]
+    for stage in ["link.link", "link.annotate", "algo1.run", "algo2.run", "mwp.gen", "eval.evaluate", "dimeval.build"]
     {
         let h = snap
             .histogram(stage)
