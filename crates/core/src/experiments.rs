@@ -100,29 +100,21 @@ const UOM_KINDS: [&str; 16] = [
 ];
 
 /// A UoM-style subset: the most frequent English units of 16 kinds, capped
-/// at 76 units (the UoM paper's statistics).
+/// at 76 units (the UoM paper's statistics). Units rank by descending
+/// frequency, ties by ascending id, so the cut is the same on every call.
 pub fn uom_subset(kb: &DimUnitKb) -> DimUnitKb {
-    let mut keep: HashSet<UnitId> = HashSet::new();
+    let by_frequency = |a: &UnitId, b: &UnitId| {
+        let (fa, fb) = (kb.unit(*a).frequency, kb.unit(*b).frequency);
+        fb.partial_cmp(&fa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+    };
+    let mut keep: Vec<UnitId> = Vec::new();
     for kind_name in UOM_KINDS {
         let Some(kind) = kb.kind_by_name(kind_name) else { continue };
         let mut ids: Vec<UnitId> = kb.units_of_kind(kind.id).to_vec();
-        ids.sort_by(|a, b| {
-            kb.unit(*b)
-                .frequency
-                .partial_cmp(&kb.unit(*a).frequency)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for id in ids.into_iter().filter(|&id| !kb.unit(id).code.ends_with("-ZH")).take(5) {
-            keep.insert(id);
-        }
+        ids.sort_by(by_frequency);
+        keep.extend(ids.into_iter().filter(|&id| !kb.unit(id).code.ends_with("-ZH")).take(5));
     }
-    let mut keep: Vec<UnitId> = keep.into_iter().collect();
-    keep.sort_by(|a, b| {
-        kb.unit(*b)
-            .frequency
-            .partial_cmp(&kb.unit(*a).frequency)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    keep.sort_by(by_frequency);
     keep.truncate(76);
     let keep: HashSet<UnitId> = keep.into_iter().collect();
     kb.subset(|u| keep.contains(&u.id))
@@ -437,11 +429,14 @@ pub fn fig6(config: &ExperimentConfig, etas: &[f64]) -> Vec<(f64, f64)> {
     let sets = build_mwp_eval(config);
     let base = TinyLm::llama_ift(config.pipeline.seed);
     let dimperc = train_dimperc(base, &kb, config);
+    // Only augmentation depends on η: generate the sources once.
+    let sources = degrade::complete(pipeline::mwp_sources(&config.pipeline, Policy::CLASSIC));
     etas.iter()
         .map(|&eta| {
             let mut model = dimperc.clone();
             let cfg = PipelineConfig { eta, ..config.pipeline };
-            let training = pipeline::build_mwp_training(&kb, &cfg);
+            let mixed = pipeline::augment_mwp(&kb, &sources, &cfg, Policy::CLASSIC);
+            let training = degrade::complete(mixed);
             pipeline::train_quantitative(&mut model, &training, &cfg, 0, |_, _| {});
             (eta, accuracy(&mut model, &sets.q_ape210k))
         })
@@ -529,6 +524,32 @@ mod tests {
         assert!(rows[2].units > rows[1].units, "DimUnitKB dominates");
         assert!(rows[2].freq && !rows[0].freq);
         assert_eq!(rows[2].lang, "En&Zh");
+    }
+
+    #[test]
+    fn uom_subset_breaks_frequency_ties_by_unit_id() {
+        use dimkb::freq::{PopularitySource, Signal};
+        use dimkb::spec::{kind, u, KindSpec, UnitSpec};
+        /// Every unit equally popular, so every frequency ties.
+        struct Flat;
+        impl PopularitySource for Flat {
+            fn raw(&self, _key: &str, _base_pop: f64, _signal: Signal) -> f64 {
+                1.0
+            }
+        }
+        // Five units of each UoM kind: 80 candidates for 76 places.
+        let kinds: Vec<KindSpec> = UOM_KINDS.iter().map(|&name| kind(name, "", "L")).collect();
+        let code = |i: usize| -> &'static str { Box::leak(format!("U{i}").into_boxed_str()) };
+        let specs: Vec<UnitSpec> =
+            (0..80).map(|i| u(code(i), "unit", "", "", UOM_KINDS[i % 16], 1.0, 1.0)).collect();
+        let specs: Vec<&UnitSpec> = specs.iter().collect();
+        let kb = DimUnitKb::from_specs(&kinds, &specs, &Flat);
+        assert!(kb.units().iter().all(|u| u.frequency == 1.0), "every frequency ties");
+        let codes = |sub: DimUnitKb| sub.units().iter().map(|u| u.code.clone()).collect::<Vec<_>>();
+        let expected: Vec<String> = (0..76).map(|i| format!("U{i}")).collect();
+        for _ in 0..20 {
+            assert_eq!(codes(uom_subset(&kb)), expected);
+        }
     }
 
     #[test]

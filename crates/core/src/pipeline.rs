@@ -97,9 +97,8 @@ pub fn build_mwp_training(kb: &DimUnitKb, config: &PipelineConfig) -> Vec<MwpPro
     degrade::complete(mwp_training(kb, config, Policy::CLASSIC))
 }
 
-/// [`build_mwp_training`] under `policy`: generation runs through
-/// [`dim_mwp::generate_with`] per source and augmentation through
-/// [`Augmenter::augment_dataset_with`], each quarantining faulted records.
+/// [`build_mwp_training`] under `policy`: [`mwp_sources`], then
+/// [`augment_mwp`] at `config.eta`, each quarantining faulted records.
 /// Surviving problems go through the same deterministic interleave, so
 /// with no faults the mixture is identical.
 fn mwp_training(
@@ -108,6 +107,21 @@ fn mwp_training(
     policy: Policy,
 ) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
     let _span = BUILD_MWP_SPAN.span();
+    let (sources, mut quarantine) = mwp_sources(config, policy)?;
+    let (mixed, aug_quarantine) = augment_mwp(kb, &sources, config, policy)?;
+    quarantine.extend(aug_quarantine);
+    RECORDS_QUARANTINED.add(quarantine.len() as u64);
+    Ok((mixed, quarantine))
+}
+
+/// The N-MWP sources of the training mixture: the Math23k-style set, then
+/// the Ape210k-style set, each generated through
+/// [`dim_mwp::generate_with`]. They depend on the seed and size, not on
+/// η, so a sweep over η generates them once.
+pub(crate) fn mwp_sources(
+    config: &PipelineConfig,
+    policy: Policy,
+) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
     let d1 = dim_mwp::generate_with(
         Source::Math23k,
         &GenConfig { count: config.mwp_train, seed: config.seed ^ 0x23 },
@@ -124,13 +138,23 @@ fn mwp_training(
     let (ape, ape_quarantine) = d2.split();
     problems.extend(ape);
     quarantine.extend(ape_quarantine);
+    Ok((problems, quarantine))
+}
+
+/// The training mixture of [`mwp_sources`]' problems at rate
+/// `config.eta`: [`Augmenter::augment_dataset_with`], then the
+/// deterministic interleave.
+pub(crate) fn augment_mwp(
+    kb: &DimUnitKb,
+    sources: &[MwpProblem],
+    config: &PipelineConfig,
+    policy: Policy,
+) -> Result<(Vec<MwpProblem>, Vec<QuarantineEntry>), BudgetExceeded> {
     let aug = Augmenter::new(kb, config.seed ^ 0xA6);
-    let (out, aug_quarantine) =
-        aug.augment_dataset_with(&problems, config.eta, config.parallelism, policy)?;
-    quarantine.extend(aug_quarantine);
+    let (out, quarantine) =
+        aug.augment_dataset_with(sources, config.eta, config.parallelism, policy)?;
     let mixed = interleave(out);
     MWP_TRAINING_ITEMS.add(mixed.len() as u64);
-    RECORDS_QUARANTINED.add(quarantine.len() as u64);
     Ok((mixed, quarantine))
 }
 
@@ -212,6 +236,18 @@ mod tests {
         let q = Augmenter::new(&kb, 999).to_qmwp(&n);
         let acc = accuracy(&mut model, &q);
         assert!(acc > 0.4, "pipeline Q-MWP accuracy {acc}");
+    }
+
+    #[test]
+    fn one_source_set_mixes_like_build_mwp_training_at_every_eta() {
+        let kb = DimUnitKb::shared();
+        let base = PipelineConfig { mwp_train: 60, ..Default::default() };
+        let sources = degrade::complete(mwp_sources(&base, Policy::CLASSIC));
+        for eta in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            let config = PipelineConfig { eta, ..base };
+            let split = degrade::complete(augment_mwp(&kb, &sources, &config, Policy::CLASSIC));
+            assert_eq!(split, build_mwp_training(&kb, &config), "eta = {eta}");
+        }
     }
 
     #[test]

@@ -1,15 +1,25 @@
 //! `DimUnitKB`: the dimensional unit knowledge base (§III-A of the paper).
+//!
+//! The build is one pass of the [`Builder`] over the curated tables:
+//! curated units, then SI-prefix and rate expansion (each expanded unit
+//! reads its base units in place, by index), then Eq. 1–2 frequencies; and
+//! [`DimUnitKb::from_units`] numbers the units and builds every index over
+//! them. Code and kind-name lookups are hash indexes over the records'
+//! own strings, and the per-kind and per-dimension unit lists are runs of
+//! one flat array each, so past the unit records themselves the build
+//! makes a few dozen allocations.
 
 use crate::data;
 use crate::dim::DimVec;
 use crate::error::KbError;
 use crate::freq::{frequencies, PopularitySource, SyntheticPopularity};
-use crate::intern::LinkIndex;
+use crate::intern::{group_by_key, KeyIndex, LinkIndex};
 use crate::kind::{KindId, QuantityKind};
-use crate::prefix::SI_PREFIXES;
+use crate::prefix::{SiPrefix, SI_PREFIXES};
 use crate::spec::{KindSpec, UnitSpec};
 use crate::unit::{Conversion, Unit, UnitId};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
 /// The dimensional unit knowledge base.
@@ -33,11 +43,19 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct DimUnitKb {
     units: Vec<Unit>,
-    kinds: Vec<QuantityKind>,
-    by_code: HashMap<String, UnitId>,
-    kind_by_name: HashMap<String, KindId>,
-    by_kind: HashMap<KindId, Vec<UnitId>>,
-    by_dim: HashMap<DimVec, Vec<UnitId>>,
+    /// Shared with every subset, whose `KindId`s are the parent's.
+    kinds: Arc<[QuantityKind]>,
+    /// Unit ids by `code`.
+    by_code: KeyIndex,
+    /// Kind ids by `name_en`.
+    kind_by_name: KeyIndex,
+    /// `kind_units[kind_runs[k]..kind_runs[k + 1]]` are kind `k`'s units,
+    /// in id order.
+    kind_runs: Vec<u32>,
+    kind_units: Vec<UnitId>,
+    /// Each dimension's `[start, end)` run of `dim_units`, in id order.
+    by_dim: HashMap<DimVec, [u32; 2]>,
+    dim_units: Vec<UnitId>,
     /// Inverted token→unit index for free-text search, built lazily on the
     /// first [`crate::search::search`] call against this KB.
     search_index: OnceLock<crate::search::SearchIndex>,
@@ -91,21 +109,39 @@ impl DimUnitKb {
     /// Numbers the units densely in order and builds every index over them.
     fn from_units(
         units: impl Iterator<Item = Unit>,
-        kinds: Vec<QuantityKind>,
-        kind_by_name: HashMap<String, KindId>,
+        kinds: Arc<[QuantityKind]>,
+        kind_by_name: KeyIndex,
     ) -> Self {
         let units: Vec<Unit> =
             units.enumerate().map(|(i, unit)| Unit { id: UnitId(i as u32), ..unit }).collect();
-        let mut by_code = HashMap::with_capacity(units.len());
-        let (mut by_kind, mut by_dim) = (HashMap::new(), HashMap::new());
-        for unit in &units {
-            by_code.insert(unit.code.clone(), unit.id);
-            by_kind.entry(unit.kind).or_insert_with(Vec::new).push(unit.id);
-            by_dim.entry(unit.dim).or_insert_with(Vec::new).push(unit.id);
+        let mut by_code = KeyIndex::with_capacity(units.len());
+        for id in 0..units.len() as u32 {
+            by_code.insert(id, |i| units[i as usize].code.as_bytes());
+        }
+        // Unit ids are positions, so the grouped positions are the ids.
+        let unit_kinds: Vec<u32> = units.iter().map(|u| u.kind.0).collect();
+        let (kind_runs, by_kind) = group_by_key(&unit_kinds, kinds.len());
+        let kind_units = by_kind.into_iter().map(UnitId).collect();
+        // A stable sort keeps id order within each dimension's run.
+        let mut dim_units: Vec<UnitId> = units.iter().map(|u| u.id).collect();
+        dim_units.sort_by_key(|id| units[id.0 as usize].dim.exponents());
+        let mut by_dim: HashMap<DimVec, [u32; 2]> = HashMap::new();
+        for (i, id) in dim_units.iter().enumerate() {
+            by_dim.entry(units[id.0 as usize].dim).or_insert([i as u32; 2])[1] = i as u32 + 1;
         }
         let link_index = LinkIndex::build(&units);
-        let search_index = OnceLock::new();
-        DimUnitKb { units, kinds, by_code, kind_by_name, by_kind, by_dim, search_index, link_index }
+        DimUnitKb {
+            units,
+            kinds,
+            by_code,
+            kind_by_name,
+            kind_runs,
+            kind_units,
+            by_dim,
+            dim_units,
+            search_index: OnceLock::new(),
+            link_index,
+        }
     }
 
     /// The unit with the given id. Panics on a foreign id — ids are only
@@ -131,12 +167,15 @@ impl DimUnitKb {
 
     /// Looks up a unit by its stable code.
     pub fn unit_by_code(&self, code: &str) -> Option<&Unit> {
-        self.by_code.get(code).map(|&id| self.unit(id))
+        let id = self.by_code.get(code.as_bytes(), |i| self.units[i as usize].code.as_bytes())?;
+        Some(&self.units[id as usize])
     }
 
     /// Looks up a quantity kind by its English name.
     pub fn kind_by_name(&self, name: &str) -> Option<&QuantityKind> {
-        self.kind_by_name.get(name).map(|&id| self.kind(id))
+        let name_of = |i: u32| self.kinds[i as usize].name_en.as_bytes();
+        let id = self.kind_by_name.get(name.as_bytes(), name_of)?;
+        Some(&self.kinds[id as usize])
     }
 
     /// Naming-dictionary lookup. A case-exact match wins (so `mW` and `MW`
@@ -156,14 +195,18 @@ impl DimUnitKb {
 
     /// Units measuring the given kind.
     pub fn units_of_kind(&self, kind: KindId) -> &[UnitId] {
-        self.by_kind.get(&kind).map(Vec::as_slice).unwrap_or(&[])
+        let k = kind.0 as usize;
+        match (self.kind_runs.get(k), self.kind_runs.get(k + 1)) {
+            (Some(&start), Some(&end)) => &self.kind_units[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Units with exactly the given dimension.
     pub fn units_with_dim(&self, dim: DimVec) -> &[UnitId] {
-        self.by_dim.get(&dim).map(Vec::as_slice).unwrap_or(&[])
+        let run = self.by_dim.get(&dim);
+        run.map_or(&[], |&[start, end]| &self.dim_units[start as usize..end as usize])
     }
-
     // ---- Dimension-resolution helpers (dim-verify) ------------------------
     //
     // The solution checker needs to go straight from a unit code or a
@@ -251,7 +294,7 @@ impl DimUnitKb {
 /// naming-dictionary key).
 pub fn normalize_cased(surface: &str) -> String {
     let mut out = String::with_capacity(surface.len());
-    normalize_cased_into(surface, &mut out);
+    push_normalized(surface, false, &mut out);
     out
 }
 
@@ -259,28 +302,14 @@ pub fn normalize_cased(surface: &str) -> String {
 /// paths can normalize without allocating. Returns the buffer's contents.
 pub fn normalize_cased_into<'a>(surface: &str, out: &'a mut String) -> &'a str {
     out.clear();
-    let mut last_space = true;
-    for c in surface.trim().chars() {
-        if c.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            out.push(c);
-            last_space = false;
-        }
-    }
-    if out.ends_with(' ') {
-        out.pop();
-    }
+    push_normalized(surface, false, out);
     out
 }
 
 /// Normalizes a surface form for case-insensitive naming-dictionary lookup.
 pub fn normalize(surface: &str) -> String {
     let mut out = String::with_capacity(surface.len());
-    normalize_into(surface, &mut out);
+    push_normalized(surface, true, &mut out);
     out
 }
 
@@ -288,31 +317,67 @@ pub fn normalize(surface: &str) -> String {
 /// buffer's contents.
 pub fn normalize_into<'a>(surface: &str, out: &'a mut String) -> &'a str {
     out.clear();
+    push_normalized(surface, true, out);
+    out
+}
+
+/// Appends `surface` to `out` trimmed, with each whitespace run collapsed
+/// to one space, and lowercased when `fold_case`. ASCII chars take
+/// `to_ascii_lowercase`, which equals `char::to_lowercase` on ASCII; a
+/// trimmed form of printable ASCII and single spaces (most forms) is
+/// already collapsed, so it is copied whole.
+pub(crate) fn push_normalized(surface: &str, fold_case: bool, out: &mut String) {
+    let start = out.len();
+    let trimmed = surface.trim();
+    let mut after_space = false;
+    let collapsed = trimmed.bytes().all(|b| {
+        let ok = b.is_ascii_graphic() || (b == b' ' && !after_space);
+        after_space = b == b' ';
+        ok
+    });
+    if collapsed {
+        out.push_str(trimmed);
+        if fold_case {
+            out[start..].make_ascii_lowercase();
+        }
+        return;
+    }
     let mut last_space = true;
-    for c in surface.trim().chars() {
+    for c in trimmed.chars() {
         if c.is_whitespace() {
             if !last_space {
                 out.push(' ');
                 last_space = true;
             }
         } else {
-            out.extend(c.to_lowercase());
+            if !fold_case {
+                out.push(c);
+            } else if c.is_ascii() {
+                out.push(c.to_ascii_lowercase());
+            } else {
+                out.extend(c.to_lowercase());
+            }
             last_space = false;
         }
     }
-    if out.ends_with(' ') {
+    if out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
+/// The KB under construction. Expansion reads the units it expands in
+/// place, by index into `pending`, and builds each candidate code and
+/// Chinese label in a reused buffer, so a skipped candidate costs no
+/// allocation and an accepted one allocates only its own fields.
 #[derive(Default)]
 struct Builder {
     kinds: Vec<QuantityKind>,
-    kind_by_name: HashMap<String, KindId>,
+    /// Kind ids by `name_en`; a repeated name resolves to its last kind.
+    kind_by_name: KeyIndex,
     /// (unit-without-frequency, base popularity, prefixable)
     pending: Vec<(Unit, f64, bool)>,
-    codes: HashMap<String, usize>,
+    /// Indexes of `pending` by unit code.
+    codes: KeyIndex,
 }
 
 impl Builder {
@@ -330,21 +395,25 @@ impl Builder {
     fn add_kind(&mut self, en: &str, zh: &str, dim: DimVec) {
         let id = KindId(self.kinds.len() as u32);
         self.kinds.push(QuantityKind { id, name_en: en.to_string(), name_zh: zh.to_string(), dim });
-        self.kind_by_name.insert(en.to_string(), id);
+        self.kind_by_name.insert(id.0, |i| self.kinds[i as usize].name_en.as_bytes());
     }
 
     fn kind_id(&self, name: &str) -> KindId {
-        *self
-            .kind_by_name
-            .get(name)
-            // lint:allow(no_panic, unit specs and kind specs are curated constants registered together at build time; a dangling kind name is a data bug the kb tests catch, not a runtime input)
-            .unwrap_or_else(|| panic!("unit references unknown kind {name:?}"))
+        let name_of = |i: u32| self.kinds[i as usize].name_en.as_bytes();
+        let id = self.kind_by_name.get(name.as_bytes(), name_of);
+        // lint:allow(no_panic, unit specs and kind specs are curated constants registered together at build time; a dangling kind name is a data bug the kb tests catch, not a runtime input)
+        KindId(id.unwrap_or_else(|| panic!("unit references unknown kind {name:?}")))
+    }
+
+    fn has_code(&self, code: &str) -> bool {
+        self.codes.get(code.as_bytes(), |i| self.pending[i as usize].0.code.as_bytes()).is_some()
     }
 
     fn add_curated(&mut self, spec: &UnitSpec) {
         let kind_id = self.kind_id(spec.kind);
         let kind = &self.kinds[kind_id.0 as usize];
-        let mut keywords: Vec<String> = kind.words();
+        let mut keywords = Vec::with_capacity(kind.word_count() + spec.kw.len());
+        kind.push_words(&mut keywords);
         keywords.extend(spec.kw.iter().map(|s| s.to_string()));
         let description = if spec.desc.is_empty() {
             default_description(spec.en, &kind.name_en, spec.factor, spec.offset)
@@ -370,11 +439,12 @@ impl Builder {
     }
 
     fn push_unit(&mut self, unit: Unit, pop: f64, prefixable: bool) {
-        if self.codes.insert(unit.code.clone(), self.pending.len()).is_some() {
-            // lint:allow(no_panic, unit codes come from the curated spec tables; a collision is a build-time data bug the kb uniqueness tests catch, not a runtime input)
-            panic!("duplicate unit code {:?}", unit.code);
-        }
+        let id = self.pending.len() as u32;
         self.pending.push((unit, pop, prefixable));
+        if self.codes.insert(id, |i| self.pending[i as usize].0.code.as_bytes()).is_some() {
+            // lint:allow(no_panic, unit codes come from the curated spec tables; a collision is a build-time data bug the kb uniqueness tests catch, not a runtime input)
+            panic!("duplicate unit code {:?}", self.pending[id as usize].0.code);
+        }
     }
 
     /// Expands every prefixable curated unit with the 20 SI prefixes,
@@ -382,56 +452,24 @@ impl Builder {
     /// popularity is the base popularity scaled by the prefix commonness —
     /// producing the paper's "centimetre frequent, decimetre rare" pattern.
     fn expand_prefixes(&mut self) {
-        let prefixable: Vec<(Unit, f64)> = self
-            .pending
-            .iter()
-            .filter(|(_, _, p)| *p)
-            .map(|(u, pop, _)| (u.clone(), *pop))
-            .collect();
-        for (base, base_pop) in prefixable {
+        let mut code = String::new();
+        for base in 0..self.pending.len() {
+            if !self.pending[base].2 {
+                continue;
+            }
             for prefix in SI_PREFIXES {
-                let code = format!("{}{}", capitalize(prefix.name_en), base.code);
-                if self.codes.contains_key(&code) {
+                code.clear();
+                let mut name = prefix.name_en.chars();
+                code.extend(name.next().into_iter().flat_map(char::to_uppercase));
+                code.push_str(name.as_str());
+                code.push_str(&self.pending[base].0.code);
+                if self.has_code(&code) {
                     continue;
                 }
-                let label_en = format!("{}{}", prefix.name_en, base.label_en);
-                let label_zh = format!("{}{}", prefix.name_zh, base.label_zh);
-                let symbol = format!("{}{}", prefix.symbol, base.symbol);
-                let mut aliases: Vec<String> = base
-                    .aliases
-                    .iter()
-                    .filter(|a| !a.contains(' ') && a.is_ascii())
-                    .map(|a| format!("{}{}", prefix.name_en, a))
-                    .collect();
-                if symbol.contains('µ') {
-                    aliases.push(symbol.replace('µ', "u"));
-                }
-                let mut keywords = base.keywords.clone();
-                keywords.push(prefix.name_en.to_string());
-                let factor = base.conversion.factor * prefix.factor();
-                let unit = Unit {
-                    id: UnitId(0),
-                    code,
-                    label_en,
-                    label_zh,
-                    symbol,
-                    aliases,
-                    description: format!(
-                        "{} {} ({}× the {})",
-                        prefix.name_en,
-                        base.label_en,
-                        format_factor(prefix.factor()),
-                        base.label_en
-                    ),
-                    keywords,
-                    frequency: 0.0,
-                    kind: base.kind,
-                    dim: base.dim,
-                    conversion: Conversion::linear(factor),
-                    prefixed: true,
-                };
-                let pop = (base_pop * prefix.commonness).max(0.05);
-                self.push_unit(unit, pop, false);
+                let (unit, base_pop, _) = &self.pending[base];
+                let unit_pop = (base_pop * prefix.commonness).max(0.05);
+                let unit = prefixed(unit, prefix, &code);
+                self.push_unit(unit, unit_pop, false);
             }
         }
     }
@@ -469,142 +507,104 @@ impl Builder {
         for kind in &self.kinds {
             kind_by_dim.entry(kind.dim).or_insert(kind.id);
         }
-        let snapshot: Vec<(Unit, f64)> = self
+        // The units each family expands, by index, in pending order; all
+        // are taken before the first rate unit is added.
+        let among = |codes: &[&str]| -> Vec<usize> {
+            let pending = self.pending.iter().enumerate();
+            let found = pending.filter(|(_, (u, _, _))| codes.contains(&u.code.as_str()));
+            found.map(|(i, _)| i).collect()
+        };
+        let (bases, numerators, denominators) =
+            (among(RATE_BASES), among(OTHER_NUMERATORS), among(OTHER_DENOMS));
+        let times: Vec<(usize, f64)> = self
             .pending
             .iter()
-            .filter(|(u, _, _)| RATE_BASES.contains(&u.code.as_str()))
-            .map(|(u, pop, _)| (u.clone(), *pop))
-            .collect();
-        let times: Vec<(Unit, f64, f64)> = self
-            .pending
-            .iter()
-            .filter_map(|(u, pop, _)| {
-                RATE_TIMES
-                    .iter()
-                    .find(|(c, _)| *c == u.code)
-                    .map(|(_, secs)| (u.clone(), *pop, *secs))
+            .enumerate()
+            .filter_map(|(i, (u, _, _))| {
+                RATE_TIMES.iter().find(|(c, _)| *c == u.code).map(|&(_, secs)| (i, secs))
             })
             .collect();
-        let other_pairs: Vec<(Unit, f64, Unit, f64)> = {
-            let numerators: Vec<(Unit, f64)> = self
-                .pending
-                .iter()
-                .filter(|(u, _, _)| OTHER_NUMERATORS.contains(&u.code.as_str()))
-                .map(|(u, pop, _)| (u.clone(), *pop))
-                .collect();
-            let denominators: Vec<(Unit, f64)> = self
-                .pending
-                .iter()
-                .filter(|(u, _, _)| OTHER_DENOMS.contains(&u.code.as_str()))
-                .map(|(u, pop, _)| (u.clone(), *pop))
-                .collect();
-            numerators
-                .iter()
-                .flat_map(|(n, np)| {
-                    denominators.iter().map(move |(d, dp)| (n.clone(), *np, d.clone(), *dp))
-                })
-                .collect()
-        };
-        // Existing Chinese labels guard against semantic duplicates
-        // (the curated t/h would otherwise reappear as TONNE-PER-HR).
-        let existing_zh: std::collections::HashSet<String> =
-            self.pending.iter().map(|(u, _, _)| u.label_zh.clone()).collect();
-        for (base, base_pop) in snapshot {
-            for (time, time_pop, secs) in &times {
-                let code = format!("{}-PER-{}", base.code, time.code);
-                if self.codes.contains_key(&code) {
+        let pairs = numerators.iter().flat_map(|&n| denominators.iter().map(move |&d| (n, d)));
+        let pairs: Vec<(usize, usize)> = pairs.collect();
+        // The Chinese labels present before rate expansion guard against
+        // semantic duplicates (the curated t/h would otherwise reappear as
+        // TONNE-PER-HR); rate units added here do not join them.
+        let existing = self.pending.len();
+        let mut existing_zh = KeyIndex::with_capacity(existing);
+        for id in 0..existing as u32 {
+            existing_zh.insert(id, |i| self.pending[i as usize].0.label_zh.as_bytes());
+        }
+        let (mut code, mut label_zh) = (String::new(), String::new());
+        for &base in &bases {
+            for &(time, secs) in &times {
+                let (b, t) = (&self.pending[base].0, &self.pending[time].0);
+                if !self.rate_candidate(b, t, &existing_zh, &mut code, &mut label_zh) {
                     continue;
                 }
-                let label_zh = format!("{}每{}", base.label_zh, time.label_zh);
-                if existing_zh.contains(&label_zh) {
-                    continue;
-                }
-                let dim = base.dim / time.dim;
+                let dim = b.dim / t.dim;
                 let Some(&kind) = kind_by_dim.get(&dim) else { continue };
+                let kind_name = &self.kinds[kind.0 as usize].name_en;
+                let mut keywords = Vec::with_capacity(3);
+                keywords.extend(kind_name.split_whitespace().map(str::to_lowercase));
+                keywords.extend(["rate", "per"].map(str::to_string));
+                let description = [&b.label_en, " per ", &t.label_en, ": a rate of ", kind_name];
                 let unit = Unit {
-                    id: UnitId(0),
-                    code,
-                    label_en: format!("{} per {}", base.label_en, time.label_en),
-                    label_zh,
-                    symbol: format!("{}/{}", base.symbol, time.symbol),
-                    aliases: Vec::new(),
-                    description: format!(
-                        "{} per {}: a rate of {}",
-                        base.label_en,
-                        time.label_en,
-                        self.kinds[kind.0 as usize].name_en
-                    ),
-                    keywords: {
-                        let mut kw = self.kinds[kind.0 as usize].name_en
-                            .chars()
-                            .collect::<String>()
-                            .to_lowercase()
-                            .split_whitespace()
-                            .map(str::to_string)
-                            .collect::<Vec<_>>();
-                        kw.push("rate".to_string());
-                        kw.push("per".to_string());
-                        kw
-                    },
-                    frequency: 0.0,
-                    kind,
-                    dim,
-                    conversion: Conversion::linear(base.conversion.factor / secs),
-                    prefixed: false,
+                    description: description.concat(),
+                    keywords,
+                    conversion: Conversion::linear(b.conversion.factor / secs),
+                    ..rate_unit(b, t, &code, &label_zh, kind, dim)
                 };
-                let pop = (base_pop.min(*time_pop) * 0.2).max(0.05);
+                let pop = (self.pending[base].1.min(self.pending[time].1) * 0.2).max(0.05);
                 self.push_unit(unit, pop, false);
             }
         }
-        for (num, num_pop, den, den_pop) in other_pairs {
-            if num.code == den.code {
+        for (num, den) in pairs {
+            let (n, d) = (&self.pending[num].0, &self.pending[den].0);
+            if n.code == d.code
+                || !self.rate_candidate(n, d, &existing_zh, &mut code, &mut label_zh)
+            {
                 continue;
             }
-            let code = format!("{}-PER-{}", num.code, den.code);
-            if self.codes.contains_key(&code) {
-                continue;
-            }
-            let label_zh = format!("{}每{}", num.label_zh, den.label_zh);
-            if existing_zh.contains(&label_zh) {
-                continue;
-            }
-            let dim = num.dim / den.dim;
+            let dim = n.dim / d.dim;
             let Some(&kind) = kind_by_dim.get(&dim) else { continue };
             if dim.is_dimensionless() {
                 continue; // L per L etc. degenerate to ratios
             }
+            let kind_name = &self.kinds[kind.0 as usize].name_en;
+            let mut keywords = Vec::with_capacity(2);
+            keywords.extend(kind_name.split_whitespace().map(str::to_lowercase));
+            keywords.push("per".to_string());
             let unit = Unit {
-                id: UnitId(0),
-                code,
-                label_en: format!("{} per {}", num.label_en, den.label_en),
-                label_zh,
-                symbol: format!("{}/{}", num.symbol, den.symbol),
-                aliases: Vec::new(),
-                description: format!(
-                    "{} per {}: a {}",
-                    num.label_en,
-                    den.label_en,
-                    self.kinds[kind.0 as usize].name_en
-                ),
-                keywords: {
-                    let mut kw: Vec<String> = self.kinds[kind.0 as usize]
-                        .name_en
-                        .to_lowercase()
-                        .split_whitespace()
-                        .map(str::to_string)
-                        .collect();
-                    kw.push("per".to_string());
-                    kw
-                },
-                frequency: 0.0,
-                kind,
-                dim,
-                conversion: Conversion::linear(num.conversion.factor / den.conversion.factor),
-                prefixed: false,
+                description: [&n.label_en, " per ", &d.label_en, ": a ", kind_name].concat(),
+                keywords,
+                conversion: Conversion::linear(n.conversion.factor / d.conversion.factor),
+                ..rate_unit(n, d, &code, &label_zh, kind, dim)
             };
-            let pop = (num_pop.min(den_pop) * 0.15).max(0.05);
+            let pop = (self.pending[num].1.min(self.pending[den].1) * 0.15).max(0.05);
             self.push_unit(unit, pop, false);
         }
+    }
+
+    /// Writes the code and Chinese label of the rate unit `num` per `den`
+    /// into the buffers, and says whether it is new: neither its code nor
+    /// (among the units before rate expansion) its Chinese label is taken.
+    fn rate_candidate(
+        &self,
+        num: &Unit,
+        den: &Unit,
+        existing_zh: &KeyIndex,
+        code: &mut String,
+        label_zh: &mut String,
+    ) -> bool {
+        code.clear();
+        code.extend([num.code.as_str(), "-PER-", &den.code]);
+        if self.has_code(code) {
+            return false;
+        }
+        label_zh.clear();
+        label_zh.extend([num.label_zh.as_str(), "每", &den.label_zh]);
+        let zh_of = |i: u32| self.pending[i as usize].0.label_zh.as_bytes();
+        existing_zh.get(label_zh.as_bytes(), zh_of).is_none()
     }
 
     fn finish(self, popularity: &dyn PopularitySource) -> DimUnitKb {
@@ -613,36 +613,97 @@ impl Builder {
         let freqs = frequencies(popularity, &items);
         let units = self.pending.into_iter().zip(freqs);
         let units = units.map(|((unit, _, _), frequency)| Unit { frequency, ..unit });
-        DimUnitKb::from_units(units, self.kinds, self.kind_by_name)
+        DimUnitKb::from_units(units, self.kinds.into(), self.kind_by_name)
     }
 }
 
-fn capitalize(s: &str) -> String {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(first) => first.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
+/// `base` expanded with `prefix` under `code`.
+fn prefixed(base: &Unit, prefix: &SiPrefix, code: &str) -> Unit {
+    let symbol = [prefix.symbol, &base.symbol].concat();
+    let mut aliases = Vec::with_capacity(base.aliases.len() + 1);
+    let words = base.aliases.iter().filter(|a| !a.contains(' ') && a.is_ascii());
+    aliases.extend(words.map(|a| [prefix.name_en, a].concat()));
+    if symbol.contains('µ') {
+        aliases.push(symbol.replace('µ', "u"));
+    }
+    let mut keywords = Vec::with_capacity(base.keywords.len() + 1);
+    keywords.extend(base.keywords.iter().cloned());
+    keywords.push(prefix.name_en.to_string());
+    let capacity = prefix.name_en.len() + 2 * base.label_en.len() + 40;
+    let mut description = String::with_capacity(capacity);
+    description.extend([prefix.name_en, " ", &base.label_en, " ("]);
+    push_factor(&mut description, prefix.factor());
+    description.extend(["× the ", &base.label_en, ")"]);
+    Unit {
+        id: UnitId(0),
+        code: code.to_string(),
+        label_en: [prefix.name_en, &base.label_en].concat(),
+        label_zh: [prefix.name_zh, &base.label_zh].concat(),
+        symbol,
+        aliases,
+        description,
+        keywords,
+        frequency: 0.0,
+        kind: base.kind,
+        dim: base.dim,
+        conversion: Conversion::linear(base.conversion.factor * prefix.factor()),
+        prefixed: true,
+    }
+}
+
+/// The fields every rate unit `num` per `den` shares; the caller sets the
+/// description, keywords and conversion.
+fn rate_unit(
+    num: &Unit,
+    den: &Unit,
+    code: &str,
+    label_zh: &str,
+    kind: KindId,
+    dim: DimVec,
+) -> Unit {
+    Unit {
+        id: UnitId(0),
+        code: code.to_string(),
+        label_en: [&num.label_en, " per ", &den.label_en].concat(),
+        label_zh: label_zh.to_string(),
+        symbol: [&num.symbol, "/", &den.symbol].concat(),
+        aliases: Vec::new(),
+        description: String::new(),
+        keywords: Vec::new(),
+        frequency: 0.0,
+        kind,
+        dim,
+        conversion: Conversion::linear(1.0),
+        prefixed: false,
     }
 }
 
 fn default_description(en: &str, kind: &str, factor: f64, offset: f64) -> String {
     if offset != 0.0 {
-        format!("{en}: a unit of {kind} (affine scale)")
+        [en, ": a unit of ", kind, " (affine scale)"].concat()
     } else if (factor - 1.0).abs() < f64::EPSILON {
-        format!("{en}: the coherent SI unit of {kind}")
+        [en, ": the coherent SI unit of ", kind].concat()
     } else {
-        format!("{en}: a unit of {kind} equal to {} SI coherent units", format_factor(factor))
+        let mut out = String::with_capacity(en.len() + kind.len() + 60);
+        out.extend([en, ": a unit of ", kind, " equal to "]);
+        push_factor(&mut out, factor);
+        out.push_str(" SI coherent units");
+        out
     }
 }
 
-fn format_factor(f: f64) -> String {
+/// Appends `f` as a description prints it: plain when that fits in 12
+/// chars and `f` is in `[1e-3, 1e7)`, else in exponent form.
+fn push_factor(out: &mut String, f: f64) {
+    let start = out.len();
     if (1e-3..1e7).contains(&f) {
-        let s = format!("{f}");
-        if s.len() <= 12 {
-            return s;
+        let _ = write!(out, "{f}");
+        if out.len() - start <= 12 {
+            return;
         }
+        out.truncate(start);
     }
-    format!("{f:e}")
+    let _ = write!(out, "{f:e}");
 }
 
 #[cfg(test)]

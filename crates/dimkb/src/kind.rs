@@ -35,18 +35,29 @@ impl QuantityKind {
     /// Splits the CamelCase English name into space-separated words
     /// (`VolumeFlowRate` → `volume flow rate`), used as default keywords.
     pub fn words(&self) -> Vec<String> {
-        let mut words = Vec::new();
-        let mut cur = String::new();
-        for c in self.name_en.chars() {
-            if c.is_uppercase() && !cur.is_empty() {
-                words.push(std::mem::take(&mut cur));
-            }
-            cur.extend(c.to_lowercase());
-        }
-        if !cur.is_empty() {
-            words.push(cur);
-        }
+        let mut words = Vec::with_capacity(self.word_count());
+        self.push_words(&mut words);
         words
+    }
+
+    /// How many words [`Self::words`] returns.
+    pub(crate) fn word_count(&self) -> usize {
+        let mut chars = self.name_en.chars();
+        chars.next().map_or(0, |_| 1 + chars.filter(|c| c.is_uppercase()).count())
+    }
+
+    /// Appends [`Self::words`] to `out`: a word starts at every uppercase
+    /// char but the first char, and is lowercased char by char.
+    pub(crate) fn push_words(&self, out: &mut Vec<String>) {
+        let name = self.name_en.as_str();
+        let mut start = 0;
+        let ends = name.char_indices().filter(|&(i, c)| i > 0 && c.is_uppercase()).map(|(i, _)| i);
+        for end in ends.chain((!name.is_empty()).then_some(name.len())) {
+            let mut word = String::with_capacity(end - start);
+            word.extend(name[start..end].chars().flat_map(char::to_lowercase));
+            out.push(word);
+            start = end;
+        }
     }
 }
 

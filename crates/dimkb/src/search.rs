@@ -9,7 +9,7 @@
 //! change *which units get scored*, never a score — and an equivalence
 //! test pins that.
 
-use crate::kb::DimUnitKb;
+use crate::kb::{normalize, DimUnitKb};
 use crate::unit::{Unit, UnitId};
 use dim_embed::tokenize::words;
 use std::collections::HashMap;
@@ -31,10 +31,11 @@ pub struct SearchHit {
 }
 
 /// Inverted index over every token that can contribute to a unit's search
-/// score. Exact-match terms resolve through [`Self::token_units`] posting
-/// lists; substring terms (≥3 chars against label words) scan the distinct
-/// label-word vocabulary, which is ~an order of magnitude smaller than the
-/// unit list and shrinks further after dedup.
+/// score, plus each unit's scored fields tokenised once. Exact-match terms
+/// resolve through the `token_units` posting lists; substring terms
+/// (≥3 chars against label words) scan the distinct label-word
+/// vocabulary, which is ~an order of magnitude smaller than the unit list
+/// and shrinks further after dedup.
 #[derive(Debug, Clone, Default)]
 pub struct SearchIndex {
     /// Exact token (label/zh/alias/keyword/description word, normalized
@@ -42,44 +43,71 @@ pub struct SearchIndex {
     token_units: HashMap<String, Vec<UnitId>>,
     /// Distinct English label words → units, for substring-match terms.
     label_vocab: Vec<(String, Vec<UnitId>)>,
+    /// Each unit's scored fields, by unit id.
+    tokens: Vec<UnitTokens>,
+}
+
+/// A unit's scored fields as [`score_unit`] compares query terms against
+/// them: tokenised or normalized, the keywords excepted (they are compared
+/// whole).
+#[derive(Debug, Clone)]
+struct UnitTokens {
+    /// Words of the English label.
+    label: Vec<String>,
+    /// Words of the Chinese label.
+    zh: Vec<String>,
+    /// Words of every alias.
+    aliases: Vec<String>,
+    /// Words of the description.
+    description: Vec<String>,
+    /// The normalized symbol.
+    symbol: String,
+    /// The normalized English label.
+    full_label: String,
+}
+
+impl UnitTokens {
+    fn of(u: &Unit) -> UnitTokens {
+        UnitTokens {
+            label: words(&u.label_en),
+            zh: words(&u.label_zh),
+            aliases: u.aliases.iter().flat_map(|a| words(a)).collect(),
+            description: words(&u.description),
+            symbol: normalize(&u.symbol),
+            full_label: normalize(&u.label_en),
+        }
+    }
 }
 
 impl SearchIndex {
     /// Builds the index by tokenizing every scored field of every unit.
     pub fn build(kb: &DimUnitKb) -> SearchIndex {
-        fn push(map: &mut HashMap<String, Vec<UnitId>>, tok: String, id: UnitId) {
-            let entry = map.entry(tok).or_default();
-            // Units are visited in id order, so a last-element check dedups.
-            if entry.last() != Some(&id) {
-                entry.push(id);
-            }
-        }
-        let mut token_units: HashMap<String, Vec<UnitId>> = HashMap::new();
-        let mut label_vocab: HashMap<String, Vec<UnitId>> = HashMap::new();
-        for u in kb.units() {
-            for w in words(&u.label_en) {
-                push(&mut token_units, w.clone(), u.id);
-                push(&mut label_vocab, w, u.id);
-            }
-            for w in words(&u.label_zh) {
-                push(&mut token_units, w, u.id);
-            }
-            for alias in &u.aliases {
-                for w in words(alias) {
-                    push(&mut token_units, w, u.id);
+        fn push(map: &mut HashMap<String, Vec<UnitId>>, tok: &str, id: UnitId) {
+            match map.get_mut(tok) {
+                // Units are visited in id order, so a last-element check dedups.
+                Some(ids) if ids.last() != Some(&id) => ids.push(id),
+                Some(_) => {}
+                None => {
+                    map.insert(tok.to_string(), vec![id]);
                 }
             }
-            for kw in &u.keywords {
-                push(&mut token_units, kw.clone(), u.id);
+        }
+        let tokens: Vec<UnitTokens> = kb.units().iter().map(UnitTokens::of).collect();
+        let mut token_units: HashMap<String, Vec<UnitId>> = HashMap::new();
+        let mut label_vocab: HashMap<String, Vec<UnitId>> = HashMap::new();
+        for (u, t) in kb.units().iter().zip(&tokens) {
+            for w in &t.label {
+                push(&mut token_units, w, u.id);
+                push(&mut label_vocab, w, u.id);
             }
-            for w in words(&u.description) {
+            let rest = t.zh.iter().chain(&t.aliases).chain(&u.keywords).chain(&t.description);
+            for w in rest.chain([&t.symbol]) {
                 push(&mut token_units, w, u.id);
             }
-            push(&mut token_units, crate::kb::normalize(&u.symbol), u.id);
         }
         let mut label_vocab: Vec<(String, Vec<UnitId>)> = label_vocab.into_iter().collect();
         label_vocab.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        SearchIndex { token_units, label_vocab }
+        SearchIndex { token_units, label_vocab, tokens }
     }
 
     /// Every unit that could score nonzero for the query terms, in unit-id
@@ -104,29 +132,41 @@ impl SearchIndex {
     }
 }
 
-/// Scores one unit against the query; `None` when nothing matches.
-fn score_unit(u: &Unit, terms: &[String], query: &str) -> Option<f64> {
+/// A query, tokenised and normalized once per call.
+struct Query<'q> {
+    terms: Vec<String>,
+    /// The normalized query, against a unit's normalized English label.
+    full: String,
+    /// The trimmed query, against a unit's Chinese label.
+    trimmed: &'q str,
+}
+
+impl Query<'_> {
+    fn new(query: &str) -> Query<'_> {
+        Query { terms: words(query), full: normalize(query), trimmed: query.trim() }
+    }
+}
+
+/// Scores one unit, whose scored fields are `t`, against the query;
+/// `None` when nothing matches.
+fn score_unit(u: &Unit, t: &UnitTokens, q: &Query) -> Option<f64> {
     let mut score = 0.0;
-    let label_words = words(&u.label_en);
-    let zh_chars = words(&u.label_zh);
-    for term in terms {
-        if label_words.iter().any(|w| w == term) || zh_chars.iter().any(|w| w == term) {
+    for term in &q.terms {
+        if t.label.iter().any(|w| w == term) || t.zh.iter().any(|w| w == term) {
             score += 3.0;
-        } else if label_words.iter().any(|w| w.contains(term.as_str()))
-            && term.chars().count() >= 3
-        {
+        } else if t.label.iter().any(|w| w.contains(term.as_str())) && term.chars().count() >= 3 {
             score += 1.5;
         }
-        if u.aliases.iter().any(|a| words(a).iter().any(|w| w == term)) {
+        if t.aliases.iter().any(|w| w == term) {
             score += 2.0;
         }
         if u.keywords.iter().any(|k| k == term) {
             score += 1.5;
         }
-        if words(&u.description).iter().any(|w| w == term) {
+        if t.description.iter().any(|w| w == term) {
             score += 0.5;
         }
-        if crate::kb::normalize(&u.symbol) == *term {
+        if t.symbol == *term {
             score += 3.0;
         }
     }
@@ -135,12 +175,10 @@ fn score_unit(u: &Unit, terms: &[String], query: &str) -> Option<f64> {
     }
     // Prefer tight matches: "newton" should rank the newton above
     // the newton-metre, whose longer label matched only partially.
-    let full_label = crate::kb::normalize(&u.label_en) == crate::kb::normalize(query)
-        || u.label_zh == query.trim();
-    if full_label {
+    if t.full_label == q.full || u.label_zh == q.trimmed {
         score += 6.0;
     }
-    score /= 1.0 + 0.35 * (label_words.len().saturating_sub(1)) as f64;
+    score /= 1.0 + 0.35 * (t.label.len().saturating_sub(1)) as f64;
     Some(score * (0.5 + u.frequency))
 }
 
@@ -158,37 +196,44 @@ fn rank(mut hits: Vec<SearchHit>, limit: usize) -> Vec<SearchHit> {
 /// Searches units by free text. Scoring blends field matches (label >
 /// alias > keyword > description token) with the unit's frequency so that
 /// "flow" surfaces litre-per-minute before gill-per-hour. Candidates come
-/// from the KB's inverted [`SearchIndex`]; only they are scored.
+/// from the KB's inverted [`SearchIndex`]; only they are scored, from the
+/// fields the index tokenised once.
 pub fn search(kb: &DimUnitKb, query: &str, limit: usize) -> Vec<SearchHit> {
     let _span = SEARCH_SPAN.span();
     SEARCH_QUERIES.inc();
-    let terms = words(query);
-    if terms.is_empty() {
+    let q = Query::new(query);
+    if q.terms.is_empty() {
         return Vec::new();
     }
-    let candidates = kb.search_index().candidates(&terms);
+    let index = kb.search_index();
+    let candidates = index.candidates(&q.terms);
     SEARCH_CANDIDATES.add(candidates.len() as u64);
     let hits: Vec<SearchHit> = candidates
         .into_iter()
         .filter_map(|id| {
-            score_unit(kb.unit(id), &terms, query).map(|score| SearchHit { unit: id, score })
+            let (u, t) = (kb.unit(id), &index.tokens[id.0 as usize]);
+            score_unit(u, t, &q).map(|score| SearchHit { unit: id, score })
         })
         .collect();
     SEARCH_HITS.add(hits.len() as u64);
     rank(hits, limit)
 }
 
-/// Reference implementation of [`search`]: scores every unit in the KB.
-/// Kept for the index-equivalence test and the indexed-vs-scan benchmark.
+/// Reference implementation of [`search`]: tokenises and scores every unit
+/// of the KB on each call. Kept for the index-equivalence test and the
+/// indexed-vs-scan benchmark.
 pub fn search_scan(kb: &DimUnitKb, query: &str, limit: usize) -> Vec<SearchHit> {
-    let terms = words(query);
-    if terms.is_empty() {
+    let q = Query::new(query);
+    if q.terms.is_empty() {
         return Vec::new();
     }
     let hits = kb
         .units()
         .iter()
-        .filter_map(|u| score_unit(u, &terms, query).map(|score| SearchHit { unit: u.id, score }))
+        .filter_map(|u| {
+            let score = score_unit(u, &UnitTokens::of(u), &q);
+            score.map(|score| SearchHit { unit: u.id, score })
+        })
         .collect();
     rank(hits, limit)
 }
