@@ -1,4 +1,4 @@
-.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak perfbench-smoke no-panic-hotpath no-artifacts bench-baseline bench-gate
+.PHONY: verify build test clippy lint lint-gate smoke golden chaos serve-smoke serve-soak perfbench-smoke no-artifacts bench-gate
 
 # Full offline verification: release build, workspace tests, lints (clippy
 # plus the dim-lint invariant engine), the golden-results harness, the
@@ -98,13 +98,6 @@ lint:
 lint-gate:
 	cargo run --release -p dim-bench --bin lint_gate
 
-# The no-panic rule alone (degraded-mode hot paths must degrade, never
-# die). Kept as a named target because it predates the full engine; it now
-# shells to dim-lint instead of the old awk scan, which could not see
-# strings, comments, or `#[cfg(test)]` regions past the first marker.
-no-panic-hotpath:
-	cargo run --release -p dim-lint --bin dimlint -- --rule no-panic-hotpath
-
 # target/ must never be committed (it is in .gitignore; this catches
 # force-adds and historical regressions).
 no-artifacts:
@@ -117,8 +110,3 @@ no-artifacts:
 # must never hurt.
 bench-gate:
 	cargo run --release -p dim-bench --bin bench_gate
-
-# Regenerates BENCH_baseline.json (criterion micro-benchmarks with JSON
-# aggregation; see EXPERIMENTS.md "Micro-benchmark methodology").
-bench-baseline:
-	BENCH_JSON=$(CURDIR)/BENCH_baseline.json cargo bench --workspace

@@ -74,8 +74,8 @@ impl Gate {
 fn main() {
     let kb = DimUnitKb::shared();
 
-    // Workload 1: annotate_batch over the same mixed-script corpus shape as
-    // benches/linking.rs.
+    // Workload 1: annotate_batch over 120 mixed-script (CJK plus ASCII
+    // unit) sentences.
     let texts: Vec<String> = (0..120)
         .map(|i| {
             format!(
@@ -92,8 +92,7 @@ fn main() {
         black_box(annotator.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len());
     };
 
-    // Workload 2: Algorithm 1 over a 100-sentence corpus, as in
-    // benches/construction.rs.
+    // Workload 2: Algorithm 1 over a 100-sentence generated corpus.
     let corpus = dim_corpus::generate(&kb, &dim_corpus::CorpusConfig { sentences: 100, seed: 1 });
     let mlm = algo1::train_filter(&corpus);
     let algo1_run = |threads: usize| {
@@ -112,9 +111,7 @@ fn main() {
     ];
 
     println!(
-        "bench-gate: width-4 median must be <= width-1 median x {TOLERANCE} \
-         ({SAMPLES} samples, morsel = {})",
-        dim_par::MORSEL_SIZE
+        "bench-gate: width-4 median must be <= width-1 median x {TOLERANCE} ({SAMPLES} samples)"
     );
     let mut failed = false;
     for g in &gates {

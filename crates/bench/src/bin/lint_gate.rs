@@ -2,7 +2,7 @@
 //!
 //! `make lint` already gates *what* `dimlint --deep` finds; this gate pins
 //! how long it takes to find it (see EXPERIMENTS.md "Deep-lint gate"): the
-//! median full deep run (item parse, call graph, all nine rules over the
+//! median full deep run (item parse, call graph, all eight rules over the
 //! whole workspace, file pass on one thread) must stay under `BUDGET_NS`.
 //! The deep pass runs inside `make verify` on every change; if it creeps
 //! from milliseconds toward seconds, the analyses have regressed from

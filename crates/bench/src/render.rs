@@ -308,10 +308,10 @@ pub fn fig7(cfg: &ExperimentConfig) -> String {
 
 /// Ablation of Algorithm 1's masked-LM filtering stage.
 pub fn ablation_algo1() -> String {
-    use dimension_perception::corpus::{generate, CorpusConfig};
-    use dimension_perception::eval::algo1::{self, Algo1Config};
-    use dimension_perception::kb::DimUnitKb;
-    use dimension_perception::link::{Annotator, LinkerConfig, UnitLinker};
+    use dim_corpus::{generate, CorpusConfig};
+    use dimeval::algo1::{self, Algo1Config};
+    use dimkb::DimUnitKb;
+    use dimlink::{Annotator, LinkerConfig, UnitLinker};
 
     let kb = DimUnitKb::shared();
     let corpus = generate(&kb, &CorpusConfig { sentences: 600, seed: 505 });
@@ -352,9 +352,9 @@ pub fn ablation_algo1() -> String {
 
 /// Ablation of the unit-linking score components (§III-B).
 pub fn ablation_linking() -> String {
-    use dimension_perception::corpus::{generate, CorpusConfig};
-    use dimension_perception::kb::DimUnitKb;
-    use dimension_perception::link::{LinkerConfig, UnitLinker};
+    use dim_corpus::{generate, CorpusConfig};
+    use dimkb::DimUnitKb;
+    use dimlink::{LinkerConfig, UnitLinker};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -471,8 +471,7 @@ pub fn fig7(config: &ExperimentConfig, checkpoints: usize) -> Vec<Curve> {
         ("LLaMa_IFT w/ ET".into(), base, EqTokenization::Digit),
     ];
     let training = pipeline::build_mwp_training(&kb, &config.pipeline);
-    let training_len = 2 * config.pipeline.mwp_train
-        + (2.0 * config.pipeline.mwp_train as f64 * config.pipeline.eta) as usize;
+    let training_len = training.len();
     // Geometric-ish checkpoint schedule: dense early (where the paper's
     // Fig. 7 shows DimPerc's knowledge-transfer advantage), sparse later.
     let base_every = (training_len / (checkpoints * 4).max(1)).max(1);

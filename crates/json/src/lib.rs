@@ -1,8 +1,8 @@
-//! JSON for the two places the workspace reads it: dim-serve request
-//! bodies and the criterion harness's `BENCH_JSON` read-merge-write.
+//! JSON for the places the workspace reads it: dim-serve request bodies
+//! and the tests that check the committed `BENCH_*.json` files.
 //!
-//! [`parse_value`] turns text into a [`Value`] tree; [`to_string`] and
-//! [`to_string_pretty`] write one back. The writer is canonical: object
+//! [`parse_value`] turns text into a [`Value`] tree; [`to_string`] writes
+//! one back as compact JSON. The writer is canonical: object
 //! fields in the order the tree holds them, floats in Rust's
 //! shortest-roundtrip `{}` formatting, integers without a trailing `.0`, so
 //! equal trees always write byte-identical JSON. [`write_string`] is the one
@@ -52,13 +52,6 @@ pub fn to_string(value: &Value) -> String {
     out
 }
 
-/// Writes a value as 2-space-indented JSON.
-pub fn to_string_pretty(value: &Value) -> String {
-    let mut out = String::new();
-    write_pretty(value, &mut out, 0);
-    out
-}
-
 // ---- writer ----------------------------------------------------------------
 
 fn write_value(v: &Value, out: &mut String) {
@@ -89,46 +82,6 @@ fn write_value(v: &Value, out: &mut String) {
             }
             out.push('}');
         }
-    }
-}
-
-fn write_pretty(v: &Value, out: &mut String, indent: usize) {
-    match v {
-        Value::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_pretty(item, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Obj(fields) if !fields.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_string(k, out);
-                out.push_str(": ");
-                write_pretty(val, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => write_value(other, out),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
     }
 }
 
@@ -437,12 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn pretty_output_parses_back() {
-        let v = Value::Obj(vec![("k".into(), Value::Arr(vec![Value::Num(1.0)]))]);
-        assert_eq!(parse_value(&to_string_pretty(&v)).unwrap(), v);
-    }
-
-    #[test]
     fn nesting_is_capped_at_max_depth() {
         let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
         assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
@@ -459,16 +406,6 @@ mod tests {
         let body = "[".repeat(65_000);
         let parsed = std::thread::spawn(move || parse_value(&body).is_err()).join();
         assert_eq!(parsed.ok(), Some(true));
-    }
-
-    #[test]
-    fn criterion_writer_reproduces_the_committed_baseline() {
-        // criterion's BENCH_JSON merge parses this file, updates its rows
-        // and writes `to_string_pretty(..) + "\n"`; the committed file is a
-        // fixed point of that round trip.
-        let text = include_str!("../../../BENCH_baseline.json");
-        let doc = parse_value(text).unwrap();
-        assert_eq!(to_string_pretty(&doc) + "\n", text);
     }
 
     /// Builds a finite tree from a flat list of draws: each draw picks a
@@ -502,8 +439,7 @@ mod tests {
             )
         ) {
             let v = tree(&mut draws.iter(), 0);
-            prop_assert_eq!(parse_value(&to_string(&v)).unwrap(), v.clone());
-            prop_assert_eq!(parse_value(&to_string_pretty(&v)).unwrap(), v);
+            prop_assert_eq!(parse_value(&to_string(&v)).unwrap(), v);
         }
     }
 }

@@ -139,11 +139,6 @@ impl Default for Parallelism {
 /// overhead would dominate).
 const MIN_CHUNK: usize = 8;
 
-/// The morsel size used by the batch entry points (`par_map`,
-/// `par_map_scratch`, and friends) — exported so benchmarks and baselines
-/// can record the chunking configuration they measured.
-pub const MORSEL_SIZE: usize = MIN_CHUNK;
-
 /// A caught item panic's original payload, re-raised unmodified by
 /// `resume_unwind`.
 type Caught = Box<dyn Any + Send>;
