@@ -13,7 +13,7 @@
 //! verbalizer is template-based (see [`verbalize`]).
 
 use dim_kgraph::{PredicateId, SynthKg, TripleId};
-use dimlink::Annotator;
+use dimlink::{Annotator, ScratchSpace};
 use std::collections::{BTreeMap, BTreeSet};
 
 static ALGO2_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("algo2.run");
@@ -30,7 +30,7 @@ pub struct Algo2Config {
     pub iterations: usize,
     /// Number of high-frequency seed units for `M₀`.
     pub seed_mentions: usize,
-    /// Fan-out for the per-predicate ratio and mention-regrowth passes.
+    /// Fan-out for the per-predicate annotate passes.
     pub parallelism: dim_par::Parallelism,
 }
 
@@ -62,13 +62,34 @@ pub struct Algo2Output {
     pub growth: Vec<(usize, usize)>,
 }
 
-/// Is this object string quantity-like according to DimKS? True when the
-/// annotator finds a mention covering most of the object.
-fn object_is_quantity(annotator: &Annotator, object: &str) -> bool {
-    annotator
-        .annotate(object)
-        .iter()
-        .any(|m| (m.end - m.start) * 2 >= object.len())
+/// What one annotate pass over a predicate's objects yields: the share of
+/// quantity-like objects (an object is quantity-like when DimKS finds a
+/// mention covering most of it) and the unit surfaces mentioned in them,
+/// sorted and deduplicated.
+struct PredicateScan {
+    ratio: f64,
+    surfaces: Vec<String>,
+}
+
+/// Annotates each object of `pid` once, for both the ratio filter (step 2)
+/// and the mention regrowth (step 3).
+fn scan_predicate(kg: &SynthKg, annotator: &Annotator, pid: PredicateId) -> PredicateScan {
+    let triples = kg.store.find_by_predicate(pid);
+    let mut scratch = ScratchSpace::new();
+    let mut quantities = 0;
+    let mut surfaces = Vec::new();
+    for &tid in triples {
+        let object = &kg.store.triple(tid).object;
+        let mentions = annotator.annotate_with(object, &mut scratch);
+        if mentions.iter().any(|m| (m.end - m.start) * 2 >= object.len()) {
+            quantities += 1;
+        }
+        surfaces.extend(mentions.into_iter().map(|m| m.unit_surface));
+    }
+    surfaces.sort_unstable();
+    surfaces.dedup();
+    let ratio = if triples.is_empty() { 0.0 } else { quantities as f64 / triples.len() as f64 };
+    PredicateScan { ratio, surfaces }
 }
 
 /// Runs the bootstrapping retrieval over a knowledge graph.
@@ -91,8 +112,8 @@ pub fn bootstrap_retrieve(
     let mut kept: BTreeSet<PredicateId> = BTreeSet::new();
     let mut growth = Vec::new();
 
-    // Memoized per-predicate quantity ratios (objects don't change).
-    let mut ratio_cache: BTreeMap<PredicateId, f64> = BTreeMap::new();
+    // Memoized per-predicate scans (objects don't change).
+    let mut scans: BTreeMap<PredicateId, PredicateScan> = BTreeMap::new();
 
     for _ in 0..config.iterations {
         // Step 1: predicates reachable from the mention set.
@@ -102,40 +123,22 @@ pub fn bootstrap_retrieve(
                 p.insert(kg.store.triple(tid).predicate);
             }
         }
-        // Step 2: filter by quantity ratio. Ratios for not-yet-seen
-        // predicates are computed in parallel (each is an independent
-        // annotate pass over that predicate's objects), then cached in
-        // BTreeMap order — the filter itself stays sequential and
-        // deterministic.
-        let uncached: Vec<PredicateId> =
-            p.iter().copied().filter(|pid| !ratio_cache.contains_key(pid)).collect();
-        let ratios = dim_par::par_map_coarse(config.parallelism, &uncached, |_, &pid| {
-            let triples = kg.store.find_by_predicate(pid);
-            if triples.is_empty() {
-                return 0.0;
-            }
-            let q = triples
-                .iter()
-                .filter(|&&tid| object_is_quantity(annotator, &kg.store.triple(tid).object))
-                .count();
-            q as f64 / triples.len() as f64
+        // Step 2: filter by quantity ratio. Not-yet-seen predicates are
+        // scanned in parallel (each is an independent annotate pass over
+        // that predicate's objects), then cached in BTreeMap order — the
+        // filter itself stays sequential and deterministic.
+        let unscanned: Vec<PredicateId> =
+            p.iter().copied().filter(|pid| !scans.contains_key(pid)).collect();
+        let fresh = dim_par::par_map_coarse(config.parallelism, &unscanned, |_, &pid| {
+            scan_predicate(kg, annotator, pid)
         });
-        ratio_cache.extend(uncached.into_iter().zip(ratios));
-        p.retain(|pid| ratio_cache[pid] >= config.tau);
+        scans.extend(unscanned.into_iter().zip(fresh));
+        p.retain(|pid| scans[pid].ratio >= config.tau);
         kept = p.clone();
-        // Step 3: regrow the mention set from the kept predicates' objects
-        // (parallel per predicate; the BTreeSet union is order-insensitive).
-        let kept_list: Vec<PredicateId> = p.iter().copied().collect();
-        let grown = dim_par::par_map_coarse(config.parallelism, &kept_list, |_, &pid| {
-            let mut surfaces = Vec::new();
-            for &tid in kg.store.find_by_predicate(pid) {
-                for qm in annotator.annotate(&kg.store.triple(tid).object) {
-                    surfaces.push(qm.unit_surface);
-                }
-            }
-            surfaces
-        });
-        let m: BTreeSet<String> = grown.into_iter().flatten().collect();
+        // Step 3: regrow the mention set from the kept predicates' objects,
+        // whose surfaces the scans already hold.
+        let m: BTreeSet<String> =
+            p.iter().flat_map(|pid| scans[pid].surfaces.iter().cloned()).collect();
         if !m.is_empty() {
             mentions = m;
         }

@@ -22,7 +22,7 @@
 //! Lookups never allocate: callers pass a reusable `String` scratch buffer
 //! that the normalizers write into.
 
-use crate::kb::{normalize_cased_into, normalize_into, push_normalized};
+use crate::kb::{fold_cased_key, normalize_cased_into, push_normalized};
 use crate::unit::{Unit, UnitId};
 
 /// FNV-1a over a byte string: the symbol-table index's hash.
@@ -315,7 +315,8 @@ impl LinkIndex {
         if let Some(sym) = self.cased.get(normalize_cased_into(surface, buf)) {
             return self.run(&self.cased_runs, sym);
         }
-        match self.norm.get(normalize_into(surface, buf)) {
+        fold_cased_key(surface, buf);
+        match self.norm.get(buf) {
             Some(sym) => self.run(&self.norm_runs, sym),
             None => &[],
         }

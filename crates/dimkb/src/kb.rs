@@ -18,6 +18,7 @@ use crate::kind::{KindId, QuantityKind};
 use crate::prefix::{SiPrefix, SI_PREFIXES};
 use crate::spec::{KindSpec, UnitSpec};
 use crate::unit::{Conversion, Unit, UnitId};
+use dim_embed::tokenize::is_cjk;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
@@ -321,18 +322,36 @@ pub fn normalize_into<'a>(surface: &str, out: &'a mut String) -> &'a str {
     out
 }
 
+/// True for the non-ASCII chars that normalization copies unchanged: CJK
+/// ideographs and CJK and fullwidth punctuation. None is whitespace or has
+/// a lowercase form other than itself; a test checks every one.
+fn is_caseless_cjk(c: char) -> bool {
+    is_cjk(c)
+        || matches!(c,
+            '\u{3001}'..='\u{303F}'   // CJK symbols and punctuation, bar U+3000 (a space)
+            | '\u{FF01}'..='\u{FF20}' // fullwidth punctuation and digits
+            | '\u{FF3B}'..='\u{FF40}' // between the fullwidth capitals and small letters
+            | '\u{FF5B}'..='\u{FF65}' // fullwidth and halfwidth CJK punctuation
+        )
+}
+
 /// Appends `surface` to `out` trimmed, with each whitespace run collapsed
 /// to one space, and lowercased when `fold_case`. ASCII chars take
-/// `to_ascii_lowercase`, which equals `char::to_lowercase` on ASCII; a
-/// trimmed form of printable ASCII and single spaces (most forms) is
-/// already collapsed, so it is copied whole.
+/// `to_ascii_lowercase`, which equals `char::to_lowercase` on ASCII, and
+/// [`is_caseless_cjk`] chars are pushed unchanged. A trimmed form of
+/// printable ASCII, single spaces and caseless CJK (most forms and most
+/// annotator candidates) is already collapsed, so it is copied whole.
 pub(crate) fn push_normalized(surface: &str, fold_case: bool, out: &mut String) {
     let start = out.len();
     let trimmed = surface.trim();
     let mut after_space = false;
-    let collapsed = trimmed.bytes().all(|b| {
-        let ok = b.is_ascii_graphic() || (b == b' ' && !after_space);
-        after_space = b == b' ';
+    let collapsed = trimmed.chars().all(|c| {
+        let ok = if c.is_ascii() {
+            c.is_ascii_graphic() || (c == ' ' && !after_space)
+        } else {
+            is_caseless_cjk(c)
+        };
+        after_space = c == ' ';
         ok
     });
     if collapsed {
@@ -350,7 +369,7 @@ pub(crate) fn push_normalized(surface: &str, fold_case: bool, out: &mut String) 
                 last_space = true;
             }
         } else {
-            if !fold_case {
+            if !fold_case || is_caseless_cjk(c) {
                 out.push(c);
             } else if c.is_ascii() {
                 out.push(c.to_ascii_lowercase());
@@ -362,6 +381,19 @@ pub(crate) fn push_normalized(surface: &str, fold_case: bool, out: &mut String) 
     }
     if out.len() > start && out.ends_with(' ') {
         out.pop();
+    }
+}
+
+/// Turns `buf`, holding `normalize_cased(surface)`, into
+/// `normalize(surface)`. Case folding works char by char and never turns a
+/// char into whitespace, so the folded key is the case-exact key with each
+/// char folded: when every non-ASCII char is [`is_caseless_cjk`] that is
+/// the ASCII fold, done in place; any other key is normalized afresh.
+pub(crate) fn fold_cased_key(surface: &str, buf: &mut String) {
+    if buf.chars().all(|c| c.is_ascii() || is_caseless_cjk(c)) {
+        buf.make_ascii_lowercase();
+    } else {
+        normalize_into(surface, buf);
     }
 }
 
@@ -831,6 +863,64 @@ mod tests {
         assert_eq!(normalize("  Square   Metre "), "square metre");
         assert_eq!(normalize("KM"), "km");
         assert_eq!(normalize("千米"), "千米");
+    }
+
+    #[test]
+    fn folding_the_cased_key_equals_normalizing() {
+        let kb = DimUnitKb::shared();
+        let forms = kb.units().iter().flat_map(|u| u.surface_forms());
+        let odd = ["  Square   Metre ", "KM²", "平方 Km", "\tΣΑΣ\u{3000}米 ", "İx", "米，重", "Ｋｍ。", "", " "];
+        let mut buf = String::new();
+        for s in forms.chain(odd) {
+            normalize_cased_into(s, &mut buf);
+            fold_cased_key(s, &mut buf);
+            assert_eq!(buf, normalize(s), "surface {s:?}");
+        }
+    }
+
+    #[test]
+    fn normalization_matches_its_char_by_char_definition() {
+        // Trim, collapse each whitespace run to one space, and (folding)
+        // lowercase char by char — spelled out, against the fast paths.
+        fn spec(s: &str, fold: bool) -> String {
+            let words = s.split_whitespace();
+            let joined = words.collect::<Vec<_>>().join(" ");
+            if fold { joined.chars().flat_map(char::to_lowercase).collect() } else { joined }
+        }
+        use rand::{Rng, SeedableRng};
+        let alphabet: Vec<char> = "aZ9 /²°µΣİǅ米千，。\u{3000}\u{3001}\t\nＫｍ！".chars().collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut buf = String::new();
+        for _ in 0..4000 {
+            let len = rng.gen_range(0..8);
+            let s: String = (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
+            assert_eq!(normalize_cased(&s), spec(&s, false), "{s:?}");
+            assert_eq!(normalize(&s), spec(&s, true), "{s:?}");
+            normalize_cased_into(&s, &mut buf);
+            fold_cased_key(&s, &mut buf);
+            assert_eq!(buf, spec(&s, true), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn caseless_cjk_chars_are_caseless() {
+        // `push_normalized` copies these chars instead of folding them and
+        // counts them as collapsed; both hold only if no one is whitespace
+        // and folding is the identity on every one. That includes every
+        // `is_cjk` char.
+        let (mut caseless, mut cjk) = (0, 0);
+        for c in (0..=u32::from(char::MAX)).filter_map(char::from_u32) {
+            if is_cjk(c) {
+                assert!(is_caseless_cjk(c), "{c:?}");
+                cjk += 1;
+            }
+            if is_caseless_cjk(c) {
+                assert!(!c.is_whitespace() && c.to_lowercase().eq([c]), "{c:?} is not caseless");
+                caseless += 1;
+            }
+        }
+        assert_eq!(cjk, 0x9FFF - 0x4E00 + 1 + 0x4DBF - 0x3400 + 1 + 0xFAFF - 0xF900 + 1);
+        assert_eq!(caseless, cjk + 0x3F + 0x20 + 0x6 + 0xB);
     }
 
     #[test]

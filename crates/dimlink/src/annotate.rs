@@ -11,11 +11,12 @@
 //!
 //! The hot path streams: candidate surfaces are slices of the input (CJK
 //! prefixes) or built in a reused scratch buffer (multiword Latin phrases),
-//! the context window is a borrowed slice, and all per-sentence buffers
-//! live in a per-worker [`ScratchSpace`] (see
+//! each mention's context window is a view of the sentence, whose context
+//! words are scanned once, and all per-sentence buffers live in a
+//! per-worker [`ScratchSpace`] (see
 //! [`Annotator::annotate_with`] / [`Annotator::annotate_batch`]).
 
-use crate::linker::{LinkResult, UnitLinker};
+use crate::linker::{Context, LinkResult, UnitLinker};
 use crate::numparse::{scan_numbers_into, NumberMatch};
 use crate::scratch::ScratchSpace;
 use dim_embed::tokenize::is_cjk;
@@ -139,6 +140,8 @@ impl Annotator {
         // loop below (NumberMatch is Copy; the buffer goes back after).
         let mut nums = std::mem::take(&mut scratch.nums);
         scan_numbers_into(text, &mut nums);
+        // Every link query below scores against this text's context words.
+        scratch.link.ctx.reset();
         for &num in &nums {
             if let Some(m) = self.try_unit_after(text, num, scratch) {
                 out.push(m);
@@ -203,7 +206,9 @@ impl Annotator {
     /// dictionary (via the KB's interned [`dimkb::intern::LinkIndex`]), with
     /// a final fuzzy-link fallback on the shortest candidate — the same
     /// trial order as the original allocating implementation, but every
-    /// candidate is a slice of `text` or a reused scratch buffer.
+    /// candidate is a slice of `text` or a reused scratch buffer. An exact
+    /// hit is looked up once and its units scored directly; only the
+    /// fallback runs the full link query.
     fn try_unit_after(
         &self,
         text: &str,
@@ -221,7 +226,6 @@ impl Annotator {
         let rest = &text[unit_start..]; // lint:allow(no_panic, unit_start advanced by a whole char's len_utf8, still a boundary)
         let first = rest.chars().next()?;
 
-        let idx = self.linker.kb().link_index();
         let context = context_window(text, num.start, 60);
 
         if is_cjk(first) {
@@ -235,16 +239,14 @@ impl Annotator {
             }
             for i in (0..scratch.cjk_ends.len()).rev() {
                 let cand = &rest[..scratch.cjk_ends[i]]; // lint:allow(no_panic, cjk_ends holds char-boundary prefix lengths of rest, i < len)
-                if !idx.lookup(cand, &mut scratch.link.key).is_empty() {
-                    let links = self.linker.link_in(cand, context, &mut scratch.link);
-                    if !links.is_empty() {
-                        return Some(mention(num, unit_start, cand, links, text));
-                    }
+                let links = self.linker.link_exact(cand, context, &mut scratch.link);
+                if !links.is_empty() {
+                    return Some(mention(num, unit_start, cand, links, text));
                 }
             }
             // Fall back to fuzzy linking of the single-char prefix.
             let cand = &rest[..scratch.cjk_ends[0]]; // lint:allow(no_panic, first is CJK so cjk_ends has at least one entry)
-            let links = self.linker.link_in(cand, context, &mut scratch.link);
+            let links = self.linker.link_window(cand, context, &mut scratch.link);
             if links.is_empty() {
                 return None;
             }
@@ -281,21 +283,17 @@ impl Annotator {
                     scratch.phrase.push(' ');
                     scratch.phrase.push_str(w.trim_end_matches(['.', ',', ';', '!', '?']));
                 }
-                if !idx.lookup(&scratch.phrase, &mut scratch.link.key).is_empty() {
-                    let links = self.linker.link_in(&scratch.phrase, context, &mut scratch.link);
-                    if !links.is_empty() {
-                        return Some(mention(num, unit_start, &scratch.phrase, links, text));
-                    }
+                let links = self.linker.link_exact(&scratch.phrase, context, &mut scratch.link);
+                if !links.is_empty() {
+                    return Some(mention(num, unit_start, &scratch.phrase, links, text));
                 }
             }
             // The bare run: exact trial first, then the fuzzy fallback.
-            if !idx.lookup(run, &mut scratch.link.key).is_empty() {
-                let links = self.linker.link_in(run, context, &mut scratch.link);
-                if !links.is_empty() {
-                    return Some(mention(num, unit_start, run, links, text));
-                }
+            let links = self.linker.link_exact(run, context, &mut scratch.link);
+            if !links.is_empty() {
+                return Some(mention(num, unit_start, run, links, text));
             }
-            let links = self.linker.link_in(run, context, &mut scratch.link);
+            let links = self.linker.link_window(run, context, &mut scratch.link);
             if links.is_empty() {
                 return None;
             }
@@ -329,8 +327,9 @@ fn mention(
 }
 
 /// A byte-window of context around a position, clipped to char boundaries.
-/// Borrows from `text` — the annotate hot path never copies the context.
-fn context_window(text: &str, pos: usize, radius: usize) -> &str {
+/// The window is a view of `text`, whose context words the linker scans
+/// once per sentence.
+fn context_window(text: &str, pos: usize, radius: usize) -> Context<'_> {
     let mut lo = pos.saturating_sub(radius);
     while lo > 0 && !text.is_char_boundary(lo) {
         lo -= 1;
@@ -339,8 +338,7 @@ fn context_window(text: &str, pos: usize, radius: usize) -> &str {
     while hi < text.len() && !text.is_char_boundary(hi) {
         hi += 1;
     }
-    // lint:allow(no_panic, lo and hi are walked to char boundaries by the loops above, lo <= pos <= hi <= len)
-    &text[lo..hi]
+    Context { text, lo, hi }
 }
 
 #[cfg(test)]

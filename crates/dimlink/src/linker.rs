@@ -11,12 +11,15 @@
 //! forms, and `Pr(u|c)` aggregates cosine similarities between context
 //! words and the unit's stored keywords (§III-B2).
 //!
-//! The hot implementation ([`UnitLinker::link_with`] / `link_core`) is
-//! allocation-free per query: candidate keys are interned `Symbol(u32)`s
-//! resolved through the KB's shared [`dimkb::intern::LinkIndex`], candidates
-//! accumulate in a struct-of-arrays arena, and normalization, Levenshtein
-//! DP rows, and context words all live in a caller-provided
-//! [`crate::scratch::ScratchSpace`] reused across queries. The String-based
+//! The hot implementation ([`UnitLinker::link_with`]: `candidates`, then
+//! `score_candidates`) is allocation-free per query: candidate keys are
+//! interned `Symbol(u32)`s resolved through the KB's shared
+//! [`dimkb::intern::LinkIndex`], candidates accumulate in a
+//! struct-of-arrays arena, and normalization, Levenshtein DP rows, and
+//! context words all live in a caller-provided
+//! [`crate::scratch::ScratchSpace`] reused across queries. The annotator
+//! hands an exact dictionary hit straight to scoring, and scores every
+//! mention of a sentence against one tokenization of it. The String-based
 //! original survives as [`crate::reference`] for differential testing.
 
 use crate::lev;
@@ -43,6 +46,23 @@ pub struct LinkResult {
     pub mention_sim: f64,
     /// The context probability `Pr(u|c)`.
     pub context_prob: f64,
+}
+
+/// A link query's context: the words of `text[lo..hi]` score `Pr(u|c)`.
+/// The annotator passes the whole sentence with each mention's window, so
+/// the buffers' context cache tokenizes the sentence once for all of them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Context<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+impl<'a> Context<'a> {
+    /// All of `text`.
+    fn whole(text: &'a str) -> Self {
+        Context { text, lo: 0, hi: text.len() }
+    }
 }
 
 /// Linker configuration.
@@ -119,21 +139,53 @@ impl UnitLinker {
     }
 
     /// Crate-internal core of [`Self::link_with`], taking just the linker's
-    /// buffers so the annotator can hold disjoint borrows of its own
-    /// scratch fields (candidate buffers) across the call.
+    /// buffers. `context` is a text of its own, so the context-word cache
+    /// forgets the previous one first.
     pub(crate) fn link_in(&self, mention: &str, context: &str, bufs: &mut LinkBufs) -> Vec<LinkResult> {
-        self.link_core(mention, context, bufs);
+        bufs.ctx.reset();
+        self.link_window(mention, Context::whole(context), bufs)
+    }
+
+    /// The full query against a context window: candidate generation
+    /// (exact lookup, else the fuzzy scan), then scoring. The annotator's
+    /// fuzzy fallback comes here; its exact trials take [`Self::link_exact`].
+    pub(crate) fn link_window(&self, mention: &str, ctx: Context<'_>, bufs: &mut LinkBufs) -> Vec<LinkResult> {
+        self.candidates(mention, bufs);
+        self.ranked(ctx, bufs)
+    }
+
+    /// An exact-dictionary trial: when `mention` resolves in the naming
+    /// dictionary, its units are scored straight away, as the full query
+    /// would score them (every exact candidate has `Pr(u|m) = 1`). A miss
+    /// returns no results and, like a trial that was never linked, counts
+    /// no query.
+    pub(crate) fn link_exact(&self, mention: &str, ctx: Context<'_>, bufs: &mut LinkBufs) -> Vec<LinkResult> {
+        let ids = self.kb.link_index().lookup(mention, &mut bufs.key);
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        bufs.cand_ids.clear();
+        bufs.cand_ids.extend_from_slice(ids);
+        bufs.cand_sims.clear();
+        bufs.cand_sims.resize(ids.len(), 1.0);
+        self.ranked(ctx, bufs)
+    }
+
+    /// Scores the candidate arena, counts the query and returns the ranking.
+    fn ranked(&self, ctx: Context<'_>, bufs: &mut LinkBufs) -> Vec<LinkResult> {
+        self.score_candidates(ctx, bufs);
         bufs.queries += 1;
         bufs.results_linked += bufs.results.len() as u64;
         bufs.results.clone() // lint:allow(hot_alloc, output construction: the ranked result Vec is the query's output and must be owned)
     }
 
-    /// The interned link query: leaves the ranked results in
-    /// `bufs.results`. Result-equivalent to [`crate::reference::link_reference`]
-    /// (the retired String-based implementation), which the differential
-    /// proptests pin down.
-    fn link_core(&self, mention: &str, context: &str, bufs: &mut LinkBufs) {
-        bufs.results.clear();
+    /// Candidate generation into the `cand_ids`/`cand_sims` arena.
+    /// Together with [`Self::score_candidates`] this is result-equivalent to
+    /// [`crate::reference::link_reference`] (the retired String-based
+    /// implementation), which the differential proptests pin down.
+    fn candidates(&self, mention: &str, bufs: &mut LinkBufs) {
+        bufs.cand_ids.clear();
+        bufs.cand_sims.clear();
         let idx = self.kb.link_index();
         dimkb::normalize_into(mention, &mut bufs.key);
         if bufs.key.is_empty() {
@@ -148,8 +200,6 @@ impl UnitLinker {
         // and `mW` resolve differently; the lowercased form only drives the
         // fuzzy Levenshtein pass. (`key` is free again: `lookup` reuses it
         // as its normalization buffer.)
-        bufs.cand_ids.clear();
-        bufs.cand_sims.clear();
         for &id in idx.lookup(mention, &mut bufs.key) {
             bufs.cand_ids.push(id);
             bufs.cand_sims.push(1.0);
@@ -162,13 +212,21 @@ impl UnitLinker {
             for len in lo..=hi {
                 let Some(bucket) = idx.bucket(len) else { continue };
                 let max_len = m_len.max(len) as f64;
+                // The distance is at least the length difference: a bucket
+                // that bound already rules out is pruned whole.
+                let len_lb = m_len.abs_diff(len) as u32;
+                if 1.0 - f64::from(len_lb) / max_len < self.config.mention_threshold {
+                    bufs.lev_pruned += bucket.syms.len() as u64;
+                    continue;
+                }
                 for (slot, &sym) in bucket.syms.iter().enumerate() {
                     // Signature lower bound: skip the O(m·n) DP when even
                     // the optimistic distance cannot reach the threshold.
                     let k_sig = bucket.sigs[slot]; // lint:allow(no_panic, sigs is parallel to syms by LenBucket construction)
                     let dist_lb = (m_sig & !k_sig)
                         .count_ones()
-                        .max((k_sig & !m_sig).count_ones());
+                        .max((k_sig & !m_sig).count_ones())
+                        .max(len_lb);
                     if 1.0 - f64::from(dist_lb) / max_len < self.config.mention_threshold {
                         bufs.lev_pruned += 1;
                         continue;
@@ -202,18 +260,24 @@ impl UnitLinker {
                 }
             }
         }
+    }
+
+    /// Scores every candidate in the arena by `Pr(u)·Pr(u|m)·Pr(u|c)` and
+    /// leaves the top-k ranking in `bufs.results`. The context words come
+    /// from the buffers' per-text cache, so the text is tokenized at most
+    /// once however many windows and trials score against it.
+    fn score_candidates(&self, ctx: Context<'_>, bufs: &mut LinkBufs) {
+        bufs.results.clear();
         if bufs.cand_ids.is_empty() {
             return;
         }
-
-        dim_embed::tokenize::context_words_into(context, &mut bufs.ctx_arena, &mut bufs.ctx_spans);
-
+        let (ctx_arena, ctx_spans) = bufs.ctx.view(ctx.text, ctx.lo, ctx.hi);
         for (i, &id) in bufs.cand_ids.iter().enumerate() {
             let mention_sim = bufs.cand_sims[i]; // lint:allow(no_panic, cand_sims is parallel to cand_ids by arena construction)
             let unit = self.kb.unit(id);
             let prior = unit.frequency;
             let context_prob = self
-                .context_probability(&bufs.ctx_arena, &bufs.ctx_spans, &unit.keywords)
+                .context_probability(ctx_arena, ctx_spans, &unit.keywords)
                 .max(self.config.context_floor);
             let score = mention_sim
                 * if self.config.use_prior { prior } else { 1.0 }
@@ -240,7 +304,7 @@ impl UnitLinker {
     /// `Pr(u|c) = (1/n) Σ_i max_j sim(c_i, k_j)` (the paper's formula), with
     /// embedding cosine when available and exact-match overlap as fallback.
     /// Context words arrive as spans into an arena (see
-    /// `dim_embed::tokenize::context_words_into`) instead of owned strings.
+    /// `dim_embed::tokenize::ContextWords`) instead of owned strings.
     fn context_probability(
         &self,
         ctx_arena: &str,
@@ -252,7 +316,7 @@ impl UnitLinker {
         }
         let mut total = 0.0;
         for &(s, e) in ctx_spans {
-            let cw = &ctx_arena[s..e]; // lint:allow(no_panic, spans index the arena they were written into by context_words_into)
+            let cw = &ctx_arena[s..e]; // lint:allow(no_panic, spans index the arena ContextWords wrote them into)
             let mut best: f64 = 0.0;
             for kw in keywords {
                 let sim = if cw == kw.as_str() {

@@ -4,9 +4,11 @@
 //! every buffer the hot path used to reallocate per sentence: the number
 //! scanner's match list, the candidate-phrase builder, the normalization
 //! and Levenshtein DP buffers, the struct-of-arrays candidate arena, and
-//! the context-word arena. All buffers are cleared before each use —
-//! results never depend on what earlier items left behind, which is the
-//! determinism contract `par_map_scratch` requires.
+//! the context words of the current text. All buffers are cleared before
+//! each use — results never depend on what earlier items left behind, which
+//! is the determinism contract `par_map_scratch` requires. The context
+//! words are the one cache: they are reused across the link queries of one
+//! text and forgotten when the next text begins.
 //!
 //! The scratch also carries the hot path's `link.*` counts as plain
 //! per-worker tallies. Each one reaches its `dim-obs` counter once, when
@@ -15,6 +17,7 @@
 
 use crate::linker::LinkResult;
 use crate::numparse::NumberMatch;
+use dim_embed::tokenize::ContextWords;
 use dimkb::UnitId;
 
 static LINK_QUERIES: dim_obs::Counter = dim_obs::Counter::new("link.queries");
@@ -77,10 +80,8 @@ pub(crate) struct LinkBufs {
     pub(crate) cand_sims: Vec<f64>,
     /// Ranked results of the current query.
     pub(crate) results: Vec<LinkResult>,
-    /// Context words, concatenated (see `dim_embed::tokenize::context_words_into`).
-    pub(crate) ctx_arena: String,
-    /// Byte spans of each context word within `ctx_arena`.
-    pub(crate) ctx_spans: Vec<(usize, usize)>,
+    /// Context words of the current text, by window.
+    pub(crate) ctx: ContextCache,
     /// `link.queries` tally.
     pub(crate) queries: u64,
     /// `link.results` tally.
@@ -97,5 +98,47 @@ impl Drop for LinkBufs {
         LINK_RESULTS.add(self.results_linked);
         LEV_PRUNED.add(self.lev_pruned);
         LEV_COMPUTED.add(self.lev_computed);
+    }
+}
+
+/// The context words of the text being linked against: scanned at most
+/// once per text, and clipped to a window again only when the window
+/// changes (a window covering the whole text needs no clipping). Each text begins with [`Self::reset`] — the annotator's per
+/// sentence, the public `link`'s per call — so no query reads the words of
+/// another text.
+#[derive(Default)]
+pub(crate) struct ContextCache {
+    words: ContextWords,
+    /// Whether `words` holds the current text's scan.
+    scanned: bool,
+    /// The `(lo, hi)` window whose words `spans` holds.
+    window: Option<(usize, usize)>,
+    /// Arena spans of the window's words.
+    spans: Vec<(usize, usize)>,
+}
+
+impl ContextCache {
+    /// Forgets the previous text.
+    pub(crate) fn reset(&mut self) {
+        self.scanned = false;
+        self.window = None;
+    }
+
+    /// The context words of `text[lo..hi]`: the arena and each word's span
+    /// in it. `text` is the current text: the same on every call since the
+    /// last [`Self::reset`].
+    pub(crate) fn view(&mut self, text: &str, lo: usize, hi: usize) -> (&str, &[(usize, usize)]) {
+        if !self.scanned {
+            self.words.scan(text);
+            self.scanned = true;
+        }
+        if lo == 0 && hi == text.len() {
+            return (self.words.arena(), self.words.spans());
+        }
+        if self.window != Some((lo, hi)) {
+            self.words.window_into(text, lo, hi, &mut self.spans);
+            self.window = Some((lo, hi));
+        }
+        (self.words.arena(), &self.spans)
     }
 }

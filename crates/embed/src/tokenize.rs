@@ -124,56 +124,138 @@ pub fn words(text: &str) -> Vec<String> {
 /// holds each word's byte range *within the arena*. Both buffers are
 /// cleared first, so a hot loop reuses their allocations across calls.
 ///
-/// This is the allocation-free view the unit linker's `Pr(u|c)` term runs
-/// on; the equivalence with `tokenize` filtering is pinned by a test below
-/// and by the linker's differential proptests.
+/// This is the reference the unit linker's [`ContextWords`] view is pinned
+/// to; the equivalence with `tokenize` filtering is pinned by a test below.
 pub fn context_words_into(text: &str, arena: &mut String, spans: &mut Vec<(usize, usize)>) {
     arena.clear();
     spans.clear();
+    scan_context_words(text, arena, |_, span| spans.push(span));
+}
+
+/// The one context-word scanner: appends each word's lowercased text to
+/// `arena` and reports `(source span in text, span in arena)`.
+///
+/// A CJK char is a word of its own, and a Latin word is a maximal run of
+/// alphabetic non-CJK chars; every other char (whitespace, digits, symbols)
+/// is part of no context word. `tokenize`'s number runs hold only ASCII
+/// digits and `.`, so skipping them char by char emits the same words, and
+/// a scan never lands inside a Latin run. That is what lets
+/// [`ContextWords`] clip a whole-text scan to a window instead of
+/// re-scanning it.
+fn scan_context_words(text: &str, arena: &mut String, mut emit: impl FnMut((usize, usize), (usize, usize))) {
     let mut chars = text.char_indices().peekable();
-    while let Some((_, c)) = chars.next() {
-        if c.is_whitespace() {
-            continue;
-        }
+    while let Some((start, c)) = chars.next() {
         if is_cjk(c) {
-            let start = arena.len();
+            let at = arena.len();
             arena.push(c);
-            spans.push((start, arena.len()));
-        } else if c.is_ascii_digit() {
-            // Consume the number run (with one decimal point) exactly like
-            // `tokenize`, but emit nothing: numbers are not context words.
-            let mut seen_dot = false;
-            while let Some(&(_, nc)) = chars.peek() {
-                if nc.is_ascii_digit() {
-                    chars.next();
-                } else if nc == '.' && !seen_dot {
-                    let mut ahead = chars.clone();
-                    ahead.next();
-                    match ahead.peek() {
-                        Some(&(_, d)) if d.is_ascii_digit() => {
-                            seen_dot = true;
-                            chars.next();
-                        }
-                        _ => break,
-                    }
-                } else {
-                    break;
-                }
-            }
-        } else if c.is_alphabetic() {
-            let start = arena.len();
-            arena.extend(c.to_lowercase());
-            while let Some(&(_, nc)) = chars.peek() {
-                if nc.is_alphabetic() && !is_cjk(nc) {
-                    arena.extend(nc.to_lowercase());
+            emit((start, start + c.len_utf8()), (at, arena.len()));
+        } else if is_word_char(c) {
+            let at = arena.len();
+            push_lowercase(arena, c);
+            let mut end = start + c.len_utf8();
+            while let Some(&(i, nc)) = chars.peek() {
+                if is_word_char(nc) {
+                    push_lowercase(arena, nc);
+                    end = i + nc.len_utf8();
                     chars.next();
                 } else {
                     break;
                 }
             }
-            spans.push((start, arena.len()));
+            emit((start, end), (at, arena.len()));
         }
-        // Symbols: single tokens in `tokenize`, never context words — skip.
+    }
+}
+
+/// `c.is_alphabetic() && !is_cjk(c)`, testing the cheap classes first.
+fn is_word_char(c: char) -> bool {
+    if c.is_ascii() {
+        c.is_ascii_alphabetic()
+    } else {
+        !is_cjk(c) && c.is_alphabetic()
+    }
+}
+
+/// Appends `c.to_lowercase()`; ASCII takes the equal, cheaper ASCII fold.
+fn push_lowercase(arena: &mut String, c: char) {
+    if c.is_ascii() {
+        arena.push(c.to_ascii_lowercase());
+    } else {
+        arena.extend(c.to_lowercase());
+    }
+}
+
+/// The context words of one text, scanned once and then viewed through
+/// any byte window of it: [`Self::window_into`] yields exactly what
+/// [`context_words_into`] yields for `&text[lo..hi]`, without re-scanning
+/// the window. Words inside the window are reused as scanned; a Latin word
+/// the window cuts is re-lowercased for its inside part only (a CJK word is
+/// one char, so a char-boundary window never cuts one). The buffers are
+/// reused across texts.
+#[derive(Debug, Default)]
+pub struct ContextWords {
+    /// The whole text's lowercased words, then the current window's edge
+    /// fragments.
+    arena: String,
+    /// Arena length holding the whole text's words.
+    scanned_len: usize,
+    /// Each word's span in the arena.
+    spans: Vec<(usize, usize)>,
+    /// Each word's span in the scanned text, parallel to `spans`.
+    srcs: Vec<(usize, usize)>,
+}
+
+impl ContextWords {
+    /// Scans `text`, replacing whatever was scanned before.
+    pub fn scan(&mut self, text: &str) {
+        self.arena.clear();
+        self.spans.clear();
+        self.srcs.clear();
+        let (spans, srcs) = (&mut self.spans, &mut self.srcs);
+        scan_context_words(text, &mut self.arena, |src, span| {
+            srcs.push(src);
+            spans.push(span);
+        });
+        self.scanned_len = self.arena.len();
+    }
+
+    /// The arena spans of every word of the scanned text: the window that
+    /// covers all of it.
+    pub fn spans(&self) -> &[(usize, usize)] {
+        &self.spans
+    }
+
+    /// Writes into `spans` the arena spans of the context words of
+    /// `text[lo..hi]`, in order; read them from [`Self::arena`]. `text` must
+    /// be the text last passed to [`Self::scan`], and `lo`/`hi` char
+    /// boundaries of it. `spans` is cleared first.
+    pub fn window_into(&mut self, text: &str, lo: usize, hi: usize, spans: &mut Vec<(usize, usize)>) {
+        self.arena.truncate(self.scanned_len);
+        spans.clear();
+        let first = self.srcs.partition_point(|src| src.1 <= lo);
+        for (&(start, end), &span) in self.srcs[first..].iter().zip(&self.spans[first..]) {
+            if start >= hi {
+                break;
+            }
+            if lo <= start && end <= hi {
+                spans.push(span);
+                continue;
+            }
+            let (s, e) = (start.max(lo), end.min(hi));
+            if s < e {
+                let at = self.arena.len();
+                for c in text[s..e].chars() {
+                    push_lowercase(&mut self.arena, c);
+                }
+                spans.push((at, self.arena.len()));
+            }
+        }
+    }
+
+    /// The arena the spans of [`Self::spans`] and [`Self::window_into`]
+    /// index.
+    pub fn arena(&self) -> &str {
+        &self.arena
     }
 }
 

@@ -1,13 +1,11 @@
 //! JSON for the places the workspace reads it: dim-serve request bodies
 //! and the tests that check the committed `BENCH_*.json` files.
 //!
-//! [`parse_value`] turns text into a [`Value`] tree; [`to_string`] writes
-//! one back as compact JSON. The writer is canonical: object
-//! fields in the order the tree holds them, floats in Rust's
-//! shortest-roundtrip `{}` formatting, integers without a trailing `.0`, so
-//! equal trees always write byte-identical JSON. [`write_string`] is the one
-//! string escaper, shared with dim-serve's hand-built response bodies and
-//! the dim-obs and dim-lint JSON reports.
+//! [`parse_value`] turns text into a [`Value`] tree. [`write_string`] is
+//! the one string escaper, shared with dim-serve's hand-built response
+//! bodies and the dim-obs and dim-lint JSON reports. No program writes a
+//! whole tree back, so the compact tree writer lives with the round-trip
+//! tests that use it as their generator.
 
 use std::fmt;
 
@@ -29,7 +27,7 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object; the writer keeps the field order.
+    /// An object, fields in document order.
     Obj(Vec<(String, Value)>),
 }
 
@@ -45,58 +43,7 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Writes a value as compact JSON.
-pub fn to_string(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(value, &mut out);
-    out
-}
-
-// ---- writer ----------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => write_number(*n, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        // JSON has no NaN/Inf; they are written as null.
-        out.push_str("null");
-        return;
-    }
-    if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{n}"));
-    }
-}
+// ---- string escaper --------------------------------------------------------
 
 /// Appends `s` to `out` as a JSON string literal, quotes included.
 pub fn write_string(s: &str, out: &mut String) {
@@ -342,6 +289,57 @@ impl Parser {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Writes a value as compact JSON: the round-trip tests' generator.
+    fn to_string(value: &Value) -> String {
+        let mut out = String::new();
+        write_value(value, &mut out);
+        out
+    }
+
+    fn write_value(v: &Value, out: &mut String) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) => write_number(*n, out),
+            Value::Str(s) => write_string(s, out),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_value(item, out);
+                }
+                out.push(']');
+            }
+            Value::Obj(fields) => {
+                out.push('{');
+                for (i, (k, val)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(k, out);
+                    out.push(':');
+                    write_value(val, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn write_number(n: f64, out: &mut String) {
+        if !n.is_finite() {
+            // JSON has no NaN/Inf; they are written as null.
+            out.push_str("null");
+            return;
+        }
+        if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+            out.push_str(&format!("{}", n as i64));
+        } else {
+            out.push_str(&format!("{n}"));
+        }
+    }
 
     #[test]
     fn value_roundtrip() {
