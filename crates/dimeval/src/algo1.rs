@@ -14,6 +14,7 @@
 
 use crate::task::{ExtractionItem, GoldExtraction};
 use dim_corpus::{NumericSlotModel, Sentence};
+use dim_embed::tokenize::Tokens;
 use dimlink::{Annotator, QuantityMention};
 
 static ALGO1_SPAN: dim_obs::Histogram = dim_obs::Histogram::new("algo1.run");
@@ -89,8 +90,8 @@ pub fn semi_automated_annotate(
     let tallies = dim_par::par_map_scratch(
         config.parallelism,
         corpus,
-        dimlink::ScratchSpace::new,
-        |_, sent, scratch| {
+        || (dimlink::ScratchSpace::new(), Tokens::default()),
+        |_, sent, (scratch, toks)| {
         let mut t = SentenceTally::default();
         // Stage 1: heuristic DimKS annotation with per-worker scratch; keep
         // sentences with numerics.
@@ -105,11 +106,13 @@ pub fn semi_automated_annotate(
             }
         }
 
-        // Stage 2: mask each value and keep numeric-looking slots.
+        // Stage 2: mask each value and keep numeric-looking slots; the
+        // sentence is tokenized once for all of its values.
+        toks.scan(&sent.text);
         let surviving: Vec<&QuantityMention> = mentions
             .iter()
             .filter(|m| {
-                let p = mlm.mask_and_score(&sent.text, m.value_span.0).unwrap_or(0.0);
+                let p = mlm.mask_and_score_scanned(toks, m.value_span.0).unwrap_or(0.0);
                 let keep = p >= config.mlm_threshold;
                 if !keep {
                     t.removed += 1;

@@ -207,8 +207,9 @@ impl Annotator {
     /// a final fuzzy-link fallback on the shortest candidate — the same
     /// trial order as the original allocating implementation, but every
     /// candidate is a slice of `text` or a reused scratch buffer. An exact
-    /// hit is looked up once and its units scored directly; only the
-    /// fallback runs the full link query.
+    /// hit is looked up once and its units scored directly, and the
+    /// fallback starts at the fuzzy scan, since its surface's exact trial
+    /// has just missed.
     fn try_unit_after(
         &self,
         text: &str,
@@ -246,7 +247,7 @@ impl Annotator {
             }
             // Fall back to fuzzy linking of the single-char prefix.
             let cand = &rest[..scratch.cjk_ends[0]]; // lint:allow(no_panic, first is CJK so cjk_ends has at least one entry)
-            let links = self.linker.link_window(cand, context, &mut scratch.link);
+            let links = self.linker.link_fuzzy(cand, context, &mut scratch.link);
             if links.is_empty() {
                 return None;
             }
@@ -293,7 +294,7 @@ impl Annotator {
             if !links.is_empty() {
                 return Some(mention(num, unit_start, run, links, text));
             }
-            let links = self.linker.link_window(run, context, &mut scratch.link);
+            let links = self.linker.link_fuzzy(run, context, &mut scratch.link);
             if links.is_empty() {
                 return None;
             }

@@ -143,14 +143,20 @@ impl UnitLinker {
     /// forgets the previous one first.
     pub(crate) fn link_in(&self, mention: &str, context: &str, bufs: &mut LinkBufs) -> Vec<LinkResult> {
         bufs.ctx.reset();
-        self.link_window(mention, Context::whole(context), bufs)
+        self.candidates(mention, bufs);
+        self.ranked(Context::whole(context), bufs)
     }
 
-    /// The full query against a context window: candidate generation
-    /// (exact lookup, else the fuzzy scan), then scoring. The annotator's
-    /// fuzzy fallback comes here; its exact trials take [`Self::link_exact`].
-    pub(crate) fn link_window(&self, mention: &str, ctx: Context<'_>, bufs: &mut LinkBufs) -> Vec<LinkResult> {
-        self.candidates(mention, bufs);
+    /// The annotator's fuzzy fallback: the full query for a mention whose
+    /// exact trial ([`Self::link_exact`]) just missed, so it starts at the
+    /// fuzzy scan instead of repeating the lookup. Results equal the full
+    /// query's ([`Self::candidates`], then scoring) for such a mention.
+    pub(crate) fn link_fuzzy(&self, mention: &str, ctx: Context<'_>, bufs: &mut LinkBufs) -> Vec<LinkResult> {
+        bufs.cand_ids.clear();
+        bufs.cand_sims.clear();
+        if let Some(m_sig) = prepare_mention(mention, bufs) {
+            self.fuzzy_candidates(m_sig, bufs);
+        }
         self.ranked(ctx, bufs)
     }
 
@@ -186,74 +192,75 @@ impl UnitLinker {
     fn candidates(&self, mention: &str, bufs: &mut LinkBufs) {
         bufs.cand_ids.clear();
         bufs.cand_sims.clear();
-        let idx = self.kb.link_index();
-        dimkb::normalize_into(mention, &mut bufs.key);
-        if bufs.key.is_empty() {
-            return;
-        }
-        bufs.mention_chars.clear();
-        bufs.mention_chars.extend(bufs.key.chars());
-        let m_sig = char_signature(&bufs.key);
-
+        let Some(m_sig) = prepare_mention(mention, bufs) else { return };
         // Candidate generation: exact hit short-circuits the fuzzy scan.
         // The raw mention goes through the index's case-aware lookup so `MW`
         // and `mW` resolve differently; the lowercased form only drives the
         // fuzzy Levenshtein pass. (`key` is free again: `lookup` reuses it
         // as its normalization buffer.)
-        for &id in idx.lookup(mention, &mut bufs.key) {
+        for &id in self.kb.link_index().lookup(mention, &mut bufs.key) {
             bufs.cand_ids.push(id);
             bufs.cand_sims.push(1.0);
         }
         if bufs.cand_ids.is_empty() {
-            let m_len = bufs.mention_chars.len();
-            let radius = (m_len as f64 * (1.0 - self.config.mention_threshold)).ceil() as usize;
-            let lo = m_len.saturating_sub(radius);
-            let hi = m_len + radius;
-            for len in lo..=hi {
-                let Some(bucket) = idx.bucket(len) else { continue };
-                let max_len = m_len.max(len) as f64;
-                // The distance is at least the length difference: a bucket
-                // that bound already rules out is pruned whole.
-                let len_lb = m_len.abs_diff(len) as u32;
-                if 1.0 - f64::from(len_lb) / max_len < self.config.mention_threshold {
-                    bufs.lev_pruned += bucket.syms.len() as u64;
+            self.fuzzy_candidates(m_sig, bufs);
+        }
+    }
+
+    /// The fuzzy scan of [`Self::candidates`] for the mention
+    /// [`prepare_mention`] left in `bufs.mention_chars`, with signature
+    /// `m_sig`: every unit whose key is within the mention threshold, at
+    /// its best similarity, appended to the empty candidate arena.
+    fn fuzzy_candidates(&self, m_sig: u64, bufs: &mut LinkBufs) {
+        let idx = self.kb.link_index();
+        let m_len = bufs.mention_chars.len();
+        let radius = (m_len as f64 * (1.0 - self.config.mention_threshold)).ceil() as usize;
+        let lo = m_len.saturating_sub(radius);
+        let hi = m_len + radius;
+        for len in lo..=hi {
+            let Some(bucket) = idx.bucket(len) else { continue };
+            let max_len = m_len.max(len) as f64;
+            // The distance is at least the length difference: a bucket
+            // that bound already rules out is pruned whole.
+            let len_lb = m_len.abs_diff(len) as u32;
+            if 1.0 - f64::from(len_lb) / max_len < self.config.mention_threshold {
+                bufs.lev_pruned += bucket.syms.len() as u64;
+                continue;
+            }
+            for (slot, &sym) in bucket.syms.iter().enumerate() {
+                // Signature lower bound: skip the O(m·n) DP when even
+                // the optimistic distance cannot reach the threshold.
+                let k_sig = bucket.sigs[slot]; // lint:allow(no_panic, sigs is parallel to syms by LenBucket construction)
+                let dist_lb = (m_sig & !k_sig)
+                    .count_ones()
+                    .max((k_sig & !m_sig).count_ones())
+                    .max(len_lb);
+                if 1.0 - f64::from(dist_lb) / max_len < self.config.mention_threshold {
+                    bufs.lev_pruned += 1;
                     continue;
                 }
-                for (slot, &sym) in bucket.syms.iter().enumerate() {
-                    // Signature lower bound: skip the O(m·n) DP when even
-                    // the optimistic distance cannot reach the threshold.
-                    let k_sig = bucket.sigs[slot]; // lint:allow(no_panic, sigs is parallel to syms by LenBucket construction)
-                    let dist_lb = (m_sig & !k_sig)
-                        .count_ones()
-                        .max((k_sig & !m_sig).count_ones())
-                        .max(len_lb);
-                    if 1.0 - f64::from(dist_lb) / max_len < self.config.mention_threshold {
-                        bufs.lev_pruned += 1;
-                        continue;
-                    }
-                    bufs.lev_computed += 1;
-                    let sim = lev::similarity_with(
-                        &bufs.mention_chars,
-                        idx.key(sym),
-                        len,
-                        &mut bufs.lev_prev,
-                        &mut bufs.lev_cur,
-                    );
-                    if sim >= self.config.mention_threshold {
-                        for &id in idx.fuzzy_units(sym) {
-                            // Dedup-max over the SoA arena: candidate sets
-                            // are small (a handful of near keys), so a
-                            // linear scan beats hashing.
-                            match bufs.cand_ids.iter().position(|&x| x == id) {
-                                Some(p) => {
-                                    if sim > bufs.cand_sims[p] { // lint:allow(no_panic, cand_sims is parallel to cand_ids, p from position())
-                                        bufs.cand_sims[p] = sim; // lint:allow(no_panic, same parallel-arena bound as above)
-                                    }
+                bufs.lev_computed += 1;
+                let sim = lev::similarity_with(
+                    &bufs.mention_chars,
+                    idx.key(sym),
+                    len,
+                    &mut bufs.lev_prev,
+                    &mut bufs.lev_cur,
+                );
+                if sim >= self.config.mention_threshold {
+                    for &id in idx.fuzzy_units(sym) {
+                        // Dedup-max over the SoA arena: candidate sets
+                        // are small (a handful of near keys), so a
+                        // linear scan beats hashing.
+                        match bufs.cand_ids.iter().position(|&x| x == id) {
+                            Some(p) => {
+                                if sim > bufs.cand_sims[p] { // lint:allow(no_panic, cand_sims is parallel to cand_ids, p from position())
+                                    bufs.cand_sims[p] = sim; // lint:allow(no_panic, same parallel-arena bound as above)
                                 }
-                                None => {
-                                    bufs.cand_ids.push(id);
-                                    bufs.cand_sims.push(sim);
-                                }
+                            }
+                            None => {
+                                bufs.cand_ids.push(id);
+                                bufs.cand_sims.push(sim);
                             }
                         }
                     }
@@ -334,6 +341,19 @@ impl UnitLinker {
         }
         total / ctx_spans.len() as f64
     }
+}
+
+/// Normalizes `mention` into `bufs.mention_chars` for the fuzzy scan and
+/// returns its char signature; `None` when it normalizes to nothing, which
+/// no query links.
+fn prepare_mention(mention: &str, bufs: &mut LinkBufs) -> Option<u64> {
+    dimkb::normalize_into(mention, &mut bufs.key);
+    if bufs.key.is_empty() {
+        return None;
+    }
+    bufs.mention_chars.clear();
+    bufs.mention_chars.extend(bufs.key.chars());
+    Some(char_signature(&bufs.key))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! (§IV-C2) only requires `findTriplets` by object mention and by
 //! predicate, which this store serves from hash indexes.
 
-use dim_embed::tokenize::tokenize;
+use dim_embed::tokenize::Tokens;
 use std::collections::HashMap;
 
 /// Interned entity id.
@@ -44,6 +44,10 @@ pub struct TripleStore {
     by_predicate: HashMap<PredicateId, Vec<TripleId>>,
     /// Inverted index: object token → triples whose object contains it.
     object_tokens: HashMap<String, Vec<TripleId>>,
+    /// Every object's tokens, scanned once at insert.
+    object_toks: Tokens,
+    /// Each triple's token range in `object_toks`.
+    object_ranges: Vec<std::ops::Range<usize>>,
 }
 
 impl TripleStore {
@@ -80,14 +84,19 @@ impl TripleStore {
         self.triples.push(Triple { subject, predicate, object: object.to_string() });
         self.by_subject.entry(subject).or_default().push(id);
         self.by_predicate.entry(predicate).or_default().push(id);
-        let mut seen = Vec::new();
-        for tok in tokenize(object) {
-            if seen.contains(&tok.text) {
+        let range = self.object_toks.push(object);
+        for (k, tok) in self.object_toks.texts(range.clone()).enumerate() {
+            if self.object_toks.texts(range.start..range.start + k).any(|seen| seen == tok) {
                 continue;
             }
-            self.object_tokens.entry(tok.text.clone()).or_default().push(id);
-            seen.push(tok.text);
+            match self.object_tokens.get_mut(tok) {
+                Some(ids) => ids.push(id),
+                None => {
+                    self.object_tokens.insert(tok.to_string(), vec![id]);
+                }
+            }
         }
+        self.object_ranges.push(range);
         id
     }
 
@@ -128,23 +137,29 @@ impl TripleStore {
 
     /// `findTriplets(K, m in object)`: triples whose object mentions `m`
     /// (token-level containment of the mention's token sequence).
+    /// The objects' tokens were scanned once at insert, so a query scans
+    /// only the mention.
     pub fn find_by_object_mention(&self, mention: &str) -> Vec<TripleId> {
-        let toks = tokenize(mention);
-        let Some(first) = toks.first() else { return Vec::new() };
-        let Some(candidates) = self.object_tokens.get(&first.text) else {
+        let mut needle = Tokens::default();
+        needle.scan(mention);
+        if needle.is_empty() {
+            return Vec::new();
+        }
+        let Some(candidates) = self.object_tokens.get(needle.text(0)) else {
             return Vec::new();
         };
-        if toks.len() == 1 {
+        if needle.len() == 1 {
             return candidates.clone();
         }
-        let needle: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let hay = &self.object_toks;
         candidates
             .iter()
             .copied()
             .filter(|&id| {
-                let obj_toks = tokenize(&self.triple(id).object);
-                let hay: Vec<&str> = obj_toks.iter().map(|t| t.text.as_str()).collect();
-                hay.windows(needle.len()).any(|w| w == needle.as_slice())
+                let (n, range) = (needle.len(), &self.object_ranges[id.0 as usize]);
+                range.end.checked_sub(n).is_some_and(|last| {
+                    (range.start..=last).any(|at| hay.texts(at..at + n).eq(needle.texts(0..n)))
+                })
             })
             .collect()
     }
@@ -221,6 +236,55 @@ mod tests {
         s.insert(e, p, "metres squared five");
         let hits = s.find_by_object_mention("square metres");
         assert_eq!(hits.len(), 1);
+    }
+
+    /// The search that re-tokenized every candidate object per query, kept
+    /// as the oracle for the spans scanned once at insert.
+    fn find_by_object_mention_reference(s: &TripleStore, mention: &str) -> Vec<TripleId> {
+        use dim_embed::tokenize::tokenize;
+        let toks = tokenize(mention);
+        let Some(first) = toks.first() else { return Vec::new() };
+        let Some(candidates) = s.object_tokens.get(&first.text) else {
+            return Vec::new();
+        };
+        if toks.len() == 1 {
+            return candidates.clone();
+        }
+        let needle: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        candidates
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let obj_toks = tokenize(&s.triple(id).object);
+                let hay: Vec<&str> = obj_toks.iter().map(|t| t.text.as_str()).collect();
+                hay.windows(needle.len()).any(|w| w == needle.as_slice())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stored_spans_match_re_tokenizing_each_object() {
+        let kb = dimkb::DimUnitKb::shared();
+        let kg = crate::synthesize(&kb, &crate::SynthConfig { entities_per_type: 8, seed: 3 });
+        // Every 1- to 3-token window of every object, plus mentions that
+        // straddle objects, repeat a token or match nothing.
+        let mut mentions = vec!["".to_string(), "米 米".into(), "不存在".into(), "Square Metres".into()];
+        for i in 0..kg.store.len() {
+            let object = &kg.store.triple(TripleId(i as u32)).object;
+            let toks = dim_embed::tokenize::tokenize(object);
+            for n in 1..=3 {
+                for w in toks.windows(n) {
+                    mentions.push(object[w[0].start..w[n - 1].end].to_string());
+                }
+            }
+            mentions.push(format!("{object} {object}"));
+        }
+        mentions.sort();
+        mentions.dedup();
+        assert!(mentions.len() > 500, "{} mentions", mentions.len());
+        for m in &mentions {
+            assert_eq!(kg.store.find_by_object_mention(m), find_by_object_mention_reference(&kg.store, m), "{m:?}");
+        }
     }
 
     #[test]

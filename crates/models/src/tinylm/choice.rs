@@ -1,7 +1,7 @@
 //! The choice scorer: a linear softmax model over (question, option)
 //! crossed features, fine-tuned on DimEval items with CoT targets.
 
-use crate::tinylm::features::{choice_features_for, PreparedQuestion};
+use crate::tinylm::features::{ChoiceBatch, Featuriser};
 use crate::tinylm::linear::LinearModel;
 use dimeval::ChoiceItem;
 use rand::rngs::StdRng;
@@ -21,12 +21,6 @@ impl ChoiceScorer {
         ChoiceScorer { model: LinearModel::random(0.15, 0.02, seed), margin_threshold: 0.05 }
     }
 
-    /// Per-option features of an item; the question is prepared once.
-    fn item_features(item: &ChoiceItem) -> Vec<Vec<u32>> {
-        let q = PreparedQuestion::new(item.task.name(), &item.question);
-        item.options.iter().map(|o| choice_features_for(&q, o)).collect()
-    }
-
     /// Trains on a batch of items for `epochs` passes (order shuffled
     /// deterministically). Returns the mean loss of the final epoch.
     pub fn train<'a>(
@@ -36,16 +30,22 @@ impl ChoiceScorer {
         seed: u64,
     ) -> f32 {
         // Features never change between epochs, and featurising draws no
-        // randomness, so every item is featurised once, up front.
-        let (feats, answers): (Vec<_>, Vec<_>) =
-            items.into_iter().map(|item| (Self::item_features(item), item.answer)).unzip();
-        self.fit(&feats, &answers, epochs, seed)
+        // randomness, so every item is featurised once, up front, into one
+        // flat buffer.
+        let mut featuriser = Featuriser::default();
+        let mut batch = ChoiceBatch::default();
+        let mut answers = Vec::new();
+        for item in items {
+            batch.push_item(&mut featuriser, item.task.name(), &item.question, &item.options);
+            answers.push(item.answer);
+        }
+        self.fit(&batch, &answers, epochs, seed)
     }
 
     /// The SGD passes of [`ChoiceScorer::train`] over featurised items.
-    fn fit(&mut self, feats: &[Vec<Vec<u32>>], answers: &[usize], epochs: usize, seed: u64) -> f32 {
+    fn fit(&mut self, batch: &ChoiceBatch, answers: &[usize], epochs: usize, seed: u64) -> f32 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..feats.len()).collect();
+        let mut order: Vec<usize> = (0..batch.len()).collect();
         let mut last_loss = 0.0;
         let mut exps = Vec::new();
         for _ in 0..epochs {
@@ -55,16 +55,20 @@ impl ChoiceScorer {
             }
             let mut total = 0.0;
             for &i in &order {
-                total += self.model.sgd_softmax(&feats[i], answers[i], &mut exps);
+                let (ids, bounds) = batch.item(i);
+                total += self.model.sgd_softmax(ids, bounds, answers[i], &mut exps);
             }
-            last_loss = if feats.is_empty() { 0.0 } else { total / feats.len() as f32 };
+            last_loss = if batch.len() == 0 { 0.0 } else { total / batch.len() as f32 };
         }
         last_loss
     }
 
     /// The score of each of an item's options, in option order.
     pub fn scores(&self, item: &ChoiceItem) -> Vec<f32> {
-        Self::item_features(item).iter().map(|f| self.model.score(f)).collect()
+        let mut batch = ChoiceBatch::default();
+        batch.push_item(&mut Featuriser::default(), item.task.name(), &item.question, &item.options);
+        let (ids, bounds) = batch.item(0);
+        bounds.windows(2).map(|w| self.model.score(&ids[w[0]..w[1]])).collect()
     }
 
     /// Answers an item; abstains when the top-two margin is below the
@@ -136,7 +140,7 @@ mod tests {
             .collect();
         let answers: Vec<usize> = train.iter().map(|i| i.answer).collect();
         let mut reference = ChoiceScorer::naive(12);
-        let reference_loss = reference.fit(&reference_feats, &answers, 2, 13);
+        let reference_loss = reference.fit(&ChoiceBatch::from_options(&reference_feats), &answers, 2, 13);
         assert_eq!(fast_loss.to_bits(), reference_loss.to_bits());
         for (item, feats) in train.iter().zip(&reference_feats) {
             for f in feats {

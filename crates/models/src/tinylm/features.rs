@@ -5,7 +5,7 @@
 //! string's byte pieces in order ([`Fnv`]), so no feature string is ever
 //! built: the same bytes give the same id as hashing the joined string.
 
-use dim_embed::tokenize::tokenize;
+use dim_embed::tokenize::Tokens;
 use std::fmt::Write as _;
 
 /// Size of the hashed weight space (2^20).
@@ -54,6 +54,12 @@ impl Fnv {
     }
 }
 
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
+
 impl std::fmt::Write for Fnv {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         *self = self.str(s);
@@ -79,137 +85,361 @@ pub fn feat(s: &str) -> u32 {
     Fnv::new().str(s).finish()
 }
 
-/// Word-level tokens of a text (CJK chars count as words).
-pub fn words(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.text).collect()
-}
-
-/// The byte offset of a word's [`suffix`].
+/// The byte offset of a word's suffix: the start of its last four chars
+/// (the whole word when shorter). Word suffixes generalize across metric
+/// families: kilometre / centimetre / metre all share the "etre" stem,
+/// which carries the same-dimension signal a transformer would pick up
+/// subword-wise.
 fn suffix_at(w: &str) -> usize {
     w.char_indices().rev().nth(3).map_or(0, |(i, _)| i)
-}
-
-/// The last four chars of a word (the whole word when shorter). Word
-/// suffixes generalize across metric families: kilometre / centimetre /
-/// metre all share the "etre" stem, which carries the same-dimension
-/// signal a transformer would pick up subword-wise.
-fn suffix(w: &str) -> &str {
-    &w[suffix_at(w)..]
 }
 
 /// Features of a (question, option) pair for choice scoring: option words,
 /// option word bigrams, and question×option crossed words (capped).
 pub fn choice_features(task: &str, question: &str, option: &str) -> Vec<u32> {
-    choice_features_for(&PreparedQuestion::new(task, question), option)
+    let mut f = Featuriser::default();
+    f.scan_item(task, question, &[option]);
+    let mut out = Vec::with_capacity(f.option_len(0));
+    f.write_option(0, option, &mut out);
+    out
 }
 
-/// The cross-feature prefix states of four question words, one lane each:
-/// `"{task}|x:{qw}|"`, `"{task}|xs:{suffix(qw)}|"` and `"{task}|xO:{qw}|"`.
-struct Quad {
-    x: [Fnv; 4],
-    xs: [Fnv; 4],
-    xo: [Fnv; 4],
+/// A word or suffix of an item: its FNV-1a hash and its text's span in
+/// the token arena.
+#[derive(Clone, Copy)]
+struct Key {
+    hash: u64,
+    span: (usize, usize),
 }
 
-/// An item's question, prepared once and shared by all of its options:
-/// its words, each word's suffix offset, and the cross-feature prefix
-/// states of the first [`MAX_Q_WORDS`] words. An option then hashes only
-/// its own bytes onto those states ([`choice_features_for`]).
-pub(crate) struct PreparedQuestion {
-    /// `"{task}|"`.
-    task: Fnv,
-    words: Vec<String>,
-    suffix_at: Vec<usize>,
-    /// Question words that get cross features.
-    n_crossed: usize,
-    /// The crossed words four at a time; a short last quad repeats its
-    /// last word in the unused lanes.
-    quads: Vec<Quad>,
+/// The distinct keys of one item, in order of first occurrence, found by
+/// hash: open addressing over `slots`, each holding a key index plus one
+/// (zero is empty), with at most half of the slots full.
+#[derive(Default)]
+struct DistinctSet {
+    keys: Vec<Key>,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the first slot.
+    shift: u32,
 }
 
-impl PreparedQuestion {
-    pub(crate) fn new(task: &str, question: &str) -> PreparedQuestion {
-        let words = words(question);
-        let suffix_at: Vec<usize> = words.iter().map(|w| suffix_at(w)).collect();
-        let task = Fnv::new().str(task).str("|");
-        let n_crossed = words.len().min(MAX_Q_WORDS);
-        let quads = (0..n_crossed.div_ceil(4))
-            .map(|g| {
-                let lane = |k: usize| (4 * g + k).min(n_crossed - 1);
-                let word = |k: usize| words[lane(k)].as_str();
-                let suf = |k: usize| &word(k)[suffix_at[lane(k)]..];
-                Quad {
-                    x: std::array::from_fn(|k| task.str("x:").str(word(k)).str("|")),
-                    xs: std::array::from_fn(|k| task.str("xs:").str(suf(k)).str("|")),
-                    xo: std::array::from_fn(|k| task.str("xO:").str(word(k)).str("|")),
+impl DistinctSet {
+    /// Empties the set, sized for up to `max_keys` keys.
+    fn reset(&mut self, max_keys: usize) {
+        let n = (2 * max_keys).next_power_of_two().max(8);
+        self.keys.clear();
+        self.keys.reserve(max_keys);
+        self.slots.clear();
+        self.slots.resize(n, 0);
+        self.shift = 64 - n.trailing_zeros();
+    }
+
+    /// The index of `key`'s text, or the empty slot where it would go.
+    fn probe(&self, arena: &str, key: Key) -> Result<usize, usize> {
+        let text = &arena[key.span.0..key.span.1];
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                k => {
+                    let d = self.keys[k as usize - 1];
+                    if d.hash == key.hash && &arena[d.span.0..d.span.1] == text {
+                        return Ok(k as usize - 1);
+                    }
                 }
-            })
-            .collect();
-        PreparedQuestion { task, words, suffix_at, n_crossed, quads }
+            }
+            slot = (slot + 1) & mask;
+        }
     }
-}
 
-/// [`choice_features`] for one option of a prepared question: the
-/// question's prefixes are hashed once per item, not once per feature.
-pub(crate) fn choice_features_for(q: &PreparedQuestion, option: &str) -> Vec<u32> {
-    let o_words = words(option);
-    let n_o = o_words.len().min(MAX_O_WORDS);
-    let mut o_suffixes = [""; MAX_O_WORDS];
-    for (s, w) in o_suffixes.iter_mut().zip(&o_words) {
-        *s = suffix(w);
+    fn find(&self, arena: &str, key: Key) -> Option<usize> {
+        self.probe(arena, key).ok()
     }
-    // Each crossed question word owns one block of the output: an `x:` and
-    // an `xs:` id per crossed option word, then its `xO:` id.
-    let block = n_o * 2 + 1;
-    let head = o_words.len() * 2 + o_words.len().saturating_sub(1) + 1;
-    let len = head + q.n_crossed * block + 2;
-    let mut out = Vec::with_capacity(len);
-    let t = q.task;
-    for w in &o_words {
-        out.push(t.str("o:").str(w).finish());
-        out.push(t.str("os:").str(suffix(w)).finish());
-    }
-    for pair in o_words.windows(2) {
-        out.push(t.str("o2:").str(&pair[0]).str(" ").str(&pair[1]).finish());
-    }
-    // The whole option string as one memorization feature (crucial for
-    // conversion factors like "1000").
-    out.push(t.str("O:").str(option).finish());
-    out.resize(head + q.n_crossed * block, 0);
-    for (quad, blocks) in q.quads.iter().zip(out[head..].chunks_mut(4 * block)) {
-        for (j, ow) in o_words[..n_o].iter().enumerate() {
-            let x = str4(quad.x, ow);
-            let xs = str4(quad.xs, o_suffixes[j]);
-            for (b, (x, xs)) in blocks.chunks_exact_mut(block).zip(x.into_iter().zip(xs)) {
-                b[2 * j] = x.finish();
-                b[2 * j + 1] = xs.finish();
+
+    /// The index of `key`'s text and whether it was new, interning it.
+    fn intern(&mut self, arena: &str, key: Key) -> (usize, bool) {
+        match self.probe(arena, key) {
+            Ok(i) => (i, false),
+            Err(slot) => {
+                self.keys.push(key);
+                self.slots[slot] = self.keys.len() as u32;
+                (self.keys.len() - 1, true)
             }
         }
-        let xo = str4(quad.xo, option);
-        for (b, xo) in blocks.chunks_exact_mut(block).zip(xo) {
-            b[2 * n_o] = xo.finish();
+    }
+}
+
+/// Hashes each of `prefixes` (four states in lockstep) extended by each of
+/// `suffixes`, into `out[s * prefixes.len() + p]`.
+fn cross_table(prefixes: &[Fnv], suffixes: impl ExactSizeIterator<Item = impl AsRef<str>>, out: &mut Vec<u32>) {
+    let n = prefixes.len();
+    out.clear();
+    out.reserve(n * suffixes.len());
+    for s in suffixes {
+        let s = s.as_ref();
+        let row = out.len();
+        out.resize(row + n, 0);
+        for (quad, ids) in prefixes.chunks(4).zip(out[row..].chunks_mut(4)) {
+            // A short last quad repeats its last state in the unused lanes.
+            let lanes = std::array::from_fn(|k| quad[k.min(quad.len() - 1)]);
+            for (id, h) in ids.iter_mut().zip(str4(lanes, s)) {
+                *id = h.finish();
+            }
         }
     }
-    // Overlap indicators: does the option share words / word-families with
-    // the question? A linear proxy for the token-matching attention that
-    // lets a transformer spot "metre" echoing "kilometre".
-    let mut share_word = 0usize;
-    let mut share_suffix = 0usize;
-    for ow in &o_words {
-        if q.words.iter().any(|qw| qw == ow) {
-            share_word += 1;
-        }
-        let os = suffix(ow);
-        if os.chars().count() >= 3
-            && q.words.iter().zip(&q.suffix_at).any(|(qw, &at)| &qw[at..] == os && qw != ow)
-        {
-            share_suffix += 1;
-        }
+}
+
+/// Featurises choice items a whole item at a time, reusing its buffers
+/// across items. [`Self::scan_item`] scans the question and every option
+/// once, keeps each distinct word and suffix once, and hashes each `x:`
+/// and `xs:` id once per distinct (question word or suffix, option word or
+/// suffix) pair of the item and each `xO:` id once per distinct question
+/// word per option. [`Self::write_option`] then lays one option's ids out
+/// exactly as the per-pair `format!` reference orders them.
+#[derive(Default)]
+pub(crate) struct Featuriser {
+    /// `"{task}|"`.
+    task: Fnv,
+    /// The question's tokens, then each option's.
+    toks: Tokens,
+    /// Distinct question words and suffixes. The crossed words come first,
+    /// so the first `n_dq`/`n_dqs` are exactly theirs.
+    dq: DistinctSet,
+    dqs: DistinctSet,
+    n_dq: usize,
+    n_dqs: usize,
+    /// Per distinct question suffix: how many distinct question words end
+    /// in it, and the `dq` index of the first.
+    suffix_words: Vec<(usize, usize)>,
+    /// Each crossed question word's index in `dq` and its suffix's in `dqs`.
+    qx: Vec<usize>,
+    qsx: Vec<usize>,
+    /// Each option's token range `(start, end)` in `toks`.
+    options: Vec<(usize, usize)>,
+    /// Distinct crossed option words and suffixes over all options.
+    dow: DistinctSet,
+    dos: DistinctSet,
+    /// Per option (`MAX_O_WORDS` slots each), each crossed option word's
+    /// index in `dow` and its suffix's in `dos`.
+    ox: Vec<usize>,
+    osx: Vec<usize>,
+    /// Prefix states of the distinct crossed question words or suffixes.
+    prefixes: Vec<Fnv>,
+    /// `x[b * n_dq + a]`: the `x:` id of question word `a` and option word
+    /// `b`; `xs` likewise over suffixes; `xo[o * n_dq + a]`: the `xO:` id
+    /// of question word `a` and option `o`.
+    x: Vec<u32>,
+    xs: Vec<u32>,
+    xo: Vec<u32>,
+    /// Each option's `shareW`/`shareS` counts.
+    shares: Vec<(usize, usize)>,
+}
+
+impl Featuriser {
+    /// Token `i`'s word and suffix keys.
+    fn keys(&self, i: usize) -> (Key, Key) {
+        let w = self.toks.text(i);
+        let (s, e) = self.toks.spans()[i].text;
+        let at = suffix_at(w);
+        let word = Key { hash: Fnv::new().str(w).0, span: (s, e) };
+        let suffix = Key { hash: Fnv::new().str(&w[at..]).0, span: (s + at, e) };
+        (word, suffix)
     }
-    out.push(t.str("shareW:").num(share_word.min(3)).finish());
-    out.push(t.str("shareS:").num(share_suffix.min(3)).finish());
-    debug_assert_eq!(out.len(), len);
-    out
+
+    /// Scans one item and hashes its cross tables; the options are then
+    /// written by [`Self::write_option`] in any order.
+    pub(crate) fn scan_item(&mut self, task: &str, question: &str, options: &[impl AsRef<str>]) {
+        self.task = Fnv::new().str(task).str("|");
+        self.toks.clear();
+        let q = self.toks.push(question);
+        self.options.clear();
+        self.options.reserve(options.len());
+        for o in options {
+            let range = self.toks.push(o.as_ref());
+            self.options.push((range.start, range.end));
+        }
+        let n_crossed = q.len().min(MAX_Q_WORDS);
+        self.dq.reset(q.len());
+        self.dqs.reset(q.len());
+        self.suffix_words.clear();
+        self.suffix_words.reserve(q.len());
+        self.qx.clear();
+        self.qx.reserve(n_crossed);
+        self.qsx.clear();
+        self.qsx.reserve(n_crossed);
+        (self.n_dq, self.n_dqs) = (0, 0);
+        for (k, i) in (q.start..q.end).enumerate() {
+            let (word, suffix) = self.keys(i);
+            let arena = self.toks.arena();
+            let (a, new_word) = self.dq.intern(arena, word);
+            let (sa, new_suffix) = self.dqs.intern(arena, suffix);
+            if new_suffix {
+                self.suffix_words.push((0, a));
+            }
+            if new_word {
+                self.suffix_words[sa].0 += 1;
+            }
+            if k < n_crossed {
+                self.qx.push(a);
+                self.qsx.push(sa);
+                (self.n_dq, self.n_dqs) = (self.dq.keys.len(), self.dqs.keys.len());
+            }
+        }
+        let n_option_words = self.toks.len() - q.len();
+        self.dow.reset(n_option_words);
+        self.dos.reset(n_option_words);
+        self.ox.clear();
+        self.ox.reserve(options.len() * MAX_O_WORDS);
+        self.osx.clear();
+        self.osx.reserve(options.len() * MAX_O_WORDS);
+        self.shares.clear();
+        self.shares.reserve(options.len());
+        for o in 0..self.options.len() {
+            let (mut share_word, mut share_suffix) = (0usize, 0usize);
+            let (start, end) = self.options[o];
+            for (j, i) in (start..end).enumerate() {
+                let (word, suffix) = self.keys(i);
+                let arena = self.toks.arena();
+                if j < MAX_O_WORDS {
+                    self.ox.push(self.dow.intern(arena, word).0);
+                    self.osx.push(self.dos.intern(arena, suffix).0);
+                }
+                // Overlap indicators: does the option share words /
+                // word-families with the question? A linear proxy for the
+                // token-matching attention that lets a transformer spot
+                // "metre" echoing "kilometre". A suffix counts when some
+                // other question word ends in it.
+                let in_question = self.dq.find(arena, word);
+                share_word += usize::from(in_question.is_some());
+                if arena[suffix.span.0..suffix.span.1].chars().count() >= 3 {
+                    if let Some(sa) = self.dqs.find(arena, suffix) {
+                        let (n_words, first) = self.suffix_words[sa];
+                        share_suffix += usize::from(n_words > 1 || in_question != Some(first));
+                    }
+                }
+            }
+            self.ox.resize((o + 1) * MAX_O_WORDS, 0);
+            self.osx.resize((o + 1) * MAX_O_WORDS, 0);
+            self.shares.push((share_word, share_suffix));
+        }
+        self.hash_cross_tables(options);
+    }
+
+    /// Fills `x`, `xs` and `xo`: one hash per distinct pair.
+    fn hash_cross_tables(&mut self, options: &[impl AsRef<str>]) {
+        let t = self.task;
+        let arena = self.toks.arena();
+        let text = |d: &Key| &arena[d.span.0..d.span.1];
+        let (dq, dqs) = (&self.dq.keys[..self.n_dq], &self.dqs.keys[..self.n_dqs]);
+        self.prefixes.clear();
+        self.prefixes.reserve(self.n_dq.max(self.n_dqs));
+        self.prefixes.extend(dq.iter().map(|d| t.str("x:").str(text(d)).str("|")));
+        cross_table(&self.prefixes, self.dow.keys.iter().map(text), &mut self.x);
+        self.prefixes.clear();
+        self.prefixes.extend(dqs.iter().map(|d| t.str("xs:").str(text(d)).str("|")));
+        cross_table(&self.prefixes, self.dos.keys.iter().map(text), &mut self.xs);
+        self.prefixes.clear();
+        self.prefixes.extend(dq.iter().map(|d| t.str("xO:").str(text(d)).str("|")));
+        cross_table(&self.prefixes, options.iter(), &mut self.xo);
+    }
+
+    /// The number of ids option `o` has.
+    pub(crate) fn option_len(&self, o: usize) -> usize {
+        let n_words = self.options[o].1 - self.options[o].0;
+        let n_o = n_words.min(MAX_O_WORDS);
+        let head = n_words * 2 + n_words.saturating_sub(1) + 1;
+        head + self.qx.len() * (n_o * 2 + 1) + 2
+    }
+
+    /// Appends option `o` (whose text is `option`) to `out`: its words and
+    /// suffixes, word bigrams and the whole option, then per crossed
+    /// question word an `x:` and an `xs:` id per crossed option word and
+    /// its `xO:` id, then the two overlap counts.
+    pub(crate) fn write_option(&self, o: usize, option: &str, out: &mut Vec<u32>) {
+        let t = self.task;
+        let (start, end) = self.options[o];
+        let n_o = (end - start).min(MAX_O_WORDS);
+        let words = || self.toks.texts(start..end);
+        out.reserve(self.option_len(o));
+        for w in words() {
+            out.push(t.str("o:").str(w).finish());
+            out.push(t.str("os:").str(&w[suffix_at(w)..]).finish());
+        }
+        for (a, b) in words().zip(words().skip(1)) {
+            out.push(t.str("o2:").str(a).str(" ").str(b).finish());
+        }
+        // The whole option string as one memorization feature (crucial for
+        // conversion factors like "1000").
+        out.push(t.str("O:").str(option).finish());
+        let ox = &self.ox[o * MAX_O_WORDS..][..n_o];
+        let osx = &self.osx[o * MAX_O_WORDS..][..n_o];
+        let xo = &self.xo[o * self.n_dq..][..self.n_dq];
+        // A crossed word's block depends on the word alone, so a repeated
+        // word copies the block its first occurrence wrote.
+        let block = 2 * n_o + 1;
+        let mut written = [usize::MAX; MAX_Q_WORDS];
+        for (&a, &sa) in self.qx.iter().zip(&self.qsx) {
+            if written[a] != usize::MAX {
+                out.extend_from_within(written[a]..written[a] + block);
+                continue;
+            }
+            written[a] = out.len();
+            for (&b, &sb) in ox.iter().zip(osx) {
+                out.push(self.x[b * self.n_dq + a]);
+                out.push(self.xs[sb * self.n_dqs + sa]);
+            }
+            out.push(xo[a]);
+        }
+        let (share_word, share_suffix) = self.shares[o];
+        out.push(t.str("shareW:").num(share_word.min(3)).finish());
+        out.push(t.str("shareS:").num(share_suffix.min(3)).finish());
+    }
+}
+
+/// Featurised choice items in one flat id buffer: option `k`, counted over
+/// all items, holds `ids[bounds[k]..bounds[k + 1]]`, and item `i` holds
+/// options `items[i]..items[i + 1]`.
+#[derive(Debug)]
+pub(crate) struct ChoiceBatch {
+    ids: Vec<u32>,
+    bounds: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Default for ChoiceBatch {
+    fn default() -> Self {
+        ChoiceBatch { ids: Vec::new(), bounds: vec![0], items: vec![0] }
+    }
+}
+
+impl ChoiceBatch {
+    /// Appends one item's options, featurised by one scan of `f`.
+    pub(crate) fn push_item(
+        &mut self,
+        f: &mut Featuriser,
+        task: &str,
+        question: &str,
+        options: &[impl AsRef<str>],
+    ) {
+        f.scan_item(task, question, options);
+        for (o, option) in options.iter().enumerate() {
+            f.write_option(o, option.as_ref(), &mut self.ids);
+            self.bounds.push(self.ids.len());
+        }
+        self.items.push(self.bounds.len() - 1);
+    }
+
+    /// Number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len() - 1
+    }
+
+    /// Item `i` as [`crate::tinylm::linear::LinearModel::sgd_softmax`]
+    /// reads it: the id buffer and the item's option bounds in it.
+    pub(crate) fn item(&self, i: usize) -> (&[u32], &[usize]) {
+        (&self.ids, &self.bounds[self.items[i]..=self.items[i + 1]])
+    }
 }
 
 /// Features of an extraction candidate: the unit string, its characters,
@@ -231,6 +461,7 @@ pub fn extraction_features(unit_surface: &str, prev: &str, next: &str) -> Vec<u3
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use dim_embed::tokenize::words;
     use proptest::prelude::*;
 
     /// The `format!`-based featuriser the streaming hasher replaced, kept
@@ -277,6 +508,21 @@ pub(crate) mod tests {
         out.push(feat(&format!("{task}|shareW:{}", share_word.min(3))));
         out.push(feat(&format!("{task}|shareS:{}", share_suffix.min(3))));
         out
+    }
+
+    impl ChoiceBatch {
+        /// A batch holding ids produced elsewhere, one `Vec` per option.
+        pub(crate) fn from_options(items: &[Vec<Vec<u32>>]) -> ChoiceBatch {
+            let mut batch = ChoiceBatch::default();
+            for options in items {
+                for ids in options {
+                    batch.ids.extend_from_slice(ids);
+                    batch.bounds.push(batch.ids.len());
+                }
+                batch.items.push(batch.bounds.len() - 1);
+            }
+            batch
+        }
     }
 
     /// The `format!`-based extraction featuriser, the oracle for
@@ -329,6 +575,16 @@ pub(crate) mod tests {
         }
 
         #[test]
+        fn item_features_match_the_format_reference(
+            task in "[a-z-]{0,20}",
+            question in text(60),
+            options in prop::collection::vec(text(12), 0..6),
+        ) {
+            let options: Vec<&str> = options.iter().map(String::as_str).collect();
+            prop_assert_eq!(check_item(&mut Featuriser::default(), &task, &question, &options), Ok(()));
+        }
+
+        #[test]
         fn extraction_features_match_the_format_reference(
             unit in "[a-zA-Z°µΩ%‰/²³千克米秒]{0,12}",
             prev in "[a-z重号长 ]{0,2}",
@@ -361,8 +617,24 @@ pub(crate) mod tests {
         );
     }
 
+    /// Every option of one item through one scan of `f`, which may hold an
+    /// earlier item's state; each option is checked against the reference.
+    fn check_item(f: &mut Featuriser, task: &str, question: &str, options: &[&str]) -> Result<(), String> {
+        f.scan_item(task, question, options);
+        let mut out = Vec::new();
+        for (o, option) in options.iter().enumerate() {
+            out.clear();
+            f.write_option(o, option, &mut out);
+            let want = choice_features_reference(task, question, option);
+            if out != want || f.option_len(o) != want.len() {
+                return Err(format!("question {question:?}, option {o} {option:?} of {options:?}"));
+            }
+        }
+        Ok(())
+    }
+
     #[test]
-    fn one_prepared_question_matches_the_reference_for_every_option() {
+    fn one_scanned_item_matches_the_reference_for_every_option() {
         // Options with no words, with fewer and more than the eight crossed
         // option words, and with words and suffixes the question shares.
         let options =
@@ -374,16 +646,42 @@ pub(crate) mod tests {
             .chain(38..=42)
             .map(|n| (0..n).map(|i| format!("{} ", vocab[i % 7])).collect::<String>())
             .chain(["convert 3 kilometre5 to metre: how many 千米 is that per second?".into()]);
+        let mut f = Featuriser::default();
         for question in questions {
-            let q = PreparedQuestion::new("task", &question);
-            for option in options {
-                assert_eq!(
-                    choice_features_for(&q, option),
-                    choice_features_reference("task", &question, option),
-                    "question {question:?}, option {option:?}"
-                );
-            }
+            check_item(&mut f, "task", &question, &options).unwrap();
         }
+    }
+
+    #[test]
+    fn deduplicated_pairs_keep_every_id_in_place() {
+        let mut f = Featuriser::default();
+        // Options sharing words and the `(`, `)` and `/` symbols.
+        let shared = ["km (kilometre)", "m/s (metre)", "(km)/s", "kg/m (km)", "km"];
+        check_item(&mut f, "conv", "convert 5 km/h (speed) to m/s", &shared).unwrap();
+        // A question word on each side of the 40-word cap, and words that
+        // occur only past it (uncrossed, but still counted as shared).
+        let letter = |i: usize| char::from(b'a' + (i % 26) as u8);
+        let filler: Vec<String> = (0..38).map(|i| format!("w{}{}", letter(i / 26), letter(i))).collect();
+        let question = format!("metre {} metre gram metre tonne", filler.join(" "));
+        assert!(words(&question).len() > MAX_Q_WORDS && words(&question)[39] == "metre");
+        check_item(&mut f, "cap", &question, &["metre", "gram tonne", "tonne metre wab"]).unwrap();
+        // An option word repeated past the 8-word cap, and one that occurs
+        // only past it.
+        let long = "a b metre d e f g h metre tonne";
+        assert_eq!(words(long)[8], "metre");
+        check_item(&mut f, "cap", "a metre of tonne", &[long, "metre metre", long]).unwrap();
+        // Distinct words with one suffix: `kilometre`/`centimetre` share
+        // `etre`, so their `xs:` ids are one pair and `shareS` counts them.
+        check_item(
+            &mut f,
+            "suffix",
+            "kilometre centimetre millimetre kilometre",
+            &["centimetre", "decimetre metre", "kilometre"],
+        )
+        .unwrap();
+        // The state of a larger item never leaks into a smaller one.
+        check_item(&mut f, "t", "", &["", "x"]).unwrap();
+        check_item(&mut f, "t", "one", &[]).unwrap();
     }
 
     #[test]

@@ -49,16 +49,19 @@ impl LinearModel {
     }
 
     /// One softmax cross-entropy SGD step over candidate feature sets;
-    /// returns the loss. `gold` indexes the correct candidate. `exps` is
-    /// scratch the caller reuses across steps; its contents are overwritten.
+    /// returns the loss. Candidate `k` is `ids[bounds[k]..bounds[k + 1]]`,
+    /// and `gold` indexes the correct one. `exps` is scratch the caller
+    /// reuses across steps; its contents are overwritten.
     pub fn sgd_softmax(
         &mut self,
-        candidates: &[Vec<u32>],
+        ids: &[u32],
+        bounds: &[usize],
         gold: usize,
         exps: &mut Vec<f32>,
     ) -> f32 {
+        let candidates = || bounds.windows(2).map(|w| &ids[w[0]..w[1]]);
         exps.clear();
-        exps.extend(candidates.iter().map(|c| self.score(c)));
+        exps.extend(candidates().map(|c| self.score(c)));
         let max = exps.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         for e in exps.iter_mut() {
             *e = (*e - max).exp();
@@ -66,7 +69,7 @@ impl LinearModel {
         let z: f32 = exps.iter().sum();
         let weights = Arc::make_mut(&mut self.weights);
         let mut loss = 0.0;
-        for (i, c) in candidates.iter().enumerate() {
+        for (i, c) in candidates().enumerate() {
             let p = exps[i] / z;
             let y = f32::from(i == gold);
             add(weights, c, -self.lr * (p - y));
@@ -108,13 +111,24 @@ mod tests {
     use super::*;
     use crate::tinylm::features::feat;
 
+    /// One softmax step over candidates given one `Vec` each.
+    fn softmax_step(m: &mut LinearModel, candidates: &[Vec<u32>], gold: usize, exps: &mut Vec<f32>) -> f32 {
+        let ids: Vec<u32> = candidates.concat();
+        let mut bounds = vec![0];
+        bounds.extend(candidates.iter().scan(0, |end, c| {
+            *end += c.len();
+            Some(*end)
+        }));
+        m.sgd_softmax(&ids, &bounds, gold, exps)
+    }
+
     #[test]
     fn softmax_learns_a_separable_choice() {
         let mut m = LinearModel::zeros(0.5);
         let good = vec![feat("good"), feat("shared")];
         let bad = vec![feat("bad"), feat("shared")];
         for _ in 0..50 {
-            m.sgd_softmax(&[good.clone(), bad.clone()], 0, &mut Vec::new());
+            softmax_step(&mut m, &[good.clone(), bad.clone()], 0, &mut Vec::new());
         }
         assert!(m.score(&good) > m.score(&bad));
     }
@@ -136,11 +150,11 @@ mod tests {
     fn loss_decreases_with_training() {
         let mut m = LinearModel::zeros(0.2);
         let cands = vec![vec![feat("a")], vec![feat("b")], vec![feat("c")]];
-        let first = m.sgd_softmax(&cands, 1, &mut Vec::new());
+        let first = softmax_step(&mut m, &cands, 1, &mut Vec::new());
         for _ in 0..30 {
-            m.sgd_softmax(&cands, 1, &mut Vec::new());
+            softmax_step(&mut m, &cands, 1, &mut Vec::new());
         }
-        let last = m.sgd_softmax(&cands, 1, &mut Vec::new());
+        let last = softmax_step(&mut m, &cands, 1, &mut Vec::new());
         assert!(last < first);
     }
 
@@ -155,7 +169,7 @@ mod tests {
         // Once unshared, later steps write the clone's own table in place.
         let before = Arc::as_ptr(&clone.weights);
         clone.sgd_logistic(&[2], true);
-        clone.sgd_softmax(&[vec![3], vec![4]], 0, &mut Vec::new());
+        softmax_step(&mut clone, &[vec![3], vec![4]], 0, &mut Vec::new());
         assert_eq!(Arc::as_ptr(&clone.weights), before);
     }
 
@@ -167,7 +181,7 @@ mod tests {
         let before: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
         let mut clone = original.clone();
         for _ in 0..20 {
-            clone.sgd_softmax(&probes, 0, &mut Vec::new());
+            softmax_step(&mut clone, &probes, 0, &mut Vec::new());
             clone.sgd_logistic(&probes[1], false);
         }
         let after: Vec<u32> = probes.iter().map(|p| original.score(p).to_bits()).collect();
@@ -208,7 +222,7 @@ mod tests {
                 .map(|_| (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..64u32)).collect())
                 .collect();
             let gold = rng.gen_range(0..candidates.len());
-            let a = fast.sgd_softmax(&candidates, gold, &mut scratch);
+            let a = softmax_step(&mut fast, &candidates, gold, &mut scratch);
             let b = sgd_softmax_two_vecs(&mut slow, &candidates, gold);
             assert_eq!(a.to_bits(), b.to_bits());
             touched.extend(candidates.into_iter().flatten());
