@@ -87,7 +87,7 @@ fn main() {
             )
         })
         .collect();
-    let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
+    let annotator = Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
     let annotate_run = |threads: usize| {
         black_box(annotator.annotate_batch(&texts, dim_par::Parallelism::new(threads)).len());
     };

@@ -315,7 +315,7 @@ pub fn ablation_algo1() -> String {
 
     let kb = DimUnitKb::shared();
     let corpus = generate(&kb, &CorpusConfig { sentences: 600, seed: 505 });
-    let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+    let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
     let mlm = algo1::train_filter(&corpus);
     let mut out = String::new();
     let _ = writeln!(out, "Algorithm 1 ablation — masked-LM filter thresholds");
@@ -394,7 +394,7 @@ pub fn ablation_linking() -> String {
     let _ = writeln!(out, "(40% lowercased, 30% one-character typos, 30% exact)");
     rule_to(&mut out, 64);
     for (label, config) in variants {
-        let linker = UnitLinker::new(kb.clone(), None, config);
+        let linker = UnitLinker::with_config(kb.clone(), config);
         let mut rng = StdRng::seed_from_u64(7);
         let mut total = 0usize;
         let mut correct = 0usize;
@@ -549,7 +549,7 @@ pub fn chaos_report(cfg: &ExperimentConfig, seed: u64, rate: f64) -> String {
         })
         .collect();
     let annotator =
-        Annotator::new(UnitLinker::new(dimkb::DimUnitKb::shared(), None, LinkerConfig::default()));
+        Annotator::new(UnitLinker::with_config(dimkb::DimUnitKb::shared(), LinkerConfig::default()));
     let mut quarantine = Vec::new();
     match annotator.try_annotate_batch(&texts, cfg.pipeline.parallelism, policy) {
         Ok(d) => {

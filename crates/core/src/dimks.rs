@@ -1,8 +1,6 @@
 //! DimKS: the dimensional knowledge system (§III) — DimUnitKB plus the
-//! unit linking module, optionally with context embeddings.
+//! unit linking module, whose `Pr(u|c)` is exact keyword overlap.
 
-use dim_corpus::CorpusConfig;
-use dim_embed::{EmbedConfig, EmbeddingModel};
 use dimkb::DimUnitKb;
 use dimlink::{Annotator, LinkResult, LinkerConfig, QuantityMention, UnitLinker};
 use std::sync::Arc;
@@ -14,35 +12,11 @@ pub struct DimKs {
 }
 
 impl DimKs {
-    /// The standard system: shared KB, lexical-only linking.
+    /// The standard system: the shared KB and the default linker.
     pub fn standard() -> Self {
         let kb = DimUnitKb::shared();
         let annotator =
-            Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
-        DimKs { kb, annotator }
-    }
-
-    /// A system with context embeddings trained on a quantity-rich corpus
-    /// plus keyword pseudo-sentences from the KB (so every stored keyword
-    /// is in-vocabulary) — the full §III-B2 configuration.
-    pub fn with_embeddings(seed: u64) -> Self {
-        let kb = DimUnitKb::shared();
-        let corpus = dim_corpus::generate(&kb, &CorpusConfig { sentences: 600, seed });
-        let mut sentences: Vec<Vec<String>> = corpus
-            .iter()
-            .map(|s| dim_embed::tokenize::words(&s.text))
-            .collect();
-        // Keyword pseudo-sentences: a unit's keywords co-occur with its
-        // kind words, anchoring Pr(u|c) for rarely-mentioned units.
-        for unit in kb.units().iter().filter(|u| !u.prefixed) {
-            let kind = kb.kind(unit.kind);
-            let mut sent: Vec<String> = unit.keywords.clone();
-            sent.extend(kind.words());
-            sentences.push(sent);
-        }
-        let model = EmbeddingModel::train(&sentences, EmbedConfig { seed, ..Default::default() });
-        let annotator =
-            Annotator::new(UnitLinker::new(kb.clone(), Some(model), LinkerConfig::default()));
+            Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
         DimKs { kb, annotator }
     }
 
@@ -136,13 +110,5 @@ mod tests {
         assert_eq!(ordering, std::cmp::Ordering::Greater, "LeBron is taller");
         // Incomparable pair refuses.
         assert!(ks.compare_first_two("0.1 poundal versus 30 dyn/cm").is_none());
-    }
-
-    #[test]
-    fn embedded_system_still_links() {
-        let ks = DimKs::with_embeddings(3);
-        let links = ks.link("km", "driving on the road");
-        assert!(!links.is_empty());
-        assert_eq!(ks.kb().unit(links[0].unit).code, "KiloM");
     }
 }

@@ -191,7 +191,7 @@ mod tests {
         let kb = DimUnitKb::shared();
         let corpus = dim_corpus::generate(&kb, &CorpusConfig { sentences: 250, seed: 3 });
         let annotator =
-            Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+            Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
         let mlm = train_filter(&corpus);
         semi_automated_annotate(&annotator, &mlm, &corpus, Algo1Config::default())
     }
@@ -231,7 +231,7 @@ mod tests {
     fn parallel_run_matches_sequential() {
         let kb = DimUnitKb::shared();
         let corpus = dim_corpus::generate(&kb, &CorpusConfig { sentences: 250, seed: 3 });
-        let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+        let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
         let mlm = train_filter(&corpus);
         let seq = semi_automated_annotate(&annotator, &mlm, &corpus, Algo1Config::default());
         let par = semi_automated_annotate(

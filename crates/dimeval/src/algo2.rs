@@ -200,7 +200,7 @@ mod tests {
     fn run() -> (SynthKg, Algo2Output) {
         let kb = DimUnitKb::shared();
         let kg = synthesize(&kb, &SynthConfig { entities_per_type: 40, seed: 21 });
-        let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+        let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
         let out = bootstrap_retrieve(&kg, &annotator, Algo2Config::default());
         (kg, out)
     }
@@ -246,7 +246,7 @@ mod tests {
     fn parallel_bootstrap_matches_sequential() {
         let kb = DimUnitKb::shared();
         let kg = synthesize(&kb, &SynthConfig { entities_per_type: 40, seed: 21 });
-        let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+        let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
         let seq = bootstrap_retrieve(&kg, &annotator, Algo2Config::default());
         let par = bootstrap_retrieve(
             &kg,

@@ -94,7 +94,7 @@ impl DimEval {
             },
         );
         let annotator =
-            Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
+            Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
         let mlm = algo1::train_filter(&corpus);
         let out1 = algo1::semi_automated_annotate(
             &annotator,

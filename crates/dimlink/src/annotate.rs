@@ -349,7 +349,7 @@ mod tests {
     use dimkb::DimUnitKb;
 
     fn annotator() -> Annotator {
-        Annotator::new(UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default()))
+        Annotator::new(UnitLinker::with_config(DimUnitKb::shared(), LinkerConfig::default()))
     }
 
     /// A fault-free policy with the given error budget.

@@ -2,8 +2,8 @@
 //!
 //! Implements §III-B of the paper: candidate generation via Levenshtein
 //! similarity over the naming dictionary, a frequency prior `Pr(u)`, and
-//! context disambiguation `Pr(u|c)` via embedding cosine similarity against
-//! stored unit keywords. Together with `dimkb` this forms the paper's
+//! context disambiguation `Pr(u|c)` by exact overlap between context words
+//! and stored unit keywords. Together with `dimkb` this forms the paper's
 //! dimensional knowledge system (DimKS).
 //!
 //! The crate also ships the DimKS *text annotator* used by Algorithm 1:

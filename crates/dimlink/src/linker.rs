@@ -8,8 +8,9 @@
 //!
 //! where `Pr(u)` is the KB frequency prior (§III-A4), `Pr(u|m)` is the
 //! normalized Levenshtein similarity between mention and the unit's surface
-//! forms, and `Pr(u|c)` aggregates cosine similarities between context
-//! words and the unit's stored keywords (§III-B2).
+//! forms, and `Pr(u|c)` is the share of context words found among the
+//! unit's stored keywords (§III-B2; exact keyword overlap stands in for the
+//! paper's Word2Vec similarity).
 //!
 //! The hot implementation ([`UnitLinker::link_with`]: `candidates`, then
 //! `score_candidates`) is allocation-free per query: candidate keys are
@@ -24,7 +25,6 @@
 
 use crate::lev;
 use crate::scratch::{LinkBufs, ScratchSpace};
-use dim_embed::EmbeddingModel;
 use dimkb::intern::char_signature;
 use dimkb::{DimUnitKb, UnitId};
 use std::sync::Arc;
@@ -92,20 +92,26 @@ impl Default for LinkerConfig {
     }
 }
 
-/// The unit linker. Owns a reference to the KB and optional embeddings for
-/// context disambiguation (without embeddings, `Pr(u|c)` falls back to
-/// lexical keyword overlap). Candidate tables live in the KB's shared
+/// The unit linker. Owns a reference to the KB, whose unit keywords score
+/// context by exact overlap. Candidate tables live in the KB's shared
 /// [`dimkb::intern::LinkIndex`] — constructing a linker is cheap.
 pub struct UnitLinker {
     kb: Arc<DimUnitKb>,
-    embeddings: Option<EmbeddingModel>,
     config: LinkerConfig,
 }
 
 impl UnitLinker {
     /// Builds a linker over a KB.
-    pub fn new(kb: Arc<DimUnitKb>, embeddings: Option<EmbeddingModel>, config: LinkerConfig) -> Self {
-        UnitLinker { kb, embeddings, config }
+    pub fn with_config(kb: Arc<DimUnitKb>, config: LinkerConfig) -> Self {
+        UnitLinker { kb, config }
+    }
+
+    /// [`Self::with_config`] under its old three-argument signature, whose
+    /// middle argument can only be `None`; kept only for perfbench's calls,
+    /// and deleted once perfbench calls `with_config`.
+    #[doc(hidden)]
+    pub fn new(kb: Arc<DimUnitKb>, _none: Option<std::convert::Infallible>, config: LinkerConfig) -> Self {
+        Self::with_config(kb, config)
     }
 
     /// The knowledge base this linker resolves into.
@@ -116,11 +122,6 @@ impl UnitLinker {
     /// This linker's configuration.
     pub fn config(&self) -> &LinkerConfig {
         &self.config
-    }
-
-    /// The embedding model used for context disambiguation, if any.
-    pub fn embeddings(&self) -> Option<&EmbeddingModel> {
-        self.embeddings.as_ref()
     }
 
     /// Links a mention within a context, returning ranked candidates
@@ -283,9 +284,8 @@ impl UnitLinker {
             let mention_sim = bufs.cand_sims[i]; // lint:allow(no_panic, cand_sims is parallel to cand_ids by arena construction)
             let unit = self.kb.unit(id);
             let prior = unit.frequency;
-            let context_prob = self
-                .context_probability(ctx_arena, ctx_spans, &unit.keywords)
-                .max(self.config.context_floor);
+            let context_prob =
+                context_probability(ctx_arena, ctx_spans, &unit.keywords).max(self.config.context_floor);
             let score = mention_sim
                 * if self.config.use_prior { prior } else { 1.0 }
                 * if self.config.use_context { context_prob } else { 1.0 };
@@ -307,40 +307,25 @@ impl UnitLinker {
     pub fn best(&self, mention: &str, context: &str) -> Option<LinkResult> {
         self.link(mention, context).into_iter().next()
     }
+}
 
-    /// `Pr(u|c) = (1/n) Σ_i max_j sim(c_i, k_j)` (the paper's formula), with
-    /// embedding cosine when available and exact-match overlap as fallback.
-    /// Context words arrive as spans into an arena (see
-    /// `dim_embed::tokenize::ContextWords`) instead of owned strings.
-    fn context_probability(
-        &self,
-        ctx_arena: &str,
-        ctx_spans: &[(usize, usize)],
-        keywords: &[String],
-    ) -> f64 {
-        if ctx_spans.is_empty() || keywords.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for &(s, e) in ctx_spans {
-            let cw = &ctx_arena[s..e]; // lint:allow(no_panic, spans index the arena ContextWords wrote them into)
-            let mut best: f64 = 0.0;
-            for kw in keywords {
-                let sim = if cw == kw.as_str() {
-                    1.0
-                } else if let Some(model) = &self.embeddings {
-                    f64::from(model.similarity(cw, kw)).max(0.0)
-                } else {
-                    0.0
-                };
-                if sim > best {
-                    best = sim;
-                }
-            }
-            total += best;
-        }
-        total / ctx_spans.len() as f64
+/// `Pr(u|c) = (1/n) Σ_i max_j [c_i = k_j]`, the paper's formula with exact
+/// match as the similarity: the share of the `n` context words that are
+/// among the unit's keywords (a count of ones over `n` is exactly the f64
+/// the summed form gives). Context words arrive as spans into an arena (see
+/// `dim_embed::tokenize::ContextWords`) instead of owned strings.
+fn context_probability(ctx_arena: &str, ctx_spans: &[(usize, usize)], keywords: &[String]) -> f64 {
+    if ctx_spans.is_empty() || keywords.is_empty() {
+        return 0.0;
     }
+    let hits = ctx_spans
+        .iter()
+        .filter(|&&(s, e)| {
+            let cw = &ctx_arena[s..e]; // lint:allow(no_panic, spans index the arena ContextWords wrote them into)
+            keywords.iter().any(|kw| kw == cw)
+        })
+        .count();
+    hits as f64 / ctx_spans.len() as f64
 }
 
 /// Normalizes `mention` into `bufs.mention_chars` for the fuzzy scan and
@@ -361,7 +346,7 @@ mod tests {
     use super::*;
 
     fn linker() -> UnitLinker {
-        UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default())
+        UnitLinker::with_config(DimUnitKb::shared(), LinkerConfig::default())
     }
 
     #[test]
@@ -445,46 +430,25 @@ mod tests {
     }
 
     #[test]
-    fn context_disambiguates_degree_with_embeddings() {
-        // Train tiny embeddings where "angle"-context words cluster with the
-        // arc-degree keywords and "weather" words with celsius keywords.
-        let kb = DimUnitKb::shared();
-        let mut sents: Vec<Vec<String>> = Vec::new();
-        for _ in 0..40 {
-            sents.push(
-                ["rotation", "angle", "geometry", "compass"].iter().map(|s| s.to_string()).collect(),
-            );
-            sents.push(
-                ["weather", "temperature", "thermometer", "forecast"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            );
+    fn context_disambiguates_degree_by_keyword_overlap() {
+        // "degree" names both the arc degree and degree Celsius; each
+        // context shares three of its six words with one unit's keywords
+        // ("rotation", "angle", "compass" / "weather", "forecast",
+        // "temperature"), so Pr(u|c) = 3/6 picks that unit.
+        let l = linker();
+        for (context, want, other) in [
+            ("rotation angle of the compass needle", "DEG-ANGLE", "DEG-C"),
+            ("weather forecast temperature today", "DEG-C", "DEG-ANGLE"),
+        ] {
+            let results = l.link("degree", context);
+            let best = &results[0];
+            assert_eq!(l.kb().unit(best.unit).code, want, "context = {context:?}");
+            assert_eq!(best.context_prob, 0.5, "context = {context:?}");
+            let rival = results
+                .iter()
+                .find(|r| l.kb().unit(r.unit).code == other)
+                .map_or(0.0, |r| r.context_prob);
+            assert!(rival < best.context_prob, "{other} in {context:?}: {rival}");
         }
-        let model = dim_embed::EmbeddingModel::train(&sents, dim_embed::EmbedConfig::default());
-        let l = UnitLinker::new(kb, Some(model), LinkerConfig::default());
-        let angle = l.best("degree", "rotation angle of the compass needle").unwrap();
-        let weather = l.best("degree", "weather forecast temperature today").unwrap();
-        let angle_unit = l.kb().unit(angle.unit).code.clone();
-        let weather_unit = l.kb().unit(weather.unit).code.clone();
-        assert_eq!(angle_unit, "DEG-ANGLE");
-        // The weather context should shift probability mass toward Celsius
-        // relative to the angle context even if the final argmax is shared.
-        let celsius_in_weather = l
-            .link("degree", "weather forecast temperature today")
-            .iter()
-            .find(|r| l.kb().unit(r.unit).code == "DEG-C")
-            .map(|r| r.context_prob)
-            .unwrap_or(0.0);
-        let celsius_in_angle = l
-            .link("degree", "rotation angle of the compass needle")
-            .iter()
-            .find(|r| l.kb().unit(r.unit).code == "DEG-C")
-            .map(|r| r.context_prob)
-            .unwrap_or(0.0);
-        assert!(
-            celsius_in_weather > celsius_in_angle || weather_unit == "DEG-C",
-            "weather context must favour Celsius: {celsius_in_weather} vs {celsius_in_angle}"
-        );
     }
 }

@@ -15,7 +15,6 @@
 use crate::lev;
 use crate::linker::{LinkResult, LinkerConfig};
 use dim_embed::tokenize::{tokenize, TokenKind};
-use dim_embed::EmbeddingModel;
 use dimkb::{DimUnitKb, UnitId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,7 +33,6 @@ fn char_signature(s: &str) -> u64 {
 /// data layout. See the module docs for why it survives.
 pub struct ReferenceLinker {
     kb: Arc<DimUnitKb>,
-    embeddings: Option<EmbeddingModel>,
     config: LinkerConfig,
     /// Naming-dictionary keys bucketed by char length, each with a
     /// [`char_signature`] for the Levenshtein lower-bound pre-filter.
@@ -44,7 +42,7 @@ pub struct ReferenceLinker {
 impl ReferenceLinker {
     /// Builds the reference linker over a KB (no memo — every query is a
     /// full recompute, which is exactly what an oracle should be).
-    pub fn new(kb: Arc<DimUnitKb>, embeddings: Option<EmbeddingModel>, config: LinkerConfig) -> Self {
+    pub fn new(kb: Arc<DimUnitKb>, config: LinkerConfig) -> Self {
         let mut keys_by_len: HashMap<usize, Vec<(String, u64)>> = HashMap::new();
         for (key, _) in kb.naming_dictionary() {
             keys_by_len
@@ -56,7 +54,7 @@ impl ReferenceLinker {
         for bucket in keys_by_len.values_mut() {
             bucket.sort_unstable();
         }
-        ReferenceLinker { kb, embeddings, config, keys_by_len }
+        ReferenceLinker { kb, config, keys_by_len }
     }
 
     /// Links a mention within a context — the original algorithm, verbatim.
@@ -139,13 +137,7 @@ impl ReferenceLinker {
         for cw in context_words {
             let mut best: f64 = 0.0;
             for kw in keywords {
-                let sim = if cw == kw {
-                    1.0
-                } else if let Some(model) = &self.embeddings {
-                    f64::from(model.similarity(cw, kw)).max(0.0)
-                } else {
-                    0.0
-                };
+                let sim = if cw == kw { 1.0 } else { 0.0 };
                 if sim > best {
                     best = sim;
                 }
@@ -166,8 +158,8 @@ mod tests {
     fn reference_matches_optimized_on_fixed_cases() {
         let kb = DimUnitKb::shared();
         let config = LinkerConfig::default();
-        let reference = ReferenceLinker::new(kb.clone(), None, config);
-        let optimized = UnitLinker::new(kb, None, config);
+        let reference = ReferenceLinker::new(kb.clone(), config);
+        let optimized = UnitLinker::with_config(kb, config);
         let mut scratch = ScratchSpace::new();
         for (mention, context) in [
             ("km", "the road is long"),

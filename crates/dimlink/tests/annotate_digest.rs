@@ -67,9 +67,8 @@ fn digest(out: &[Vec<QuantityMention>]) -> u64 {
 
 /// The digest of `texts` at widths 1 and 4, which must agree.
 fn batch_digest(texts: &[String]) -> u64 {
-    let annotator = Annotator::new(UnitLinker::new(
+    let annotator = Annotator::new(UnitLinker::with_config(
         DimUnitKb::shared(),
-        None,
         LinkerConfig::default(),
     ));
     let narrow = digest(&annotator.annotate_batch(texts, Parallelism::new(1)));

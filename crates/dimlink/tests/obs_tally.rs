@@ -21,7 +21,7 @@ fn batch_tallies_equal_per_text_counts_at_every_width() {
     let kb = DimUnitKb::shared();
     let corpus = dim_corpus::generate(&kb, &dim_corpus::CorpusConfig { sentences: 400, seed: 5 });
     let texts: Vec<&str> = corpus.iter().map(|s| s.text.as_str()).collect();
-    let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
+    let annotator = Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
 
     let per_text = deltas(|| {
         for text in &texts {

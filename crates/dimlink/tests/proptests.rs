@@ -88,8 +88,8 @@ proptest! {
     ) {
         let kb = DimUnitKb::shared();
         let config = LinkerConfig::default();
-        let reference = ReferenceLinker::new(kb.clone(), None, config);
-        let optimized = UnitLinker::new(kb, None, config);
+        let reference = ReferenceLinker::new(kb.clone(), config);
+        let optimized = UnitLinker::with_config(kb, config);
         let mut scratch = ScratchSpace::new();
         let want = reference.link(&mention, &context);
         prop_assert_eq!(&want, &optimized.link(&mention, &context));
@@ -109,9 +109,8 @@ proptest! {
         texts in prop::collection::vec("\\PC{0,48}", 0..12)
     ) {
         let annotator = || {
-            Annotator::new(UnitLinker::new(
+            Annotator::new(UnitLinker::with_config(
                 DimUnitKb::shared(),
-                None,
                 LinkerConfig::default(),
             ))
         };

@@ -1,15 +1,11 @@
-//! # dim-embed — distributional word embeddings (Word2Vec substitution)
+//! # dim-embed — the bilingual tokenizer
 //!
-//! The paper's unit linking module (§III-B) computes `Pr(u|c)` from cosine
-//! similarities between context words and stored unit keywords using
-//! Word2Vec. Pretrained Word2Vec is a gated artifact, so this crate trains
-//! real distributional embeddings from scratch: PPMI co-occurrence
-//! statistics factorized by randomized subspace iteration. It also provides
-//! the bilingual tokenizer shared across the framework.
+//! The tokenizer shared across the framework: Latin words lowercased, CJK
+//! split into single characters, digit runs kept whole. The unit linker's
+//! context scan (`Pr(u|c)`, §III-B2) reads its words through
+//! [`tokenize::ContextWords`]; `Pr(u|c)` itself is exact keyword overlap
+//! and needs no word vectors.
 
 #![warn(missing_docs)]
 
-mod model;
 pub mod tokenize;
-
-pub use model::{cosine, EmbedConfig, EmbeddingModel, Vocab};

@@ -34,7 +34,7 @@ impl SimulatedLlm {
     pub fn new(kb: Arc<DimUnitKb>, profile: CapabilityProfile, seed: u64) -> Self {
         let view = KnowledgeView::sample(&kb, &profile, seed);
         let annotator =
-            Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
+            Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
         SimulatedLlm { profile, kb, view, annotator, rng: StdRng::seed_from_u64(seed ^ 0xABCD) }
     }
 

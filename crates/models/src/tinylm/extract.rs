@@ -153,7 +153,7 @@ mod tests {
         let kb = DimUnitKb::shared();
         let corpus =
             dim_corpus::generate(&kb, &dim_corpus::CorpusConfig { sentences: 400, seed: 71 });
-        let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+        let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
         let mlm = algo1::train_filter(&corpus);
         algo1::semi_automated_annotate(&annotator, &mlm, &corpus, algo1::Algo1Config::default())
             .dataset

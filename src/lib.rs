@@ -29,7 +29,7 @@
 /// DimUnitKB: dimension vectors, units, kinds, conversion (re-export of `dimkb`).
 pub use dimkb as kb;
 
-/// Word embeddings and bilingual tokenization (re-export of `dim-embed`).
+/// Bilingual tokenization (re-export of `dim-embed`).
 pub use dim_embed as embed;
 
 /// The triple-store substrate (re-export of `dim-kgraph`).

@@ -29,7 +29,7 @@ use dimension_perception::link::{Annotator, LinkerConfig, UnitLinker};
 use dimension_perception::mwp::{self, Augmenter, GenConfig, MwpSolver, Source};
 
 fn annotator() -> Annotator {
-    Annotator::new(UnitLinker::new(DimUnitKb::shared(), None, LinkerConfig::default()))
+    Annotator::new(UnitLinker::with_config(DimUnitKb::shared(), LinkerConfig::default()))
 }
 
 /// A policy injecting `plan` under a budget of `max_error_rate`.

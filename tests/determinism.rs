@@ -42,7 +42,7 @@ fn mwp_generation_and_augmentation_are_byte_identical() {
 #[test]
 fn batch_linking_matches_sequential() {
     let kb = DimUnitKb::shared();
-    let annotator = Annotator::new(UnitLinker::new(kb, None, LinkerConfig::default()));
+    let annotator = Annotator::new(UnitLinker::with_config(kb, LinkerConfig::default()));
     let texts: Vec<String> = (0..60)
         .map(|i| format!("第{i}项记录：距离{}千米，用时{}小时，油耗{} L。", i + 5, i + 1, i % 9 + 3))
         .collect();

@@ -255,7 +255,7 @@ fn obs_instrumentation_covers_stages_without_perturbing_output() {
     use dimension_perception::mwp::{self, GenConfig, Source};
 
     let kb = DimUnitKb::shared();
-    let annotator = Annotator::new(UnitLinker::new(kb.clone(), None, LinkerConfig::default()));
+    let annotator = Annotator::new(UnitLinker::with_config(kb.clone(), LinkerConfig::default()));
 
     // kb.search.* : the indexed KB search.
     let hits = dimension_perception::kb::search::search(&kb, "meter", 5);
