@@ -16,8 +16,9 @@
 //! `score_candidates`) is allocation-free per query: candidate keys are
 //! interned `Symbol(u32)`s resolved through the KB's shared
 //! [`dimkb::intern::LinkIndex`], candidates accumulate in a
-//! struct-of-arrays arena, and normalization, Levenshtein DP rows, and
-//! context words all live in a caller-provided
+//! struct-of-arrays arena, and normalization, the mention's Levenshtein
+//! match masks (bit-parallel, see [`crate::lev`]; DP rows for a mention
+//! over 64 chars), and context words all live in a caller-provided
 //! [`crate::scratch::ScratchSpace`] reused across queries. The annotator
 //! hands an exact dictionary hit straight to scoring, and scores every
 //! mention of a sentence against one tokenization of it. The String-based
@@ -211,10 +212,13 @@ impl UnitLinker {
     /// The fuzzy scan of [`Self::candidates`] for the mention
     /// [`prepare_mention`] left in `bufs.mention_chars`, with signature
     /// `m_sig`: every unit whose key is within the mention threshold, at
-    /// its best similarity, appended to the empty candidate arena.
+    /// its best similarity, appended to the empty candidate arena. A
+    /// mention of at most [`lev::MAX_PATTERN`] chars is loaded once as
+    /// bit-parallel match masks; a longer one runs the DP per key.
     fn fuzzy_candidates(&self, m_sig: u64, bufs: &mut LinkBufs) {
         let idx = self.kb.link_index();
         let m_len = bufs.mention_chars.len();
+        let bit_parallel = bufs.masks.load(&bufs.mention_chars);
         let radius = (m_len as f64 * (1.0 - self.config.mention_threshold)).ceil() as usize;
         let lo = m_len.saturating_sub(radius);
         let hi = m_len + radius;
@@ -229,8 +233,9 @@ impl UnitLinker {
                 continue;
             }
             for (slot, &sym) in bucket.syms.iter().enumerate() {
-                // Signature lower bound: skip the O(m·n) DP when even
-                // the optimistic distance cannot reach the threshold.
+                // Signature lower bound: skip the distance computation
+                // when even the optimistic distance cannot reach the
+                // threshold.
                 let k_sig = bucket.sigs[slot]; // lint:allow(no_panic, sigs is parallel to syms by LenBucket construction)
                 let dist_lb = (m_sig & !k_sig)
                     .count_ones()
@@ -241,13 +246,20 @@ impl UnitLinker {
                     continue;
                 }
                 bufs.lev_computed += 1;
-                let sim = lev::similarity_with(
-                    &bufs.mention_chars,
-                    idx.key(sym),
-                    len,
-                    &mut bufs.lev_prev,
-                    &mut bufs.lev_cur,
-                );
+                let key = idx.key(sym);
+                let dist = if bit_parallel {
+                    bufs.masks.distance(key)
+                } else {
+                    lev::distance_with(
+                        &bufs.mention_chars,
+                        key,
+                        len,
+                        &mut bufs.lev_prev,
+                        &mut bufs.lev_cur,
+                    )
+                };
+                // `lev::similarity`'s normalization, over the same integer.
+                let sim = 1.0 - dist as f64 / max_len;
                 if sim >= self.config.mention_threshold {
                     for &id in idx.fuzzy_units(sym) {
                         // Dedup-max over the SoA arena: candidate sets

@@ -3,10 +3,11 @@
 //! One [`ScratchSpace`] per worker (see `dim_par::par_map_scratch`) holds
 //! every buffer the hot path used to reallocate per sentence: the number
 //! scanner's match list, the candidate-phrase builder, the normalization
-//! and Levenshtein DP buffers, the struct-of-arrays candidate arena, and
-//! the context words of the current text. All buffers are cleared before
-//! each use — results never depend on what earlier items left behind, which
-//! is the determinism contract `par_map_scratch` requires. The context
+//! buffer, the mention's Levenshtein match masks and DP rows, the
+//! struct-of-arrays candidate arena, and the context words of the current
+//! text. All buffers are cleared before each use — results never depend on
+//! what earlier items left behind, which is the determinism contract
+//! `par_map_scratch` requires. The context
 //! words are the one cache: they are reused across the link queries of one
 //! text and forgotten when the next text begins.
 //!
@@ -15,6 +16,7 @@
 //! the scratch drops, so the per-candidate loop never touches an atomic
 //! that other workers share.
 
+use crate::lev::PatternMasks;
 use crate::linker::LinkResult;
 use crate::numparse::NumberMatch;
 use dim_embed::tokenize::ContextWords;
@@ -22,7 +24,8 @@ use dimkb::UnitId;
 
 static LINK_QUERIES: dim_obs::Counter = dim_obs::Counter::new("link.queries");
 static LINK_RESULTS: dim_obs::Counter = dim_obs::Counter::new("link.results");
-// The lev pair measures how many DP runs the char-signature prefilter saves.
+// The lev pair measures how many distance computations the char-signature
+// prefilter saves.
 static LEV_COMPUTED: dim_obs::Counter = dim_obs::Counter::new("link.lev_computed");
 static LEV_PRUNED: dim_obs::Counter = dim_obs::Counter::new("link.lev_pruned");
 static ANNOTATE_TEXTS: dim_obs::Counter = dim_obs::Counter::new("link.annotate.texts");
@@ -67,11 +70,13 @@ impl ScratchSpace {
 pub(crate) struct LinkBufs {
     /// Normalization / index-lookup key buffer.
     pub(crate) key: String,
-    /// Chars of the normalized mention (the Levenshtein `a` side).
+    /// Chars of the normalized mention (the Levenshtein pattern).
     pub(crate) mention_chars: Vec<char>,
-    /// Levenshtein DP rows.
+    /// The mention's match masks for the bit-parallel distance.
+    pub(crate) masks: PatternMasks,
+    /// Levenshtein DP rows, for a mention too long for `masks`.
     pub(crate) lev_prev: Vec<usize>,
-    /// Levenshtein DP rows.
+    /// Levenshtein DP rows, for a mention too long for `masks`.
     pub(crate) lev_cur: Vec<usize>,
     /// Candidate arena, struct-of-arrays: `cand_ids[i]` scored by
     /// `cand_sims[i]` (the max mention similarity seen for that unit).
